@@ -14,7 +14,6 @@ from .density import (
 from .discforms import (
     FiniteQuadraticForm,
     discriminant_form,
-    factorize,
     finite_isometry_order,
     minus_id_in_tilde,
     num_prime_divisors,

@@ -137,19 +137,16 @@ def _density_two(decomp: JordanDecomposition) -> LocalDensity:
     return LocalDensity(2, value, breakdown)
 
 
-def local_density(lattice: Lattice, p: int) -> LocalDensity:
-    """alpha_p(L), exact."""
-    decomp = jordan_decompose(lattice, p)
-    if p == 2:
-        return _density_two(decomp)
-    return _density_odd(decomp)
-
-
 def density_from_decomposition(decomp: JordanDecomposition) -> LocalDensity:
-    """alpha_p from an existing decomposition (used by invariance tests)."""
+    """alpha_p from a Jordan decomposition at p."""
     if decomp.p == 2:
         return _density_two(decomp)
     return _density_odd(decomp)
+
+
+def local_density(lattice: Lattice, p: int) -> LocalDensity:
+    """alpha_p(L), exact."""
+    return density_from_decomposition(jordan_decompose(lattice, p))
 
 
 def bad_primes(lattice: Lattice) -> tuple[int, ...]:

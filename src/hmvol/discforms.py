@@ -25,16 +25,6 @@ from .lattices import Lattice
 ISOMETRY_ENUM_CAP = 10**5
 
 
-def factorize(n: int) -> tuple[int, ...]:
-    """Prime factorization of n >= 1 as a sorted tuple with multiplicity."""
-    if n < 1:
-        raise PreconditionError("factorize expects a positive integer")
-    out: list[int] = []
-    for p, e in arith.factorize(n).items():
-        out.extend([p] * e)
-    return tuple(out)
-
-
 def num_prime_divisors(d: int) -> int:
     """rho(d): number of distinct prime divisors; rho(1) = 0."""
     if d < 1:
@@ -134,6 +124,11 @@ class FiniteQuadraticForm:
     def is_trivial(self) -> bool:
         return not self.orders
 
+    @property
+    def is_two_elementary(self) -> bool:
+        """Exponent <= 2: every generator order divides 2."""
+        return all(d <= 2 for d in self.orders)
+
     def element_order(self, x: tuple[int, ...]) -> int:
         out = 1
         for xi, di in zip(x, self.orders):
@@ -187,64 +182,14 @@ def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
     return form
 
 
-def _elementary_divisors(mat: list[list[int]]) -> list[int]:
-    """Nonzero diagonal of an (uncanonicalized) Smith reduction of `mat`."""
-    m = [row[:] for row in mat]
-    nrows, ncols = len(m), len(m[0])
-    t = 0
-    out = []
-    while t < min(nrows, ncols):
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i0, j0 = best
-        m[t], m[i0] = m[i0], m[t]
-        for row in m:
-            row[t], row[j0] = row[j0], row[t]
-        dirty = False
-        for i in range(t + 1, nrows):
-            f = m[i][t] // m[t][t]
-            if f:
-                for j in range(t, ncols):
-                    m[i][j] -= f * m[t][j]
-            if m[i][t]:
-                dirty = True
-        for j in range(t + 1, ncols):
-            f = m[t][j] // m[t][t]
-            if f:
-                for i in range(t, nrows):
-                    m[i][j] -= f * m[i][t]
-            if m[t][j]:
-                dirty = True
-        if not dirty:
-            out.append(abs(m[t][t]))
-            t += 1
-    return out
-
-
-def _is_automorphism(form: FiniteQuadraticForm, images: list[tuple[int, ...]]) -> bool:
-    """Surjectivity of the endomorphism g_j -> images[j]: the images together
-    with the relations d_i e_i must span Z^k over Z."""
-    k = len(form.orders)
-    mat = [
-        [images[j][i] for j in range(k)]
-        + [form.orders[i] if c == i else 0 for c in range(k)]
-        for i in range(k)
-    ]
-    divisors = _elementary_divisors(mat)
-    return len(divisors) == k and all(d == 1 for d in divisors)
-
-
 def finite_isometry_order(form: FiniteQuadraticForm) -> int:
     """|O(A, q)| by brute-force enumeration of generator images.
 
     Candidates are pruned by element order and q-value, then by bilinear
-    compatibility with previously chosen images; surviving assignments are
-    filtered to automorphisms.
+    compatibility with previously chosen images.  Every complete assignment
+    is an automorphism: it preserves the nondegenerate b, so its kernel lies
+    in the radical of b and is zero, and an injective endomorphism of a
+    finite group is bijective.
     """
     if form.is_trivial:
         return 1
@@ -258,88 +203,91 @@ def finite_isometry_order(form: FiniteQuadraticForm) -> int:
         buckets.setdefault((form.element_order(x), form.q_of(x)), []).append(x)
     candidates = [buckets.get((form.orders[i], form.q_values[i]), []) for i in range(k)]
 
-    count = 0
     chosen: list[tuple[int, ...]] = []
 
-    def extend(i: int):
-        nonlocal count
+    def extend(i: int) -> int:
         if i == k:
-            if _is_automorphism(form, chosen):
-                count += 1
-            return
+            return 1
+        count = 0
         for cand in candidates[i]:
-            ok = True
-            for j in range(i):
-                if form.b_of(cand, chosen[j]) != form.bilinear[i][j] % 1:
-                    ok = False
-                    break
-            if ok:
+            if all(form.b_of(cand, chosen[j]) == form.bilinear[i][j] % 1 for j in range(i)):
                 chosen.append(cand)
-                extend(i + 1)
+                count += extend(i + 1)
                 chosen.pop()
+        return count
 
-    extend(0)
-    return count
+    return extend(0)
 
 
 def minus_id_in_tilde(lattice: Lattice) -> bool:
     """Whether -id acts trivially on the discriminant group, i.e. lies in the
     stable orthogonal group: true exactly when A_L has exponent <= 2 (every
     generator order divides 2)."""
-    form = discriminant_form(lattice)
-    return all(d <= 2 for d in form.orders)
+    return discriminant_form(lattice).is_two_elementary
 
 
 GROUP_TAGS = ("O", "O+", "SO+", "O~+", "SO~+")
+STABLE_TAGS = ("O~+", "SO~+")
 
 
-def projective_index(lattice: Lattice, tag: str) -> int:
-    """[PO(L) : P(Gamma_tag)] for the group diagram of an even signature-(2,n)
-    lattice with a hyperbolic-plane direct summand.
-
-    Vertical steps (plus condition, determinant condition) have index 2 and
-    the horizontal step (stability) index N = |O(q_L)|; passing to projective
-    groups doubles the index exactly when -id lies in the subgroup: -id is in
-    O+ always (signature (2, n)), in the determinant-1 groups iff the rank is
-    even, and in the stable groups iff A_L has exponent <= 2.
-    """
-    if tag not in GROUP_TAGS:
-        raise PreconditionError(f"unknown group tag {tag!r}")
+def _require_signature_two_n(lattice: Lattice) -> None:
     sig = lattice.signature
     if sig.positive != 2 or sig.negative < 1:
         raise PreconditionError("projective indices are defined for signature (2, n), n >= 1")
-    if tag == "O":
-        return 1
-    if tag == "O+":
-        return 2
-    rho = lattice.rank
-    if tag == "SO+":
-        return 4 if rho % 2 == 0 else 2
+
+
+def stable_invariants(lattice: Lattice) -> tuple[int, bool]:
+    """(|O(q_L)|, whether A_L has exponent <= 2): the discriminant data every
+    stable-group index needs, from one discriminant form.
+
+    Requires an even signature-(2, n) lattice with a hyperbolic-plane direct
+    summand (one class per genus, surjectivity onto O(q)).
+    """
+    _require_signature_two_n(lattice)
     if not lattice.is_even:
-        raise PreconditionError(f"group tag {tag} needs the discriminant form of an even lattice")
+        raise PreconditionError("stable group tags need the discriminant form of an even lattice")
     if not lattice.has_hyperbolic_summand:
         raise PreconditionError(
             "stable-group indices assume a hyperbolic-plane direct summand "
             "(one class per genus, surjectivity onto O(q))"
         )
-    n_iso = finite_isometry_order(discriminant_form(lattice))
-    exp_two = minus_id_in_tilde(lattice)
-    if tag == "O~+":
-        return 2 * n_iso if exp_two else n_iso
-    # SO~+
-    return 4 * n_iso if (exp_two and rho % 2 == 0) else 2 * n_iso
+    form = discriminant_form(lattice)
+    return finite_isometry_order(form), form.is_two_elementary
 
 
-def minus_id_in_group(lattice: Lattice, tag: str) -> bool:
-    """Whether -id lies in the subgroup named by `tag` (signature (2, n))."""
+def index_and_minus_id(
+    lattice: Lattice, tag: str, stable: tuple[int, bool] | None
+) -> tuple[int, bool]:
+    """([PO(L) : P(Gamma_tag)], whether -id lies in Gamma_tag).
+
+    `stable` is `stable_invariants(lattice)`; it is read only for the stable
+    tags and may be None otherwise.  Vertical steps (plus condition,
+    determinant condition) have index 2 and the horizontal step (stability)
+    index N = |O(q_L)|; passing to projective groups doubles the index
+    exactly when -id lies in the subgroup: -id is in O+ always (signature
+    (2, n)), in the determinant-1 groups iff the rank is even, and in the
+    stable groups iff A_L has exponent <= 2.
+    """
     if tag not in GROUP_TAGS:
         raise PreconditionError(f"unknown group tag {tag!r}")
-    rho = lattice.rank
-    if tag in ("O", "O+"):
-        return True
+    if tag == "O":
+        return 1, True
+    _require_signature_two_n(lattice)
+    even_rank = lattice.rank % 2 == 0
+    if tag == "O+":
+        return 2, True
     if tag == "SO+":
-        return rho % 2 == 0
-    stable = minus_id_in_tilde(lattice)
+        return (4, True) if even_rank else (2, False)
+    n_iso, two_elementary = stable
     if tag == "O~+":
-        return stable
-    return stable and rho % 2 == 0
+        return (2 * n_iso, True) if two_elementary else (n_iso, False)
+    # SO~+
+    return (4 * n_iso, True) if (two_elementary and even_rank) else (2 * n_iso, False)
+
+
+def projective_index(lattice: Lattice, tag: str) -> int:
+    """[PO(L) : P(Gamma_tag)] for the group diagram of a signature-(2,n)
+    lattice; the stable tags need an even lattice with a hyperbolic-plane
+    direct summand (see `index_and_minus_id`)."""
+    stable = stable_invariants(lattice) if tag in STABLE_TAGS else None
+    return index_and_minus_id(lattice, tag, stable)[0]

@@ -26,13 +26,22 @@ from fractions import Fraction
 from math import factorial
 
 from .arith import is_prime, kronecker
-from .density import LocalDensity, bad_primes, local_density, p_series
-from .discforms import GROUP_TAGS, minus_id_in_group, projective_index
-from .errors import InternalCheckError, PreconditionError
+from .density import (
+    ORACLE_CANDIDATE_CAP,
+    LocalDensity,
+    bad_primes,
+    local_density,
+    oracle_stabilized,
+    p_series,
+    siegel_count_oracle,
+)
+from .discforms import GROUP_TAGS, STABLE_TAGS, index_and_minus_id, stable_invariants
+from .errors import FeasibilityError, InternalCheckError, PreconditionError
 from .jordan import jordan_decompose
 from .lattices import Lattice
 from .special_values import (
     SymbolicReal,
+    euler_factor,
     fundamental_discriminant,
     gamma_factor,
     l_closed,
@@ -86,10 +95,15 @@ def euler_alpha_product(lattice: Lattice) -> SymbolicReal:
     discriminant, both times rational corrections at the bad primes.
     """
     _require_volume_domain(lattice)
-    bad = bad_primes(lattice)
+    return _euler_product(lattice, [local_density(lattice, p) for p in bad_primes(lattice)])
+
+
+def _euler_product(lattice: Lattice, densities: list[LocalDensity]) -> SymbolicReal:
+    """euler_alpha_product from the densities at the bad primes."""
+    bad = [d.p for d in densities]
     acc = SymbolicReal(Fraction(1))
-    for p in bad:
-        acc = acc / local_density(lattice, p).value
+    for d in densities:
+        acc = acc / d.value
     rho = lattice.rank
     if rho % 2:
         t = (rho - 1) // 2
@@ -111,32 +125,39 @@ def euler_alpha_product(lattice: Lattice) -> SymbolicReal:
         acc = acc * zeta_closed(2 * i)
     acc = acc * l_closed(t, disc)
     for p in bad:
-        acc = acc * p_series(p, t - 1) * (1 - Fraction(kronecker(disc, p), p**t))
+        acc = acc * p_series(p, t - 1) * euler_factor(disc, p, t)
     return acc
 
 
-def vol_hm(lattice: Lattice, g_sp_plus: int = 1) -> SymbolicReal:
-    """Hirzebruch-Mumford volume of O(L); always collapses to a rational."""
-    _require_volume_domain(lattice)
-    if g_sp_plus < 1:
-        raise PreconditionError("spinor genus count must be a positive integer")
+def _det_power(lattice: Lattice) -> SymbolicReal:
+    """|det L|^((rho+1)/2); a square root remains for even rank."""
     rho = lattice.rank
     adet = abs(lattice.det)
     if rho % 2:
-        det_power = SymbolicReal(Fraction(adet) ** ((rho + 1) // 2))
-    else:
-        det_power = SymbolicReal(Fraction(adet) ** (rho // 2), 0, adet)
+        return SymbolicReal(Fraction(adet) ** ((rho + 1) // 2))
+    return SymbolicReal(Fraction(adet) ** (rho // 2), 0, adet)
+
+
+def _vol_from_euler(lattice: Lattice, euler: SymbolicReal, g_sp_plus: int) -> SymbolicReal:
+    """vol_HM(O(L)) from the Euler product euler_alpha_product(L)."""
+    if g_sp_plus < 1:
+        raise PreconditionError("spinor genus count must be a positive integer")
     out = (
         SymbolicReal(Fraction(2, g_sp_plus))
-        * det_power
-        * gamma_factor(rho)
-        * euler_alpha_product(lattice)
+        * _det_power(lattice)
+        * gamma_factor(lattice.rank)
+        * euler
     )
     if not out.is_rational:
         raise InternalCheckError(
             f"pi/surd cancellation failed in vol_HM: got {out!r}"
         )
     return out
+
+
+def vol_hm(lattice: Lattice, g_sp_plus: int = 1) -> SymbolicReal:
+    """Hirzebruch-Mumford volume of O(L); always collapses to a rational."""
+    return _vol_from_euler(lattice, euler_alpha_product(lattice), g_sp_plus)
 
 
 @dataclass(frozen=True)
@@ -165,49 +186,20 @@ def siegel_identities(lattice: Lattice, g_sp_plus: int = 1) -> SiegelIdentities:
     _require_volume_domain(lattice)
     r, s = lattice.signature
     g_r, g_s, g_rs = siegel_gamma(r), siegel_gamma(s), siegel_gamma(r + s)
-    alpha_inf = SymbolicReal(Fraction(2, g_sp_plus)) * euler_alpha_product(lattice)
-    rho = lattice.rank
-    adet = abs(lattice.det)
-    if rho % 2:
-        det_power = SymbolicReal(Fraction(adet) ** ((rho + 1) // 2))
-    else:
-        det_power = SymbolicReal(Fraction(adet) ** (rho // 2), 0, adet)
-    vol_group = SymbolicReal(Fraction(2)) * alpha_inf * det_power / (g_r * g_s)
+    euler = euler_alpha_product(lattice)
+    alpha_inf = SymbolicReal(Fraction(2, g_sp_plus)) * euler
+    vol_group = SymbolicReal(Fraction(2)) * alpha_inf * _det_power(lattice) / (g_r * g_s)
     vol_dual = SymbolicReal(Fraction(2)) * g_rs / (g_r * g_s)
     ratio = vol_group / vol_dual
-    if ratio != vol_hm(lattice, g_sp_plus):
+    if ratio != _vol_from_euler(lattice, euler, g_sp_plus):
         raise InternalCheckError("Siegel-volume ratio disagrees with the direct formula")
     return SiegelIdentities(g_r, g_s, g_rs, vol_group, vol_dual, ratio)
 
 
-def _simple_index(lattice: Lattice, tag: str) -> int:
-    """[PO : P Gamma_tag] for the tags that do not need discriminant data."""
-    if tag == "O":
-        return 1
-    sig = lattice.signature
-    if sig.positive != 2 or sig.negative < 1:
-        raise PreconditionError("subgroup volumes are defined for signature (2, n), n >= 1")
-    if tag == "O+":
-        return 2
-    if tag == "SO+":
-        return 4 if lattice.rank % 2 == 0 else 2
-    raise PreconditionError(f"unknown simple tag {tag!r}")
-
-
 def group_volume(lattice: Lattice, tag: str, g_sp_plus: int = 1) -> Fraction:
-    """vol_HM of the subgroup named by `tag`, as an exact rational.
-
-    Equals [PO(L) : P Gamma] * vol_HM(O(L)); stable tags require an even
-    lattice with a hyperbolic-plane summand (otherwise supply the index
-    yourself via projective_index's preconditions being met).
-    """
-    if tag not in GROUP_TAGS:
-        raise PreconditionError(f"unknown group tag {tag!r}")
-    if tag in ("O", "O+", "SO+"):
-        index = _simple_index(lattice, tag)
-    else:
-        index = projective_index(lattice, tag)
-    return index * vol_hm(lattice, g_sp_plus).rational()
+    """vol_HM of the subgroup named by `tag`, as an exact rational:
+    [PO(L) : P Gamma_tag] * vol_HM(O(L)), read off the one-tag report."""
+    return build_report(lattice, (tag,), g_sp_plus).volumes[tag]
 
 
 def cusp_dim_leading(lattice: Lattice, tag: str, g_sp_plus: int = 1) -> Fraction:
@@ -216,8 +208,7 @@ def cusp_dim_leading(lattice: Lattice, tag: str, g_sp_plus: int = 1) -> Fraction
     sig = lattice.signature
     if sig.positive != 2 or sig.negative < 1:
         raise PreconditionError("cusp dimension growth is defined for signature (2, n)")
-    n = sig.negative
-    return Fraction(2, factorial(n)) * group_volume(lattice, tag, g_sp_plus)
+    return build_report(lattice, (tag,), g_sp_plus).cusp_leading[tag]
 
 
 @dataclass
@@ -243,7 +234,13 @@ def build_report(
     g_sp_plus: int = 1,
     oracle_check: bool = False,
 ) -> VolumeReport:
-    """Assemble the full report used by the CLI and the acceptance tests."""
+    """Assemble the full report used by the CLI and the acceptance tests.
+
+    Each stage runs once for the lattice: the densities at the bad primes,
+    the Euler product from them, vol_HM(O(L)) from that, and for the stable
+    tags one discriminant form and |O(q)|.  Every tag's volume is its index
+    times vol_HM(O(L)), and its cusp term is 2/n! times that volume.
+    """
     _require_volume_domain(lattice)
     sig = lattice.signature
     is_two_n = sig.positive == 2 and sig.negative >= 1
@@ -256,7 +253,8 @@ def build_report(
             tags = ("O",)
     bad = bad_primes(lattice)
     densities = [local_density(lattice, p) for p in bad]
-    euler = euler_alpha_product(lattice)
+    euler = _euler_product(lattice, densities)
+    vol = _vol_from_euler(lattice, euler, g_sp_plus).rational()
     assumptions = []
     g_justified = lattice.has_hyperbolic_summand
     if g_justified:
@@ -269,17 +267,16 @@ def build_report(
             "g_sp+ = %d assumed (no hyperbolic-plane summand detected; supply --gsp "
             "if the genus has several spinor genera)" % g_sp_plus
         )
+    stable = stable_invariants(lattice) if any(tag in STABLE_TAGS for tag in tags) else None
     volumes: dict[str, Fraction] = {}
     indices: dict[str, int] = {}
     cusp: dict[str, Fraction] = {}
     for tag in tags:
-        volumes[tag] = group_volume(lattice, tag, g_sp_plus)
-        indices[tag] = (
-            _simple_index(lattice, tag) if tag in ("O", "O+", "SO+") else projective_index(lattice, tag)
-        )
+        indices[tag], minus_id = index_and_minus_id(lattice, tag, stable)
+        volumes[tag] = indices[tag] * vol
         if is_two_n:
-            cusp[tag] = cusp_dim_leading(lattice, tag, g_sp_plus)
-            if minus_id_in_group(lattice, tag):
+            cusp[tag] = Fraction(2, factorial(sig.negative)) * volumes[tag]
+            if minus_id:
                 assumptions.append(
                     f"{tag}: -id lies in the group; the dimension formula counts weights k "
                     f"with (-1)^k = chi(-id) only"
@@ -297,27 +294,31 @@ def build_report(
         assumptions=assumptions,
     )
     if oracle_check:
-        from .density import ORACLE_CANDIDATE_CAP, oracle_stabilized, siegel_count_oracle
-        from .errors import FeasibilityError
-
         if lattice.rank <= 3:
-            for p in bad:
+            for density in densities:
+                p = density.p
                 try:
                     r, value = oracle_stabilized(lattice, p)
-                    stable = True
+                    stabilized = True
                 except FeasibilityError:
                     # guard reached before consecutive depths agreed; report
                     # the deepest feasible depth without claiming stability
-                    r = 1
+                    r = 0
                     while p ** ((r + 1) * lattice.rank**2) <= ORACLE_CANDIDATE_CAP:
                         r += 1
+                    if r == 0:
+                        report.assumptions.append(
+                            f"oracle check at p={p} skipped: even depth r=1 needs "
+                            f"{p}^{lattice.rank**2} > 2^30 naive candidates"
+                        )
+                        continue
                     value = siegel_count_oracle(lattice, p, r)
-                    stable = False
-                matches = value == local_density(lattice, p).value
+                    stabilized = False
+                matches = value == density.value
                 report.oracle_checks.append(
-                    {"p": p, "r": r, "oracle": value, "stable": stable, "matches_formula": matches}
+                    {"p": p, "r": r, "oracle": value, "stable": stabilized, "matches_formula": matches}
                 )
-                if stable and not matches:
+                if stabilized and not matches:
                     raise InternalCheckError(
                         f"oracle disagrees with the density formula at p={p}"
                     )

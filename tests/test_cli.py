@@ -100,6 +100,16 @@ def test_analyze_oracle_check_flag(capsys):
     assert "oracle check" in out and "match" in out
 
 
+def test_analyze_oracle_check_notes_infeasible_prime(capsys):
+    # at p = 11 even depth 1 costs 11^9 > 2^30 candidates: the prime is noted
+    # as skipped and the report is still printed
+    code, out, _ = run(capsys, "analyze", "U + <-22>", "--oracle-check")
+    assert code == 0
+    assert "note: oracle check at p=11 skipped" in out
+    assert "oracle check p=2: guard-capped at r=3" in out
+    assert "oracle check p=11:" not in out
+
+
 def test_catalog_mismatch_exits_nonzero(capsys, monkeypatch):
     import hmvol.families as fam
 

@@ -1,14 +1,17 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from hmvol.arith import factorize
 from hmvol.discforms import (
     discriminant_form,
-    factorize,
     finite_isometry_order,
+    index_and_minus_id,
     minus_id_in_tilde,
     num_prime_divisors,
     projective_index,
+    stable_invariants,
 )
 from hmvol.errors import PreconditionError
 from hmvol.expr import lattice_from_text
@@ -17,10 +20,10 @@ from hmvol.lattices import direct_sum, from_gram, rank_one
 
 
 def test_factorize_and_rho():
-    assert factorize(1) == ()
-    assert factorize(12) == (2, 2, 3)
-    assert factorize(2 * 3 * 5 * 7 * 11) == (2, 3, 5, 7, 11)
-    assert factorize(2**10) == (2,) * 10
+    assert factorize(1) == {}
+    assert list(factorize(12).items()) == [(2, 2), (3, 1)]
+    assert factorize(2 * 3 * 5 * 7 * 11) == {2: 1, 3: 1, 5: 1, 7: 1, 11: 1}
+    assert factorize(2**10) == {2: 10}
     assert num_prime_divisors(1) == 0
     assert num_prime_divisors(12) == 2
     assert num_prime_divisors(30) == 3
@@ -28,7 +31,7 @@ def test_factorize_and_rho():
 
 def test_factorize_large_semiprime():
     n = 1000003 * 998117
-    assert factorize(n) == (998117, 1000003)
+    assert list(factorize(n).items()) == [(998117, 1), (1000003, 1)]
 
 
 def test_discriminant_form_trivial_for_unimodular():
@@ -158,3 +161,54 @@ def test_t_lattice_stable_index():
     lat = t_lattice(1)
     assert finite_isometry_order(discriminant_form(lat)) == 2
     assert projective_index(lat, "O~+") == 4
+
+
+def _brute_force_isometry_order(form) -> int:
+    """|O(A, q)| with no pruning: every tuple of generator images defines a
+    homomorphism when image i has order dividing d_i; count those that are
+    bijective on A and preserve q on every element."""
+    elems = list(form.elements())
+    k = len(form.orders)
+    count = 0
+    for images in itertools.product(elems, repeat=k):
+        if any(form.orders[i] % form.element_order(images[i]) for i in range(k)):
+            continue
+        mapped = {
+            x: tuple(
+                sum(x[i] * images[i][c] for i in range(k)) % form.orders[c] for c in range(k)
+            )
+            for x in elems
+        }
+        if len(set(mapped.values())) != len(elems):
+            continue
+        if all(form.q_of(mapped[x]) == form.q_of(x) for x in elems):
+            count += 1
+    return count
+
+
+def test_isometry_order_matches_brute_force():
+    # finite_isometry_order keeps every leaf of its pruned search; the leaves
+    # are automorphisms because b is nondegenerate, and this reference counts
+    # bijective q-preserving maps directly
+    texts = ["U + U(2)", "U + U(3)", "U + U(4)", "2*U + 2*<-2>", "2*U + 3*<-2>", "2*U + 2*<-4>"]
+    lattices = [lattice_from_text(t) for t in texts] + [l_lattice(0, d) for d in range(1, 9)]
+    for text, lat in zip(texts + [f"L(0,{d})" for d in range(1, 9)], lattices):
+        form = discriminant_form(lat)
+        assert len(form.orders) <= 3 and form.order <= 16, text
+        assert finite_isometry_order(form) == _brute_force_isometry_order(form), text
+
+
+def test_index_and_minus_id_table():
+    # rank 5, A = Z/2: -id is in every group but SO+ and SO~+ (odd rank)
+    lat = l_lattice(0, 1)
+    stable = stable_invariants(lat)
+    assert stable == (1, True)
+    got = {tag: index_and_minus_id(lat, tag, stable) for tag in ("O", "O+", "SO+", "O~+", "SO~+")}
+    assert got == {"O": (1, True), "O+": (2, True), "SO+": (2, False),
+                   "O~+": (2, True), "SO~+": (2, False)}
+    # rank 5, A = Z/6: -id acts nontrivially on A
+    assert index_and_minus_id(l_lattice(0, 3), "O~+", stable_invariants(l_lattice(0, 3))) == (2, False)
+    # the full group needs no signature: index 1 on any lattice
+    assert projective_index(lattice_from_text("U + <-2>"), "O") == 1
+    with pytest.raises(PreconditionError, match="signature"):
+        projective_index(lattice_from_text("U + <-2>"), "O+")

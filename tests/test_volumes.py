@@ -236,3 +236,42 @@ def test_report_flags_unjustified_default():
     rep = build_report(lat, tags=("O",))
     assert not rep.g_justified
     assert any("assumed" in line for line in rep.assumptions)
+
+
+def test_build_report_runs_each_stage_once(monkeypatch):
+    # every hmvol module that binds one of these names gets a counting wrapper
+    import sys
+
+    from hmvol import density, discforms, jordan, special_values, volumes
+
+    targets = {
+        "jordan_decompose": jordan.jordan_decompose,
+        "_euler_product": volumes._euler_product,
+        "generalized_bernoulli": special_values.generalized_bernoulli,
+        "discriminant_form": discforms.discriminant_form,
+        "finite_isometry_order": discforms.finite_isometry_order,
+    }
+    calls = dict.fromkeys(targets, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    modules = [m for n, m in sys.modules.items() if n.startswith("hmvol")]
+    for name, fn in targets.items():
+        wrapper = counting(name, fn)
+        for mod in modules:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
+    lat = k_lattice(3, 30)
+    n_bad = len(density.bad_primes(lat))
+    rep = build_report(lat)
+    assert set(rep.volumes) == {"O", "O+", "SO+", "O~+", "SO~+"}
+    assert calls["_euler_product"] == 1
+    assert calls["generalized_bernoulli"] == 1
+    assert calls["discriminant_form"] == 1
+    assert calls["finite_isometry_order"] == 1
+    assert calls["jordan_decompose"] <= n_bad + 5
