@@ -9,6 +9,7 @@ plus/determinant conditions each contribute a further index 2.  The
 projective index additionally depends on whether -id lies in the subgroup,
 which happens exactly when -id acts trivially on A_L, i.e. when A_L has
 exponent <= 2 (and, for the determinant-1 groups, when the rank is even).
+N is counted one p-primary part of A_L at a time.
 """
 
 from __future__ import annotations
@@ -182,7 +183,53 @@ def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
     return form
 
 
+def _p_parts(form: FiniteQuadraticForm) -> list[tuple[int, FiniteQuadraticForm]]:
+    """The p-primary parts (p, (A_p, q_p)) of (A, q), in increasing p.
+
+    A generator g of order d gives the generator c*g of A_p, of order
+    p^e = p^(v_p(d)) with c = d / p^e; q and b scale by c^2 and c*c'."""
+    factored = [arith.factorize(d) for d in form.orders]
+    parts = []
+    for p in sorted({p for f in factored for p in f}):
+        gens = sorted(  # (p^e, c, index of g)
+            (p ** f[p], d // p ** f[p], i)
+            for i, (d, f) in enumerate(zip(form.orders, factored)) if p in f
+        )
+        parts.append((p, FiniteQuadraticForm(
+            tuple(pe for pe, _, _ in gens),
+            tuple(c * c * form.q_values[i] % 2 for _, c, i in gens),
+            tuple(tuple(c * c2 * form.bilinear[i][j] % 1 for _, c2, j in gens) for _, c, i in gens),
+        )))
+    return parts
+
+
 def finite_isometry_order(form: FiniteQuadraticForm) -> int:
+    """|O(A, q)| as the product of |O(A_p, q_p)| over the p-primary parts,
+    which are mutually orthogonal (Nikulin 1979).
+
+    A cyclic part at odd p has exactly the isometries +1 and -1; every other
+    part is enumerated (`_count_isometries`), and the enumeration guard
+    prices each such part by its order |A_p|, the number of elements the
+    enumeration visits.
+    """
+    count = 1
+    enumerated = []
+    for p, part in _p_parts(form):
+        if p != 2 and len(part.orders) == 1:
+            count *= 2
+        elif part.order > ISOMETRY_ENUM_CAP:
+            raise FeasibilityError(
+                f"isometry enumeration guard: the {p}-part of A has "
+                f"|A_{p}| = {part.order} elements, more than {ISOMETRY_ENUM_CAP}"
+            )
+        else:
+            enumerated.append(part)
+    for part in enumerated:
+        count *= _count_isometries(part)
+    return count
+
+
+def _count_isometries(form: FiniteQuadraticForm) -> int:
     """|O(A, q)| by brute-force enumeration of generator images.
 
     Candidates are pruned by element order and q-value, then by bilinear
@@ -193,10 +240,6 @@ def finite_isometry_order(form: FiniteQuadraticForm) -> int:
     """
     if form.is_trivial:
         return 1
-    if form.order > ISOMETRY_ENUM_CAP:
-        raise FeasibilityError(
-            f"isometry enumeration guard: |A| = {form.order} exceeds {ISOMETRY_ENUM_CAP}"
-        )
     k = len(form.orders)
     buckets: dict[tuple[int, Fraction], list[tuple[int, ...]]] = {}
     for x in form.elements():

@@ -63,6 +63,13 @@ def test_oracle_guard_exit_4(capsys):
     assert code == 4
 
 
+def test_isometry_guard_exit_4(capsys):
+    # a 2-part with more than 10^5 elements is still over the cap
+    code, _, err = run(capsys, "analyze", "2*U + <-131072>", "--group", "O~+")
+    assert code == 4
+    assert "2-part" in err and "|A_2| = 131072" in err
+
+
 def test_oracle_match(capsys):
     code, out, _ = run(capsys, "oracle", "U", "3", "1")
     assert code == 0

@@ -4,7 +4,11 @@ from fractions import Fraction
 import pytest
 
 from hmvol.arith import factorize
+from hmvol.arith import primes_up_to
 from hmvol.discforms import (
+    ISOMETRY_ENUM_CAP,
+    FiniteQuadraticForm,
+    _count_isometries,
     discriminant_form,
     finite_isometry_order,
     index_and_minus_id,
@@ -13,10 +17,12 @@ from hmvol.discforms import (
     projective_index,
     stable_invariants,
 )
-from hmvol.errors import PreconditionError
+from hmvol.errors import FeasibilityError, PreconditionError
 from hmvol.expr import lattice_from_text
 from hmvol.families import k_lattice, l_lattice, n_lattice, t_lattice, unimodular_ii
 from hmvol.lattices import direct_sum, from_gram, rank_one
+
+from conftest import SIGNATURE_2N_EXPRESSIONS
 
 
 def test_factorize_and_rho():
@@ -196,6 +202,52 @@ def test_isometry_order_matches_brute_force():
         form = discriminant_form(lat)
         assert len(form.orders) <= 3 and form.order <= 16, text
         assert finite_isometry_order(form) == _brute_force_isometry_order(form), text
+    # several primes over several generators: the product over p-parts
+    # against the unsplit reference
+    for text in ("2*U + <-2> + <-6>", "U + U(3) + <-2>", "2*U + <-4> + <-6>"):
+        form = discriminant_form(lattice_from_text(text))
+        assert len(form.orders) >= 2 and num_prime_divisors(form.order) >= 2, text
+        assert form.order <= 24, text
+        assert finite_isometry_order(form) == _brute_force_isometry_order(form), text
+
+
+def test_isometry_order_is_product_over_p_parts():
+    # the product over p-parts equals the search run on the unsplit form
+    forms = {}
+    for text in SIGNATURE_2N_EXPRESSIONS:
+        lat = lattice_from_text(text)
+        if lat.is_even and lat.has_hyperbolic_summand and abs(lat.det) <= 10**4:
+            forms[text] = discriminant_form(lat)
+    for d in range(1, 201):
+        forms[f"L(0,{d})"] = discriminant_form(l_lattice(0, d))
+    assert len(forms) > 200
+    for name, form in forms.items():
+        assert finite_isometry_order(form) == _count_isometries(form), name
+
+
+def test_odd_cyclic_part_has_two_isometries():
+    # the closed form for a cyclic part at odd p, pinned by the search it
+    # replaces: Z/p^k with q(g) = 2u/p^k for a square and a non-square unit u
+    for p in primes_up_to(2000)[1:]:
+        non_square = next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
+        pk = p
+        while pk <= 2000:
+            for u in (1, non_square):
+                q = Fraction(2 * u, pk)
+                form = FiniteQuadraticForm((pk,), (q % 2,), ((q % 1,),))
+                assert _count_isometries(form) == 2, (pk, u)
+                assert finite_isometry_order(form) == 2, (pk, u)
+            pk *= p
+
+
+def test_isometry_guard_prices_each_p_part():
+    # |A| = 2 * 1000003 is far over the cap, but the only enumerated part
+    # is Z/2; a 2-part over the cap still trips the guard
+    assert finite_isometry_order(discriminant_form(l_lattice(0, 1000003))) == 2
+    form = discriminant_form(lattice_from_text("2*U + <-131072>"))
+    assert form.order == 131072 > ISOMETRY_ENUM_CAP
+    with pytest.raises(FeasibilityError, match=r"2-part .*\|A_2\| = 131072"):
+        finite_isometry_order(form)
 
 
 def test_index_and_minus_id_table():

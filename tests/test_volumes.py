@@ -187,6 +187,13 @@ def test_stable_vs_plus_factor():
     assert group_volume(lat, "O~+") / group_volume(lat, "O+") == Fraction(n_iso, 2)
 
 
+def test_l_family_beyond_whole_group_isometry_cap():
+    # |A| = 2d is over the isometry enumeration cap, but each p-part is
+    # either Z/2 or cyclic at odd p
+    for d in (50001, 99991, 1000003):
+        assert group_volume(l_lattice(0, d), "O~+") == fixture_vol_l_tilde(0, d), d
+
+
 def test_k3_cusp_leading():
     from hmvol.families import fixture_cusp_k3
 
