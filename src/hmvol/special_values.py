@@ -11,6 +11,12 @@ volume pipeline only ever multiplies and divides such values, and every final
 volume collapses to a plain rational (the pi powers and surds cancel), which
 is asserted downstream.
 
+Bernoulli numbers come from one pass over the defining recurrence in
+increasing index, and the generalized Bernoulli number B_{k,chi} of a
+character of conductor f from the integer power sums
+S_j = sum_{a=1}^{f} chi(a) a^j (binomial expansion of B_k(a/f)), with
+rationals only in the final (k+1)-term combination.
+
 L-values at positive integers are obtained from generalized Bernoulli numbers
 through the completed functional equation; the even-character case follows
 the classical display, the odd-character case uses the standard completed-L
@@ -21,9 +27,10 @@ consistency tests rather than trusted.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .arith import kronecker, squarefree_decompose
 from .errors import PreconditionError
@@ -42,7 +49,7 @@ __all__ = [
     "gamma_factor",
 ]
 
-_BERNOULLI_CACHE_LIMIT = 64
+_POWER_SUM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -133,12 +140,16 @@ class SymbolicReal:
         return " * ".join(parts)
 
 
-@lru_cache(maxsize=_BERNOULLI_CACHE_LIMIT + 8)
+@cache
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (convention B_1 = -1/2).
 
     Computed from the defining recurrence sum_{k=0}^{n} C(n+1,k) B_k = 0.
     Odd n >= 3 gives 0; callers in the volume pipeline only use even n.
+    The loop asks for B_2, B_4, ... in increasing order, so each is already
+    cached or computed by one loop over cached values: a cold B_n costs one
+    pass over the recurrence, O(n^2) rational operations, and the recursion
+    is never more than two calls deep.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
@@ -148,8 +159,8 @@ def bernoulli(n: int) -> Fraction:
         return Fraction(-1, 2)
     if n % 2:
         return Fraction(0)
-    acc = Fraction(0)
-    for k in range(n):
+    acc = 1 - Fraction(n + 1, 2)  # the k = 0 and k = 1 terms
+    for k in range(2, n, 2):
         acc += math.comb(n + 1, k) * bernoulli(k)
     return -acc / (n + 1)
 
@@ -177,20 +188,34 @@ def generalized_bernoulli(k: int, disc: int) -> Fraction:
     """Generalized Bernoulli number B_{k,chi} for the Kronecker character of
     the fundamental discriminant `disc`.
 
-    Finite-sum definition: B_{k,chi} = f^(k-1) sum_{a=1}^{f} chi(a) B_k(a/f)
-    with f = |disc|.  For disc = 1 this returns the ordinary B_k.
+    Defined by the finite sum B_{k,chi} = f^(k-1) sum_{a=1}^{f} chi(a) B_k(a/f)
+    with f = |disc|.  Expanding B_k(a/f) binomially gives
+
+        B_{k,chi} = sum_{i=0}^{k} C(k,i) B_i f^(i-1) S_{k-i},
+        S_j = sum_{a=1}^{f} chi(a) a^j,
+
+    so the S_j are integers from one pass over the residues.  For disc = 1
+    this returns the ordinary B_k.
     """
     if k < 1:
         raise ValueError("index must be >= 1")
     if disc == 1:
         return bernoulli(k)
     f = abs(disc)
-    total = Fraction(0)
-    for a in range(1, f + 1):
-        chi = kronecker(disc, a)
-        if chi:
-            total += chi * bernoulli_polynomial(k, Fraction(a, f))
-    return Fraction(f) ** (k - 1) * total
+    sums = [0] * (k + 1)
+    # a block of residues at a time, so memory stays bounded for large f
+    for start in range(1, f + 1, _POWER_SUM_BLOCK):
+        residues, terms = [], []  # a with chi(a) != 0, and chi(a) * a^j
+        for a in range(start, min(start + _POWER_SUM_BLOCK, f + 1)):
+            chi = kronecker(disc, a)
+            if chi:
+                residues.append(a)
+                terms.append(chi)
+        sums[0] += sum(terms)
+        for j in range(1, k + 1):
+            terms = list(map(operator.mul, terms, residues))
+            sums[j] += sum(terms)
+    return sum(math.comb(k, i) * bernoulli(i) * f**i * sums[k - i] for i in range(k + 1)) / f
 
 
 def zeta_closed(k2: int) -> SymbolicReal:

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmvol
 from hmvol.errors import PreconditionError
 from hmvol.special_values import (
     SymbolicReal,
@@ -36,9 +41,43 @@ def test_bernoulli_values():
 
 def test_bernoulli_defining_identity():
     # sum_{k=0}^{n} C(n+1,k) B_k = 0 for n >= 1
-    for n in range(1, 21):
+    for n in range(1, 201):
         total = sum(math.comb(n + 1, k) * bernoulli(k) for k in range(n + 1))
         assert total == 0
+
+
+def _is_prime(n):
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def test_bernoulli_von_staudt_clausen_denominators():
+    # the denominator of B_2n is the product of the primes p with (p - 1) | 2n
+    for n2 in range(2, 201, 2):
+        expected = math.prod(p for p in range(2, n2 + 2) if n2 % (p - 1) == 0 and _is_prime(p))
+        assert bernoulli(n2).denominator == expected
+
+
+def test_bernoulli_matches_mpmath_to_50_digits():
+    with mpmath.workdps(60):
+        for n in range(201):
+            ref = mpmath.bernoulli(n)
+            b = bernoulli(n)
+            if ref == 0:
+                assert b == 0
+                continue
+            ours = mpmath.mpf(b.numerator) / b.denominator
+            assert abs(ours - ref) <= abs(ref) * mpmath.mpf(10) ** -50
+
+
+def test_bernoulli_120_returns_in_a_fresh_process():
+    # cold B_n past the old 72-entry cache went exponential: B_120 never returned
+    src = Path(hmvol.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "from hmvol.special_values import bernoulli; print(bernoulli(120))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert Fraction(out.stdout.strip()) == bernoulli(120)
 
 
 # ------------------------------------------------------------- Kronecker
@@ -110,6 +149,42 @@ def test_generalized_bernoulli_parity_vanishing():
     assert generalized_bernoulli(3, 5) == 0
     assert generalized_bernoulli(2, -4) == 0
     assert generalized_bernoulli(4, -3) == 0
+
+
+def _finite_sum_generalized_bernoulli(k, disc):
+    # the definition B_{k,chi} = f^(k-1) sum_{a=1}^{f} chi(a) B_k(a/f), f = |disc|
+    f = abs(disc)
+    total = Fraction(0)
+    for a in range(1, f + 1):
+        chi = kronecker(disc, a)
+        if chi:
+            total += chi * bernoulli_polynomial(k, Fraction(a, f))
+    return Fraction(f) ** (k - 1) * total
+
+
+def _is_fundamental_discriminant(d):
+    def squarefree(m):
+        return all(m % (q * q) for q in range(2, math.isqrt(abs(m)) + 1))
+
+    if d == 1:
+        return False
+    if d % 4 == 1:
+        return squarefree(d)
+    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4)
+
+
+def test_generalized_bernoulli_matches_finite_sum_definition():
+    # both parities of k, so the parity zeros chi(-1) != (-1)^k are included
+    discs = [d for d in range(-100, 101) if _is_fundamental_discriminant(d)]
+    assert len(discs) == 61 and {-84, -4, -3, 5, 8, 12} <= set(discs)
+    for disc in discs:
+        for k in range(1, 13):
+            assert generalized_bernoulli(k, disc) == _finite_sum_generalized_bernoulli(k, disc), (k, disc)
+    # conductors spanning several blocks of residues, ending inside a block
+    for disc in (-259, 521, -1028):
+        assert _is_fundamental_discriminant(disc)
+        for k in (2, 3):
+            assert generalized_bernoulli(k, disc) == _finite_sum_generalized_bernoulli(k, disc), (k, disc)
 
 
 def test_generalized_bernoulli_trivial_character():
