@@ -30,7 +30,6 @@ from .expr import evaluate, lattice_from_text, parse_expr, render
 from .jordan import (
     JordanBlock,
     JordanDecomposition,
-    block_chi,
     jordan_decompose,
     two_adic_normalize,
 )

@@ -9,7 +9,10 @@ plus/determinant conditions each contribute a further index 2.  The
 projective index additionally depends on whether -id lies in the subgroup,
 which happens exactly when -id acts trivially on A_L, i.e. when A_L has
 exponent <= 2 (and, for the determinant-1 groups, when the rank is even).
-N is counted one p-primary part of A_L at a time.
+
+(A_L, q_L) is read off the p-adic Jordan blocks of level >= 1 (Nikulin
+1979), so its generators are primary: prime-power orders, grouped by
+increasing p, then by level.  N is counted one p-primary part at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from math import gcd, lcm
 
 from . import arith
 from .errors import FeasibilityError, PreconditionError
+from .jordan import JordanDecomposition, jordan_decompose
 from .lattices import Lattice
 
 ISOMETRY_ENUM_CAP = 10**5
@@ -33,82 +37,12 @@ def num_prime_divisors(d: int) -> int:
     return len(arith.factorize(d)) if d > 1 else 0
 
 
-def _smith_normal_form(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Smith normal form with right transform: returns (diag, V) with
-    U M V = diag(d_1 | d_2 | ...) for some unimodular U; only V is tracked."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def col_op(j, k, f):  # C_j -= f * C_k
-        for row in m:
-            row[j] -= f * row[k]
-        for row in v:
-            row[j] -= f * row[k]
-
-    def col_swap(j, k):
-        for row in m:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-    def row_op(i, k, f):  # R_i -= f * R_k
-        for j in range(n):
-            m[i][j] -= f * m[k][j]
-
-    def row_swap(i, k):
-        m[i], m[k] = m[k], m[i]
-
-    for t in range(n):
-        while True:
-            # move a minimal nonzero entry of the trailing block to (t, t)
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                raise PreconditionError("matrix is singular")
-            bi, bj = best
-            if bi != t:
-                row_swap(bi, t)
-            if bj != t:
-                col_swap(bj, t)
-            dirty = False
-            for i in range(t + 1, n):
-                f = m[i][t] // m[t][t]
-                if f:
-                    row_op(i, t, f)
-                if m[i][t]:
-                    dirty = True
-            for j in range(t + 1, n):
-                f = m[t][j] // m[t][t]
-                if f:
-                    col_op(j, t, f)
-                if m[t][j]:
-                    dirty = True
-            if dirty:
-                continue
-            # enforce divisibility d_t | trailing entries
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if m[i][j] % m[t][t]:
-                        offender = (i, j)
-                        break
-                if offender:
-                    break
-            if offender is None:
-                break
-            col_op(t, offender[1], -1)  # mixes the offending column into column t
-    diag = [abs(m[i][i]) for i in range(n)]
-    return diag, v
-
-
 @dataclass(frozen=True)
 class FiniteQuadraticForm:
-    """(A, q): generator orders d_1 | d_2 | ..., q-values in Q/2Z on the
-    generators, and the bilinear values in Q/Z."""
+    """(A, q): the orders of the generators, q-values in Q/2Z on the
+    generators, and the bilinear values in Q/Z.  `discriminant_form` gives
+    primary generators (prime-power orders, by increasing p, then level);
+    any generating set with A = prod Z/d_i is accepted."""
 
     orders: tuple[int, ...]
     q_values: tuple[Fraction, ...]
@@ -157,30 +91,54 @@ class FiniteQuadraticForm:
         return itertools.product(*(range(d) for d in self.orders))
 
 
-def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
-    """(A_L, q_L) for an even lattice, from the Smith normal form of the Gram
-    matrix; q on generators comes from the dual pairing (inverse Gram)."""
-    if not lattice.is_even:
-        raise PreconditionError("discriminant form requires an even lattice")
-    diag, v = _smith_normal_form([list(r) for r in lattice.gram])
-    n = lattice.rank
-    # M_q[i][j] = (g_i, g_j) for generators g_i = (V e_i)/d_i
-    keep = [i for i in range(n) if diag[i] > 1]
-    q_vals = []
-    bil = [[Fraction(0)] * len(keep) for _ in keep]
-    for a, i in enumerate(keep):
-        vi = [v[r][i] for r in range(n)]
-        gvi = [sum(lattice.gram[r][c] * vi[c] for c in range(n)) for r in range(n)]
-        for b, j in enumerate(keep):
-            vj = [v[r][j] for r in range(n)]
-            pairing = Fraction(sum(gvi[r] * vj[r] for r in range(n)), diag[i] * diag[j])
-            bil[a][b] = pairing % 1
-            if a == b:
-                q_vals.append(pairing % 2)
-    form = FiniteQuadraticForm(tuple(diag[i] for i in keep), tuple(q_vals), tuple(map(tuple, bil)))
+def _form_from_jordan(
+    lattice: Lattice, decomps: list[JordanDecomposition]
+) -> FiniteQuadraticForm:
+    """(A_L, q_L) for an even lattice from its Jordan decompositions at every
+    prime dividing det, in increasing p (raw, not `two_adic_normalize`d;
+    further primes add nothing).
+
+    A block p^l U with l >= 1 gives one generator e_i / p^l of order p^l per
+    row of U, with b(e_i, e_j) = U_ij / p^l mod 1.  At p = 2, q(e_i) =
+    U_ii / 2^l mod 2; at odd p only U_ii mod p^l is meaningful, and q(e_i) is
+    its lift 2c / p^l with 2c = U_ii mod p^l, the one value in
+    (2 / p^l)Z / 2Z that an element of odd order can take.  Different blocks
+    and different primes are orthogonal.
+    """
+    blocks = [(d.p, b) for d in decomps for b in d.blocks if b.level >= 1]
+    k = sum(b.rank for _, b in blocks)
+    orders: list[int] = []
+    q_vals: list[Fraction] = []
+    bil = [[Fraction(0)] * k for _ in range(k)]
+    for p, block in blocks:
+        pl = p**block.level
+        u = block.unit_gram
+        off = len(orders)
+        for i in range(block.rank):
+            for j in range(block.rank):
+                bil[off + i][off + j] = Fraction(u[i][j], pl) % 1
+            if p == 2:
+                q_vals.append(Fraction(u[i][i], pl) % 2)
+            else:
+                q_vals.append(Fraction(2 * (u[i][i] * (pl + 1) // 2 % pl), pl))
+            orders.append(pl)
+    form = FiniteQuadraticForm(tuple(orders), tuple(q_vals), tuple(map(tuple, bil)))
     if form.order != abs(lattice.det):
         raise PreconditionError("discriminant group order does not match |det|")
     return form
+
+
+def _det_decompositions(lattice: Lattice) -> list[JordanDecomposition]:
+    """The Jordan decompositions at the primes dividing det, in increasing p."""
+    return [jordan_decompose(lattice, p) for p in sorted(arith.factorize(abs(lattice.det)))]
+
+
+def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
+    """(A_L, q_L) for an even lattice, read off its p-adic Jordan blocks of
+    level >= 1 at the primes dividing det."""
+    if not lattice.is_even:
+        raise PreconditionError("discriminant form requires an even lattice")
+    return _form_from_jordan(lattice, _det_decompositions(lattice))
 
 
 def _p_parts(form: FiniteQuadraticForm) -> list[tuple[int, FiniteQuadraticForm]]:
@@ -279,9 +237,12 @@ def _require_signature_two_n(lattice: Lattice) -> None:
         raise PreconditionError("projective indices are defined for signature (2, n), n >= 1")
 
 
-def stable_invariants(lattice: Lattice) -> tuple[int, bool]:
+def stable_invariants(
+    lattice: Lattice, decomps: list[JordanDecomposition]
+) -> tuple[int, bool]:
     """(|O(q_L)|, whether A_L has exponent <= 2): the discriminant data every
-    stable-group index needs, from one discriminant form.
+    stable-group index needs, from one discriminant form built from `decomps`,
+    the Jordan decompositions of L at (at least) every prime dividing det.
 
     Requires an even signature-(2, n) lattice with a hyperbolic-plane direct
     summand (one class per genus, surjectivity onto O(q)).
@@ -294,7 +255,7 @@ def stable_invariants(lattice: Lattice) -> tuple[int, bool]:
             "stable-group indices assume a hyperbolic-plane direct summand "
             "(one class per genus, surjectivity onto O(q))"
         )
-    form = discriminant_form(lattice)
+    form = _form_from_jordan(lattice, decomps)
     return finite_isometry_order(form), form.is_two_elementary
 
 
@@ -303,7 +264,7 @@ def index_and_minus_id(
 ) -> tuple[int, bool]:
     """([PO(L) : P(Gamma_tag)], whether -id lies in Gamma_tag).
 
-    `stable` is `stable_invariants(lattice)`; it is read only for the stable
+    `stable` is `stable_invariants(lattice, ...)`; it is read only for the stable
     tags and may be None otherwise.  Vertical steps (plus condition,
     determinant condition) have index 2 and the horizontal step (stability)
     index N = |O(q_L)|; passing to projective groups doubles the index
@@ -332,5 +293,7 @@ def projective_index(lattice: Lattice, tag: str) -> int:
     """[PO(L) : P(Gamma_tag)] for the group diagram of a signature-(2,n)
     lattice; the stable tags need an even lattice with a hyperbolic-plane
     direct summand (see `index_and_minus_id`)."""
-    stable = stable_invariants(lattice) if tag in STABLE_TAGS else None
+    stable = None
+    if tag in STABLE_TAGS:
+        stable = stable_invariants(lattice, _det_decompositions(lattice))
     return index_and_minus_id(lattice, tag, stable)[0]

@@ -342,20 +342,3 @@ def two_adic_normalize(decomp: JordanDecomposition) -> JordanDecomposition:
     if out.total_rank != decomp.total_rank or out.det_valuation != decomp.det_valuation:
         raise InternalCheckError("normalization changed rank or determinant valuation")
     return out
-
-
-def block_chi(block: JordanBlock, p: int) -> int:
-    """chi invariant of a unimodular block: 0 for odd rank at odd p, else +1
-    iff the residue form is a sum of hyperbolic planes.
-
-    For p = 2 this is the chi of the even part (the empty even part counts as
-    +1, the empty sum of hyperbolic planes).
-    """
-    if p == 2:
-        return block.two_adic.chi_even if block.two_adic is not None else block.chi
-    if block.rank % 2:
-        return 0
-    det_unit = 1
-    for i in range(block.rank):
-        det_unit = det_unit * block.unit_gram[i][i] % p
-    return legendre((-1) ** (block.rank // 2) * det_unit, p)

@@ -1,9 +1,8 @@
 """Integral lattices given by symmetric Gram matrices, with exact invariants.
 
 A lattice here is a free Z-module of finite rank with an integer-valued
-symmetric bilinear form.  Determinant and signature are computed exactly
-(fraction-free elimination resp. rational congruence diagonalization); no
-floating point enters anywhere.
+symmetric bilinear form.  Determinant and signature are computed exactly by
+one rational congruence diagonalization; no floating point enters anywhere.
 
 Constructors also track whether a hyperbolic-plane direct summand is
 syntactically present, which downstream code uses to justify the
@@ -40,40 +39,20 @@ def _freeze(rows: Iterable[Sequence[int]]) -> Gram:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-def _bareiss_det(rows: Gram) -> int:
-    """Fraction-free (Bareiss) determinant; exact over Z."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _rational_signature(rows: Gram) -> Signature:
-    """Sylvester signature by symmetric Gaussian reduction over Q.
+def _det_and_signature(rows: Gram) -> tuple[int, Signature]:
+    """Determinant and Sylvester signature by symmetric Gaussian reduction
+    over Q.
 
     Pivot search: prefer a nonzero diagonal entry; if the remaining block has
     zero diagonal but a nonzero off-diagonal entry (i,j), the row/column
-    operation R_i += R_j surfaces the nonzero diagonal value 2*a_ij.
+    operation R_i += R_j surfaces the nonzero diagonal value 2*a_ij.  Every
+    step is a congruence by a determinant-1 matrix, so det is the product of
+    the pivots.
     """
     n = len(rows)
     m = [[Fraction(x) for x in row] for row in rows]
     pos = neg = 0
+    det = Fraction(1)
     active = list(range(n))
     while active:
         pivot = next((i for i in active if m[i][i] != 0), None)
@@ -91,6 +70,7 @@ def _rational_signature(rows: Gram) -> Signature:
                 m[k][i] += m[k][j]
             pivot = i
         d = m[pivot][pivot]
+        det *= d
         if d > 0:
             pos += 1
         else:
@@ -104,7 +84,7 @@ def _rational_signature(rows: Gram) -> Signature:
                 m[i][k] -= f * m[pivot][k]
             for k in range(n):
                 m[k][i] -= f * m[k][pivot]
-    return Signature(pos, neg)
+    return int(det), Signature(pos, neg)
 
 
 class Lattice:
@@ -129,13 +109,11 @@ class Lattice:
                     raise PreconditionError(
                         f"Gram matrix is not symmetric at ({i},{j}): {g[i][j]} != {g[j][i]}"
                     )
-        d = _bareiss_det(g)
-        if d == 0:
-            raise PreconditionError("Gram matrix is singular")
+        det, signature = _det_and_signature(g)
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "rank", n)
-        object.__setattr__(self, "det", d)
-        object.__setattr__(self, "signature", _rational_signature(g))
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "has_hyperbolic_summand", bool(hyperbolic_summand))
 
     def __setattr__(self, name, value):

@@ -30,6 +30,7 @@ from .density import (
     ORACLE_CANDIDATE_CAP,
     LocalDensity,
     bad_primes,
+    density_from_decomposition,
     local_density,
     oracle_stabilized,
     p_series,
@@ -236,10 +237,11 @@ def build_report(
 ) -> VolumeReport:
     """Assemble the full report used by the CLI and the acceptance tests.
 
-    Each stage runs once for the lattice: the densities at the bad primes,
-    the Euler product from them, vol_HM(O(L)) from that, and for the stable
-    tags one discriminant form and |O(q)|.  Every tag's volume is its index
-    times vol_HM(O(L)), and its cusp term is 2/n! times that volume.
+    Each stage runs once for the lattice: one Jordan decomposition per bad
+    prime, which gives both the densities and (for the stable tags) the
+    discriminant form and |O(q)|, the Euler product from the densities, and
+    vol_HM(O(L)) from that.  Every tag's volume is its index times
+    vol_HM(O(L)), and its cusp term is 2/n! times that volume.
     """
     _require_volume_domain(lattice)
     sig = lattice.signature
@@ -252,7 +254,8 @@ def build_report(
         else:
             tags = ("O",)
     bad = bad_primes(lattice)
-    densities = [local_density(lattice, p) for p in bad]
+    decomps = [jordan_decompose(lattice, p) for p in bad]
+    densities = [density_from_decomposition(d) for d in decomps]
     euler = _euler_product(lattice, densities)
     vol = _vol_from_euler(lattice, euler, g_sp_plus).rational()
     assumptions = []
@@ -267,7 +270,9 @@ def build_report(
             "g_sp+ = %d assumed (no hyperbolic-plane summand detected; supply --gsp "
             "if the genus has several spinor genera)" % g_sp_plus
         )
-    stable = stable_invariants(lattice) if any(tag in STABLE_TAGS for tag in tags) else None
+    stable = None
+    if any(tag in STABLE_TAGS for tag in tags):
+        stable = stable_invariants(lattice, decomps)
     volumes: dict[str, Fraction] = {}
     indices: dict[str, int] = {}
     cusp: dict[str, Fraction] = {}

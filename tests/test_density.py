@@ -109,8 +109,6 @@ def test_positivity_and_breakdown():
 
 
 def test_good_prime_closed_form():
-    from hmvol.jordan import block_chi
-
     for text in ("2*U + <-2>", "U + <2> + <-14>", "2*U + E8(-1)"):
         lat = lattice_from_text(text)
         rho = lat.rank
@@ -122,7 +120,7 @@ def test_good_prime_closed_form():
                 assert val == p_series(p, (rho - 1) // 2)
             else:
                 dec = jordan_decompose(lat, p)
-                chi = block_chi(dec.blocks[0], p)
+                chi = dec.blocks[0].chi
                 assert val == p_series(p, rho // 2) / (1 + Fraction(chi, p ** (rho // 2)))
 
 

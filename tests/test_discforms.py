@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from hmvol.discforms import (
 from hmvol.errors import FeasibilityError, PreconditionError
 from hmvol.expr import lattice_from_text
 from hmvol.families import k_lattice, l_lattice, n_lattice, t_lattice, unimodular_ii
+from hmvol.jordan import jordan_decompose
 from hmvol.lattices import direct_sum, from_gram, rank_one
 
 from conftest import SIGNATURE_2N_EXPRESSIONS
@@ -48,11 +50,16 @@ def test_discriminant_form_trivial_for_unimodular():
 
 
 def test_discriminant_form_rank_one():
-    # <-2d>: cyclic of order 2d with q(g) = -1/2d mod 2Z
+    # <-2d>: cyclic of order 2d with q(g) = -1/2d mod 2Z, given by its
+    # p-parts in increasing p; the p-part of order p^e is generated by c*g
+    # with c = 2d/p^e, so its q-value is c^2 * (-1/2d)
     for d in (1, 3, 6):
         form = discriminant_form(rank_one(-2 * d))
-        assert form.orders == (2 * d,)
-        assert form.q_values[0] % 2 == Fraction(-1, 2 * d) % 2
+        prime_powers = tuple(p**e for p, e in sorted(factorize(2 * d).items()))
+        assert form.orders == prime_powers
+        for pe, q in zip(prime_powers, form.q_values):
+            c = 2 * d // pe
+            assert q % 2 == Fraction(-c * c, 2 * d) % 2
 
 
 def test_discriminant_form_n_binary():
@@ -192,11 +199,17 @@ def _brute_force_isometry_order(form) -> int:
     return count
 
 
+BRUTE_FORCE_TEXTS = (
+    "U + U(2)", "U + U(3)", "U + U(4)", "2*U + 2*<-2>", "2*U + 3*<-2>", "2*U + 2*<-4>",
+)
+BRUTE_FORCE_MULTI_PRIME_TEXTS = ("2*U + <-2> + <-6>", "U + U(3) + <-2>", "2*U + <-4> + <-6>")
+
+
 def test_isometry_order_matches_brute_force():
     # finite_isometry_order keeps every leaf of its pruned search; the leaves
     # are automorphisms because b is nondegenerate, and this reference counts
     # bijective q-preserving maps directly
-    texts = ["U + U(2)", "U + U(3)", "U + U(4)", "2*U + 2*<-2>", "2*U + 3*<-2>", "2*U + 2*<-4>"]
+    texts = list(BRUTE_FORCE_TEXTS)
     lattices = [lattice_from_text(t) for t in texts] + [l_lattice(0, d) for d in range(1, 9)]
     for text, lat in zip(texts + [f"L(0,{d})" for d in range(1, 9)], lattices):
         form = discriminant_form(lat)
@@ -204,7 +217,7 @@ def test_isometry_order_matches_brute_force():
         assert finite_isometry_order(form) == _brute_force_isometry_order(form), text
     # several primes over several generators: the product over p-parts
     # against the unsplit reference
-    for text in ("2*U + <-2> + <-6>", "U + U(3) + <-2>", "2*U + <-4> + <-6>"):
+    for text in BRUTE_FORCE_MULTI_PRIME_TEXTS:
         form = discriminant_form(lattice_from_text(text))
         assert len(form.orders) >= 2 and num_prime_divisors(form.order) >= 2, text
         assert form.order <= 24, text
@@ -253,14 +266,142 @@ def test_isometry_guard_prices_each_p_part():
 def test_index_and_minus_id_table():
     # rank 5, A = Z/2: -id is in every group but SO+ and SO~+ (odd rank)
     lat = l_lattice(0, 1)
-    stable = stable_invariants(lat)
+    stable = stable_invariants(lat, [jordan_decompose(lat, 2)])
     assert stable == (1, True)
     got = {tag: index_and_minus_id(lat, tag, stable) for tag in ("O", "O+", "SO+", "O~+", "SO~+")}
     assert got == {"O": (1, True), "O+": (2, True), "SO+": (2, False),
                    "O~+": (2, True), "SO~+": (2, False)}
     # rank 5, A = Z/6: -id acts nontrivially on A
-    assert index_and_minus_id(l_lattice(0, 3), "O~+", stable_invariants(l_lattice(0, 3))) == (2, False)
+    lat3 = l_lattice(0, 3)
+    stable3 = stable_invariants(lat3, [jordan_decompose(lat3, p) for p in (2, 3)])
+    assert index_and_minus_id(lat3, "O~+", stable3) == (2, False)
     # the full group needs no signature: index 1 on any lattice
     assert projective_index(lattice_from_text("U + <-2>"), "O") == 1
     with pytest.raises(PreconditionError, match="signature"):
         projective_index(lattice_from_text("U + <-2>"), "O+")
+
+
+# ------------------------------------------- Smith-form reference construction
+
+
+def _smith_normal_form(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Smith normal form with right transform: returns (diag, V) with
+    U M V = diag(d_1 | d_2 | ...) for some unimodular U; only V is tracked."""
+    n = len(mat)
+    m = [row[:] for row in mat]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def col_op(j, k, f):  # C_j -= f * C_k
+        for row in m:
+            row[j] -= f * row[k]
+        for row in v:
+            row[j] -= f * row[k]
+
+    def col_swap(j, k):
+        for row in m:
+            row[j], row[k] = row[k], row[j]
+        for row in v:
+            row[j], row[k] = row[k], row[j]
+
+    def row_op(i, k, f):  # R_i -= f * R_k
+        for j in range(n):
+            m[i][j] -= f * m[k][j]
+
+    def row_swap(i, k):
+        m[i], m[k] = m[k], m[i]
+
+    for t in range(n):
+        while True:
+            # move a minimal nonzero entry of the trailing block to (t, t)
+            best = None
+            for i in range(t, n):
+                for j in range(t, n):
+                    if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                        best = (i, j)
+            assert best is not None, "matrix is singular"
+            bi, bj = best
+            if bi != t:
+                row_swap(bi, t)
+            if bj != t:
+                col_swap(bj, t)
+            dirty = False
+            for i in range(t + 1, n):
+                f = m[i][t] // m[t][t]
+                if f:
+                    row_op(i, t, f)
+                if m[i][t]:
+                    dirty = True
+            for j in range(t + 1, n):
+                f = m[t][j] // m[t][t]
+                if f:
+                    col_op(j, t, f)
+                if m[t][j]:
+                    dirty = True
+            if dirty:
+                continue
+            # enforce divisibility d_t | trailing entries
+            offender = None
+            for i in range(t + 1, n):
+                for j in range(t + 1, n):
+                    if m[i][j] % m[t][t]:
+                        offender = (i, j)
+                        break
+                if offender:
+                    break
+            if offender is None:
+                break
+            col_op(t, offender[1], -1)  # mixes the offending column into column t
+    diag = [abs(m[i][i]) for i in range(n)]
+    return diag, v
+
+
+def _smith_discriminant_form(lattice) -> FiniteQuadraticForm:
+    """(A_L, q_L) with invariant-factor generators g_i = (V e_i) / d_i from
+    the Smith normal form of the Gram matrix, q and b from the dual pairing:
+    a route through the global Gram matrix, independent of the Jordan blocks."""
+    diag, v = _smith_normal_form([list(r) for r in lattice.gram])
+    n = lattice.rank
+    keep = [i for i in range(n) if diag[i] > 1]
+    q_vals = []
+    bil = [[Fraction(0)] * len(keep) for _ in keep]
+    for a, i in enumerate(keep):
+        vi = [v[r][i] for r in range(n)]
+        gvi = [sum(lattice.gram[r][c] * vi[c] for c in range(n)) for r in range(n)]
+        for b, j in enumerate(keep):
+            vj = [v[r][j] for r in range(n)]
+            pairing = Fraction(sum(gvi[r] * vj[r] for r in range(n)), diag[i] * diag[j])
+            bil[a][b] = pairing % 1
+            if a == b:
+                q_vals.append(pairing % 2)
+    return FiniteQuadraticForm(tuple(diag[i] for i in keep), tuple(q_vals), tuple(map(tuple, bil)))
+
+
+def _order_and_q_multiset(form: FiniteQuadraticForm) -> Counter:
+    return Counter((form.element_order(x), form.q_of(x)) for x in form.elements())
+
+
+def test_jordan_form_matches_smith_reference():
+    # the form read off the Jordan blocks and the Smith-form construction
+    # describe the same (A, q): same order, exponent test and |O(q)|, and
+    # on small groups the same (element order, q) value distribution
+    corpus = {}
+    for text in SIGNATURE_2N_EXPRESSIONS + BRUTE_FORCE_TEXTS + BRUTE_FORCE_MULTI_PRIME_TEXTS:
+        lat = lattice_from_text(text)
+        if lat.is_even:
+            corpus[text] = lat
+    for d in range(1, 61):
+        corpus[f"K(0,{d})"] = k_lattice(0, d)
+        corpus[f"L(0,{d})"] = l_lattice(0, d)
+        if d % 4 == 1:
+            corpus[f"N(0,{d})"] = n_lattice(0, d)
+    compared = 0
+    for name, lat in corpus.items():
+        form = discriminant_form(lat)
+        ref = _smith_discriminant_form(lat)
+        assert form.order == ref.order == abs(lat.det), name
+        assert form.is_two_elementary == ref.is_two_elementary, name
+        assert finite_isometry_order(form) == finite_isometry_order(ref), name
+        if form.order <= 2000:
+            assert _order_and_q_multiset(form) == _order_and_q_multiset(ref), name
+            compared += 1
+    assert compared > 150

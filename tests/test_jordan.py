@@ -5,7 +5,7 @@ import pytest
 from hmvol.density import density_from_decomposition, local_density
 from hmvol.errors import PreconditionError
 from hmvol.expr import lattice_from_text
-from hmvol.jordan import block_chi, jordan_decompose, two_adic_normalize
+from hmvol.jordan import jordan_decompose, two_adic_normalize
 from hmvol.lattices import (
     Lattice,
     direct_sum,
@@ -45,19 +45,19 @@ def test_e8_two_adic_single_even_block():
 def test_block_chi_hyperbolic_all_primes():
     for p in (2, 3, 5, 7, 11):
         dec = jordan_decompose(hyperbolic_plane(), p)
-        assert block_chi(dec.blocks[0], p) == 1
+        assert dec.blocks[0].chi == 1
 
 
 def test_block_chi_nonhyperbolic_binary():
     dec = jordan_decompose(from_gram([[2, 1], [1, 2]]), 2)
-    assert block_chi(dec.blocks[0], 2) == -1
+    assert dec.blocks[0].chi == -1
 
 
 def test_block_chi_odd_prime_square_class():
     # <-2> + <2> at p = 5: (-1)^1 * det = 4, a square mod 5
     dec = jordan_decompose(direct_sum(rank_one(-2), rank_one(2)), 5)
     assert len(dec.blocks) == 1
-    assert block_chi(dec.blocks[0], 5) == 1
+    assert dec.blocks[0].chi == 1
 
 
 def test_normalize_single_hyperbolic_piece():

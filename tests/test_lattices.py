@@ -188,6 +188,32 @@ def test_rescale_multiplicativity(lat, c):
         )
 
 
+@st.composite
+def _symmetric_matrices(draw):
+    """Symmetric integer matrices of size <= 5; about half have a zero
+    diagonal, which sends the elimination through its pair-pivot branch."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    zero_diagonal = draw(st.booleans())
+    entries = st.integers(min_value=-(2**62), max_value=2**62)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                rows[i][j] = rows[j][i] = draw(entries)
+    return rows
+
+
+@given(_symmetric_matrices())
+@settings(max_examples=300, deadline=None)
+def test_det_matches_cofactor_expansion(rows):
+    det = cofactor_det(rows)
+    if det == 0:
+        with pytest.raises(PreconditionError, match="singular"):
+            from_gram(rows)
+    else:
+        assert from_gram(rows).det == det
+
+
 def test_lattice_immutable():
     lat = hyperbolic_plane()
     with pytest.raises(AttributeError):

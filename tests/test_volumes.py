@@ -255,7 +255,7 @@ def test_build_report_runs_each_stage_once(monkeypatch):
         "jordan_decompose": jordan.jordan_decompose,
         "_euler_product": volumes._euler_product,
         "generalized_bernoulli": special_values.generalized_bernoulli,
-        "discriminant_form": discforms.discriminant_form,
+        "_form_from_jordan": discforms._form_from_jordan,
         "finite_isometry_order": discforms.finite_isometry_order,
     }
     calls = dict.fromkeys(targets, 0)
@@ -279,6 +279,9 @@ def test_build_report_runs_each_stage_once(monkeypatch):
     assert set(rep.volumes) == {"O", "O+", "SO+", "O~+", "SO~+"}
     assert calls["_euler_product"] == 1
     assert calls["generalized_bernoulli"] == 1
-    assert calls["discriminant_form"] == 1
+    assert calls["_form_from_jordan"] == 1
     assert calls["finite_isometry_order"] == 1
-    assert calls["jordan_decompose"] <= n_bad + 5
+    # one Jordan decomposition per bad prime feeds both the densities and
+    # the discriminant form; the 5 more are the good-prime chi checks
+    assert n_bad == 3
+    assert calls["jordan_decompose"] == n_bad + 5
