@@ -15,7 +15,6 @@ from .discforms import (
     FiniteQuadraticForm,
     discriminant_form,
     finite_isometry_order,
-    minus_id_in_tilde,
     num_prime_divisors,
     projective_index,
 )

@@ -79,10 +79,6 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-def prime_divisors(n: int) -> tuple[int, ...]:
-    return tuple(factorize(abs(n))) if n not in (0,) else ()
-
-
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = s * t**2 with s squarefree (sign carried by s). n != 0."""
     if n == 0:

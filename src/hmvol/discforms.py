@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from . import arith
 from .errors import FeasibilityError, PreconditionError
@@ -165,13 +166,17 @@ def finite_isometry_order(form: FiniteQuadraticForm) -> int:
     """|O(A, q)| as the product of |O(A_p, q_p)| over the p-primary parts,
     which are mutually orthogonal (Nikulin 1979).
 
-    A cyclic part at odd p has exactly the isometries +1 and -1; every other
-    part is enumerated (`_count_isometries`), and the enumeration guard
-    prices each such part by its order |A_p|, the number of elements the
-    enumeration visits.
+    A cyclic part at odd p has exactly the isometries +1 and -1.  Every
+    other part is counted down a stabilizer chain (`_chain_count`): its
+    elements are bucketed once by (order, q) in integer arithmetic, and
+    |O(A_p, q_p)| is the product over the generators g_i of the orbit of g_i
+    under the isometries fixing g_0, ..., g_{i-1}.  The work grows with the
+    orbit sizes, not with |O|, except for the bucket pass, which visits all
+    |A_p| elements; the enumeration guard prices each counted part by that
+    pass.
     """
     count = 1
-    enumerated = []
+    counted = []
     for p, part in _p_parts(form):
         if p != 2 and len(part.orders) == 1:
             count *= 2
@@ -181,50 +186,129 @@ def finite_isometry_order(form: FiniteQuadraticForm) -> int:
                 f"|A_{p}| = {part.order} elements, more than {ISOMETRY_ENUM_CAP}"
             )
         else:
-            enumerated.append(part)
-    for part in enumerated:
-        count *= _count_isometries(part)
+            counted.append(part)
+    for part in counted:
+        count *= _chain_count(part)
     return count
 
 
-def _count_isometries(form: FiniteQuadraticForm) -> int:
-    """|O(A, q)| by brute-force enumeration of generator images.
+def _scaled(value: Fraction, n: int, modulus: int) -> int:
+    """n * value as an integer mod `modulus`."""
+    v = value * n
+    if v.denominator != 1:
+        raise PreconditionError("form values must lie in (1/N)Z, N the exponent of A")
+    return v.numerator % modulus
 
-    Candidates are pruned by element order and q-value, then by bilinear
-    compatibility with previously chosen images.  Every complete assignment
-    is an automorphism: it preserves the nondegenerate b, so its kernel lies
-    in the radical of b and is zero, and an injective endomorphism of a
-    finite group is bijective.
+
+def _bucket(
+    orders: tuple[int, ...], n: int, q: list[int], b: list[list[int]]
+) -> dict[tuple[int, int], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The elements x of A whose (order, n*q(x) mod 2n) is that of some
+    generator, keyed by that pair, each as (x, B x mod n).
+
+    Elements are built one coordinate at a time:
+    q(x + t g_i) = q(x) + t^2 q(g_i) + 2t b(x, g_i), and (B x)_i is n*b(x, g_i).
+    """
+    k = len(orders)
+    wanted = {(orders[i], q[i]) for i in range(k)}
+    layer = [((), 0, 1, (0,) * k)]  # (x, n*q(x) mod 2n, order of x, B x mod n)
+    for i, (d, qi, row) in enumerate(zip(orders, q, b)):
+        step = [(t, t * t * qi, d // gcd(d, t), [t * v for v in row]) for t in range(d)]
+        layer = [
+            (x + (t,), (qx + tq + 2 * t * bx[i]) % (2 * n), lcm(ox, ot),
+             tuple((u + v) % n for u, v in zip(bx, tb)))
+            for x, qx, ox, bx in layer
+            for t, tq, ot, tb in step
+            if i < k - 1 or (lcm(ox, ot), (qx + tq + 2 * t * bx[i]) % (2 * n)) in wanted
+        ]
+    buckets: dict = {}
+    for x, qx, ox, bx in layer:
+        buckets.setdefault((ox, qx), []).append((x, bx))
+    return buckets
+
+
+def _complete(options: list, chosen: list, b: list[list[int]], n: int) -> bool:
+    """Extend `chosen`, images of g_i, ..., g_{i+len(chosen)-1} as (y, B y), by
+    one image per remaining entry of `options` (the images already allowed
+    by g_0, ..., g_{i-1}) so that b(y_l, y_j) = b(g_l, g_j); first
+    completion found, in place, or False."""
+    level = len(chosen)
+    if level == len(options):
+        return True
+    base = len(b) - len(options)  # the level of options[0]
+    row = b[base + level]
+    for y, by in options[level]:
+        if all(sum(map(mul, y, cb)) % n == row[base + j] for j, (_, cb) in enumerate(chosen)):
+            chosen.append((y, by))
+            if _complete(options, chosen, b, n):
+                return True
+            chosen.pop()
+    return False
+
+
+def _apply(sigma: list[tuple[int, ...]], x: tuple[int, ...], orders: tuple[int, ...]) -> tuple[int, ...]:
+    """sigma(x) for sigma given by its columns: column c lists the c-th
+    coordinates of the images of the generators."""
+    return tuple(sum(map(mul, x, col)) % d for col, d in zip(sigma, orders))
+
+
+def _close(orbit: set, gens: list, orders: tuple[int, ...]) -> None:
+    """Grow `orbit`, closed under gens[:-1], until it is closed under gens."""
+    fresh = [(y, gens[-1:]) for y in orbit]  # each point with the gens it still needs
+    while fresh:
+        y, todo = fresh.pop()
+        for sigma in todo:
+            z = _apply(sigma, y, orders)
+            if z not in orbit:
+                orbit.add(z)
+                fresh.append((z, gens))
+
+
+def _chain_count(form: FiniteQuadraticForm) -> int:
+    """|O(A, q)| as prod_i |S_i g_i|, S_i the isometries fixing g_0..g_{i-1}.
+
+    q and b are held as integers (n q mod 2n, n b mod n, n the exponent of A).
+    The candidates for S_i g_i are the elements with the order and q-value
+    of g_i and b(x, g_j) = b(g_i, g_j) for j < i.  Levels run from the last
+    generator up, so the isometries found below level i generate S_{i+1}.
+    A candidate is in the orbit iff some complete assignment fixes
+    g_0..g_{i-1} and sends g_i to it; every one found joins the generators,
+    and the orbit is closed under them, so only candidates not yet reached
+    are searched.  A complete assignment preserves q on the generators and
+    b, hence q; it is injective because b is nondegenerate, so it is an
+    automorphism.
     """
     if form.is_trivial:
         return 1
-    k = len(form.orders)
-    buckets: dict[tuple[int, Fraction], list[tuple[int, ...]]] = {}
-    for x in form.elements():
-        buckets.setdefault((form.element_order(x), form.q_of(x)), []).append(x)
-    candidates = [buckets.get((form.orders[i], form.q_values[i]), []) for i in range(k)]
-
-    chosen: list[tuple[int, ...]] = []
-
-    def extend(i: int) -> int:
-        if i == k:
-            return 1
-        count = 0
-        for cand in candidates[i]:
-            if all(form.b_of(cand, chosen[j]) == form.bilinear[i][j] % 1 for j in range(i)):
-                chosen.append(cand)
-                count += extend(i + 1)
-                chosen.pop()
-        return count
-
-    return extend(0)
-
-
-def minus_id_in_tilde(lattice: Lattice) -> bool:
-    """Whether -id acts trivially on the discriminant group, i.e. lies in the
-    stable orthogonal group: true exactly when A_L has exponent <= 2 (every
-    generator order divides 2)."""
-    return discriminant_form(lattice).is_two_elementary
+    orders = form.orders
+    k = len(orders)
+    n = lcm(*orders)
+    q = [_scaled(v, n, 2 * n) for v in form.q_values]
+    b = [[_scaled(v, n, n) for v in row] for row in form.bilinear]
+    buckets = _bucket(orders, n, q, b)
+    cands = [buckets.get((orders[l], q[l]), []) for l in range(k)]
+    units = [tuple(int(j == i) for j in range(k)) for i in range(k)]
+    # allowed[i][l - i]: the images of g_l for an isometry fixing g_0..g_{i-1}
+    allowed = [cands]
+    for i in range(1, k):
+        allowed.append([[(y, by) for y, by in ys if by[i - 1] == b[l][i - 1]]
+                        for l, ys in enumerate(allowed[-1][1:], start=i)])
+    gens: list[list[tuple[int, ...]]] = []  # isometries found, as columns
+    count = 1
+    for i in reversed(range(k)):
+        options = allowed.pop()
+        orbit = {units[i]}
+        for x, bx in options[0]:
+            if x in orbit:
+                continue
+            chosen = [(x, bx)]
+            if not _complete(options, chosen, b, n):
+                continue
+            images = units[:i] + [y for y, _ in chosen]
+            gens.append([tuple(img[c] for img in images) for c in range(k)])
+            _close(orbit, gens, orders)
+        count *= len(orbit)
+    return count
 
 
 GROUP_TAGS = ("O", "O+", "SO+", "O~+", "SO~+")

@@ -70,6 +70,15 @@ def test_isometry_guard_exit_4(capsys):
     assert "2-part" in err and "|A_2| = 131072" in err
 
 
+def test_analyze_e8_minus_two_stable_exit_0(capsys):
+    # |O(q)| = |O+_8(2)| = 348,364,800: counted down a stabilizer chain
+    code, out, _ = run(capsys, "analyze", "2*U + E8(-2)", "--group", "O~+", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lattice"]["det"] == "256"
+    assert doc["indices"]["O~+"] == 2 * 348364800  # A is 2-elementary
+
+
 def test_oracle_match(capsys):
     code, out, _ = run(capsys, "oracle", "U", "3", "1")
     assert code == 0

@@ -1,19 +1,23 @@
+import gc
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hmvol.arith import factorize
 from hmvol.arith import primes_up_to
 from hmvol.discforms import (
     ISOMETRY_ENUM_CAP,
     FiniteQuadraticForm,
-    _count_isometries,
+    _chain_count,
+    _p_parts,
     discriminant_form,
     finite_isometry_order,
     index_and_minus_id,
-    minus_id_in_tilde,
     num_prime_divisors,
     projective_index,
     stable_invariants,
@@ -117,13 +121,17 @@ def test_unit_square_count_mod_4d():
 
 
 def test_minus_id_criterion():
-    assert minus_id_in_tilde(l_lattice(0, 1))  # A = Z/2
-    assert not minus_id_in_tilde(l_lattice(0, 3))  # A = Z/6
-    assert minus_id_in_tilde(unimodular_ii(1))  # trivial group
-    assert minus_id_in_tilde(t_lattice(1))  # A = (Z/2)^2
+    # -id lies in the stable group iff A_L has exponent <= 2
+    def two_elementary(lat):
+        return discriminant_form(lat).is_two_elementary
+
+    assert two_elementary(l_lattice(0, 1))  # A = Z/2
+    assert not two_elementary(l_lattice(0, 3))  # A = Z/6
+    assert two_elementary(unimodular_ii(1))  # trivial group
+    assert two_elementary(t_lattice(1))  # A = (Z/2)^2
     # A = Z/4 is a 2-group but has exponent 4, so -id acts nontrivially;
     # the L-family volume fixtures at d = 2 force this reading
-    assert not minus_id_in_tilde(l_lattice(0, 2))
+    assert not two_elementary(l_lattice(0, 2))
 
 
 def test_projective_index_l_family():
@@ -206,9 +214,8 @@ BRUTE_FORCE_MULTI_PRIME_TEXTS = ("2*U + <-2> + <-6>", "U + U(3) + <-2>", "2*U + 
 
 
 def test_isometry_order_matches_brute_force():
-    # finite_isometry_order keeps every leaf of its pruned search; the leaves
-    # are automorphisms because b is nondegenerate, and this reference counts
-    # bijective q-preserving maps directly
+    # finite_isometry_order multiplies orbit sizes down a stabilizer chain;
+    # this reference counts bijective q-preserving maps directly
     texts = list(BRUTE_FORCE_TEXTS)
     lattices = [lattice_from_text(t) for t in texts] + [l_lattice(0, d) for d in range(1, 9)]
     for text, lat in zip(texts + [f"L(0,{d})" for d in range(1, 9)], lattices):
@@ -224,23 +231,75 @@ def test_isometry_order_matches_brute_force():
         assert finite_isometry_order(form) == _brute_force_isometry_order(form), text
 
 
+def _count_isometries(form: FiniteQuadraticForm) -> int:
+    """|O(A, q)| by brute-force enumeration of generator images.
+
+    Candidates are pruned by element order and q-value, then by bilinear
+    compatibility with previously chosen images.  Every complete assignment
+    is an automorphism: it preserves the nondegenerate b, so its kernel lies
+    in the radical of b and is zero, and an injective endomorphism of a
+    finite group is bijective.
+    """
+    if form.is_trivial:
+        return 1
+    k = len(form.orders)
+    buckets: dict[tuple[int, Fraction], list[tuple[int, ...]]] = {}
+    for x in form.elements():
+        buckets.setdefault((form.element_order(x), form.q_of(x)), []).append(x)
+    candidates = [buckets.get((form.orders[i], form.q_values[i]), []) for i in range(k)]
+
+    chosen: list[tuple[int, ...]] = []
+
+    def extend(i: int) -> int:
+        if i == k:
+            return 1
+        count = 0
+        for cand in candidates[i]:
+            if all(form.b_of(cand, chosen[j]) == form.bilinear[i][j] % 1 for j in range(i)):
+                chosen.append(cand)
+                count += extend(i + 1)
+                chosen.pop()
+        return count
+
+    return extend(0)
+
+
 def test_isometry_order_is_product_over_p_parts():
-    # the product over p-parts equals the search run on the unsplit form
-    forms = {}
+    # the enumerator above is the reference: the product over p-parts
+    # equals it on the unsplit form, and the stabilizer-chain count equals
+    # it on every p-part with |A_p| <= 10^4 of the corpora
+    unsplit = {}
     for text in SIGNATURE_2N_EXPRESSIONS:
         lat = lattice_from_text(text)
         if lat.is_even and lat.has_hyperbolic_summand and abs(lat.det) <= 10**4:
-            forms[text] = discriminant_form(lat)
+            unsplit[text] = discriminant_form(lat)
     for d in range(1, 201):
-        forms[f"L(0,{d})"] = discriminant_form(l_lattice(0, d))
-    assert len(forms) > 200
-    for name, form in forms.items():
+        unsplit[f"L(0,{d})"] = discriminant_form(l_lattice(0, d))
+    assert len(unsplit) > 200
+    for name, form in unsplit.items():
         assert finite_isometry_order(form) == _count_isometries(form), name
+    forms = dict(unsplit)
+    texts = BRUTE_FORCE_TEXTS + BRUTE_FORCE_MULTI_PRIME_TEXTS
+    texts += tuple(f"2*U + {n}*<-2>" for n in range(1, 6))
+    for text in texts:
+        forms[text] = discriminant_form(lattice_from_text(text))
+    for d in range(1, 201):
+        forms[f"K(0,{d})"] = discriminant_form(k_lattice(0, d))
+        if d % 4 == 1:
+            forms[f"N(0,{d})"] = discriminant_form(n_lattice(0, d))
+    parts = 0
+    for name, form in forms.items():
+        for p, part in _p_parts(form):
+            if part.order <= 10**4:
+                assert _chain_count(part) == _count_isometries(part), (name, p)
+                parts += 1
+    assert parts > 900
 
 
 def test_odd_cyclic_part_has_two_isometries():
-    # the closed form for a cyclic part at odd p, pinned by the search it
-    # replaces: Z/p^k with q(g) = 2u/p^k for a square and a non-square unit u
+    # the closed form for a cyclic part at odd p, pinned by the stabilizer
+    # chain it bypasses: Z/p^k with q(g) = 2u/p^k for a square and a
+    # non-square unit u
     for p in primes_up_to(2000)[1:]:
         non_square = next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
         pk = p
@@ -248,9 +307,100 @@ def test_odd_cyclic_part_has_two_isometries():
             for u in (1, non_square):
                 q = Fraction(2 * u, pk)
                 form = FiniteQuadraticForm((pk,), (q % 2,), ((q % 1,),))
-                assert _count_isometries(form) == 2, (pk, u)
+                assert _chain_count(form) == 2, (pk, u)
                 assert finite_isometry_order(form) == 2, (pk, u)
             pk *= p
+
+
+def test_isometry_order_anchors():
+    # 2U + n<-2>: A = (Z/2)^n with q = -1/2 on each generator
+    for n, expected in zip(range(1, 7), (1, 2, 6, 24, 120, 1440)):
+        form = discriminant_form(lattice_from_text(f"2*U + {n}*<-2>"))
+        assert finite_isometry_order(form) == expected, n
+    # even-type 2-elementary forms: |O+_{2m}(2)| = 2 * 2^(m(m-1)) (2^m - 1)
+    # prod_{i<m} (4^i - 1); E8(-2) gives m = 4, the Enriques lattice
+    # U + U(2) + E8(-2) gives m = 5
+    form = discriminant_form(lattice_from_text("2*U + E8(-2)"))
+    assert form.orders == (2,) * 8
+    assert finite_isometry_order(form) == 348_364_800
+    form = discriminant_form(lattice_from_text("U + U(2) + E8(-2)"))
+    assert form.orders == (2,) * 10
+    assert finite_isometry_order(form) == 46_998_591_897_600
+
+
+def _random_basis(form: FiniteQuadraticForm, rng: random.Random) -> FiniteQuadraticForm:
+    """(A, q) on new generators h_i = sum_j M_ij g_j, M invertible mod m,
+    for A = (Z/m)^k: the cross terms b(h_i, h_j) are generally all nonzero,
+    unlike on Jordan generators."""
+    m, k = form.orders[0], len(form.orders)
+    while True:
+        rows = [tuple(rng.randrange(m) for _ in range(k)) for _ in range(k)]
+        # invertible iff the rows generate A: k-fold sums reach every element
+        span = {tuple([0] * k)}
+        for r in rows:
+            span = {tuple((a + t * c) % m for a, c in zip(x, r)) for x in span for t in range(m)}
+        if len(span) == form.order:
+            break
+    return FiniteQuadraticForm(
+        form.orders,
+        tuple(form.q_of(r) for r in rows),
+        tuple(tuple(form.b_of(r, c) for c in rows) for r in rows),
+    )
+
+
+def test_isometry_order_is_basis_invariant():
+    # |O(q)| depends on (A, q) only: random generating sets of homogeneous
+    # groups (Z/m)^k give the same count as the Jordan generators
+    rng = random.Random(6)
+    for text in ("2*U + 4*<-2>", "U + U(2) + 2*<-2>", "2*U + E8(-2)", "U + U(4) + 2*<-4>",
+                 "U + U(3) + <-6> + <-2>", "U + U(5) + gram[-2,1;1,-2]"):
+        form = discriminant_form(lattice_from_text(text))
+        for p, part in _p_parts(form):
+            if len(set(part.orders)) != 1 or len(part.orders) < 2:
+                continue
+            expected = _chain_count(part)
+            for _ in range(3):
+                moved = _random_basis(part, rng)
+                assert _chain_count(moved) == expected, (text, p, moved)
+                if part.order <= 81:
+                    assert _count_isometries(moved) == expected, (text, p)
+
+
+def test_isometry_count_leaves_no_reference_cycles():
+    form = discriminant_form(lattice_from_text("U + U(2) + 3*<-2>"))
+    assert form.is_two_elementary
+    gc.collect()
+    gc.disable()
+    try:
+        assert finite_isometry_order(form) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _block_text(kind: int, a: int, b: int, c: int) -> str:
+    if kind == 0:
+        return f"U({a})"
+    if kind == 1:
+        return f"<{-2 * a}>"
+    return f"gram[{-2 * a},{b};{b},{-2 * c}]"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 8), st.integers(-3, 3),
+                          st.integers(1, 8)), min_size=1, max_size=4))
+def test_chain_count_matches_enumerator_on_random_sums(blocks):
+    assume(all(kind < 2 or 4 * a * c != b * b for kind, a, b, c in blocks))
+    lat = lattice_from_text(" + ".join(["U"] + [_block_text(*blk) for blk in blocks]))
+    form = discriminant_form(lat)
+    parts = [part for _, part in _p_parts(form)]
+    # the enumerator's dead branches grow like |A_p|^(generators - 1)
+    assume(form.order <= 2000)
+    assume(all(part.order ** (len(part.orders) - 1) <= 2 * 10**4 for part in parts))
+    expected = 1
+    for part in parts:
+        expected *= _count_isometries(part)
+    assert finite_isometry_order(form) == expected
 
 
 def test_isometry_guard_prices_each_p_part():
