@@ -254,9 +254,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once: a parser is a web of reference cycles, so one per call would
+# leave garbage for the collector after every command
+_PARSER = build_arg_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ExpressionError as exc:

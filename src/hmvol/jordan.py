@@ -4,7 +4,10 @@ For odd p the Gram matrix is diagonalized by symmetric elimination with a
 minimal-valuation pivot; an off-diagonal minimum is surfaced onto the
 diagonal by a row/column addition (2 is a unit).  For p = 2 a diagonal
 minimum splits off a rank-1 (odd) piece and an off-diagonal minimum splits
-off a 2x2 even piece; division by 2 never occurs.
+off a 2x2 even piece; division by 2 never occurs.  The pivot is the first
+diagonal unit when there is one, else found by one scan of the remaining
+block; the elimination keeps only that remaining (active) block, so every
+row and column update runs over the active indices alone.
 
 All arithmetic runs modulo p^M with M = 2 v_p(det) + 8; a conservative
 precision ledger guarantees unit classes (mod p for odd p, mod 8 for p = 2)
@@ -90,11 +93,36 @@ class _PrecisionExhausted(Exception):
     pass
 
 
-def _val_mod(x: int, p: int, cap: int) -> Optional[int]:
-    """p-adic valuation of the residue x, or None if x = 0 mod p^cap."""
-    if x % p**cap == 0:
-        return None
-    return valuation(x, p)
+def _pivot_entry(m, p: int):
+    """(vmin, i, j): the pivot of the remaining block m when no diagonal
+    entry is a unit.
+
+    vmin is the least valuation of a nonzero entry.  The pivot is the first
+    diagonal entry of valuation vmin if there is one, else the first
+    off-diagonal entry of valuation vmin in row-major order; by symmetry
+    that one lies above the diagonal, so only i < j is scanned, and an
+    entry is valued only when it is not divisible by p^(best so far).
+    Raises _PrecisionExhausted if every entry is 0.
+    """
+    n = len(m)
+    best, where = None, None
+    for k in range(n):
+        x = m[k][k]
+        if x and (best is None or x % p**best):
+            best, where = valuation(x, p), (k, k)
+    bound = None if best is None else p**best
+    for i in range(n):
+        row = m[i]
+        for j in range(i + 1, n):
+            x = row[j]
+            if x and (bound is None or x % bound):
+                best, where = valuation(x, p), (i, j)
+                if best == 0:
+                    return 0, i, j
+                bound = p**best
+    if where is None:
+        raise _PrecisionExhausted
+    return (best, *where)
 
 
 def _split_pieces(gram, p: int, modulus_exp: int):
@@ -102,104 +130,79 @@ def _split_pieces(gram, p: int, modulus_exp: int):
 
     piece_gram is a 1x1 [u] with u a unit, or (p = 2 only) a 2x2 matrix with
     unit off-diagonal and even diagonal, both already divided by p^level.
+    `m` is always the remaining (active) block, as residues mod p^M: rows
+    and columns of split-off pieces are dropped, since no later step reads
+    them, and every update runs over the remaining block only.  The first
+    diagonal unit, if any, is the pivot; otherwise `_pivot_entry` scans.
     Raises _PrecisionExhausted if the precision ledger runs dry.
     """
-    n = len(gram)
     pM = p**modulus_exp
     m = [[x % pM for x in row] for row in gram]
-    active = list(range(n))
     pieces = []
     budget = modulus_exp
 
-    def entry_val(i, j):
-        return _val_mod(m[i][j], p, modulus_exp)
-
-    while active:
-        vmin = None
-        where = None
-        on_diag = False
-        for i in active:
-            for j in active:
-                v = entry_val(i, j)
-                if v is not None and (vmin is None or v < vmin or (v == vmin and i == j and not on_diag)):
-                    vmin, where, on_diag = v, (i, j), i == j
-        if vmin is None:
-            raise _PrecisionExhausted
+    while m:
+        i = next((k for k, row in enumerate(m) if row[k] % p), None)
+        if i is not None:
+            vmin, j = 0, i
+        else:
+            vmin, i, j = _pivot_entry(m, p)
         if budget - vmin < _MIN_UNIT_PRECISION:
             raise _PrecisionExhausted
-        i, j = where
+        pv = p**vmin
 
-        if p != 2 and not on_diag:
+        if p != 2 and i != j:
             # surface a diagonal pivot; one of R_i +/- R_j has valuation vmin
-            sign = 1
             cand = (m[i][i] + 2 * m[i][j] + m[j][j]) % pM
-            v = _val_mod(cand, p, modulus_exp)
-            if v is None or v > vmin:
-                sign = -1
-            for k in range(n):
-                m[i][k] = (m[i][k] + sign * m[j][k]) % pM
-            for k in range(n):
-                m[k][i] = (m[k][i] + sign * m[k][j]) % pM
-            on_diag = True
+            sign = 1 if cand % (pv * p) else -1
+            m[i] = [(x + sign * y) % pM for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] = (row[i] + sign * row[j]) % pM
             j = i
 
-        if on_diag:
-            piv = m[i][i]
-            unit = piv // p**vmin
+        if i == j:
+            # after the row updates column i of the rest is 0 mod p^M, so
+            # the matching column updates would change only row i
+            prow = m.pop(i)
+            unit = prow.pop(i) // pv
             inv_unit = pow(unit, -1, pM)
-            for k in active:
-                if k == i:
-                    continue
-                ck = ((m[k][i] // p**vmin) * inv_unit) % pM
-                if ck == 0:
-                    continue
-                for l in range(n):
-                    m[k][l] = (m[k][l] - ck * m[i][l]) % pM
-            for k in active:
-                if k == i:
-                    continue
-                ck = ((m[i][k] // p**vmin) * inv_unit) % pM
-                if ck == 0:
-                    continue
-                for l in range(n):
-                    m[l][k] = (m[l][k] - ck * m[l][i]) % pM
-            pieces.append((vmin, [[unit % pM]]))
-            active.remove(i)
+            for k, row in enumerate(m):
+                ck = ((row.pop(i) // pv) * inv_unit) % pM
+                if ck:
+                    m[k] = [(x - ck * y) % pM for x, y in zip(row, prow)]
+            pieces.append((vmin, [[unit]]))
             budget -= vmin  # conservative ledger
         else:
             # p = 2, minimal valuation strictly off-diagonal: even 2x2 split
             a, b, c = m[i][i], m[i][j], m[j][j]
             det2 = (a * c - b * b) % pM
-            vdet = _val_mod(det2, p, modulus_exp)
-            if vdet is None or vdet != 2 * vmin:
+            if det2 == 0 or valuation(det2, p) != 2 * vmin:
                 raise InternalCheckError("2x2 pivot block is not p^(2v)-modular")
-            inv_det = pow(det2 // p**vdet, -1, pM)
-            for k in active:
-                if k in (i, j):
-                    continue
-                num_a = (m[k][i] * c - m[k][j] * b) % pM
-                num_b = (m[k][j] * a - m[k][i] * b) % pM
-                alpha = ((num_a // p**vdet) * inv_det) % pM
-                beta = ((num_b // p**vdet) * inv_det) % pM
-                for l in range(n):
-                    m[k][l] = (m[k][l] - alpha * m[i][l] - beta * m[j][l]) % pM
-            for k in active:
-                if k in (i, j):
-                    continue
-                num_a = (m[i][k] * c - m[j][k] * b) % pM
-                num_b = (m[j][k] * a - m[i][k] * b) % pM
-                alpha = ((num_a // p**vdet) * inv_det) % pM
-                beta = ((num_b // p**vdet) * inv_det) % pM
-                for l in range(n):
-                    m[l][k] = (m[l][k] - alpha * m[l][i] - beta * m[l][j]) % pM
-            pv = p**vmin
-            piece = [
-                [(a // pv) % pM, (b // pv) % pM],
-                [(b // pv) % pM, (c // pv) % pM],
-            ]
-            pieces.append((vmin, piece))
-            active.remove(i)
-            active.remove(j)
+            pd = pv * pv
+            inv_det = pow(det2 // pd, -1, pM)
+            rest = [k for k in range(len(m)) if k != i and k != j]
+            ri = [m[i][k] for k in rest]
+            rj = [m[j][k] for k in rest]
+            # row k -= alpha_k R_i + beta_k R_j clears columns i, j of row k
+            # up to the precision lost in dividing by det2; the column
+            # operations then use those residues rx_k, ry_k
+            coeffs = []
+            for k in rest:
+                x, y = m[k][i], m[k][j]
+                alpha = ((((x * c - y * b) % pM) // pd) * inv_det) % pM
+                beta = ((((y * a - x * b) % pM) // pd) * inv_det) % pM
+                coeffs.append((alpha, beta,
+                               (x - alpha * a - beta * b) % pM,
+                               (y - alpha * b - beta * c) % pM))
+            rows = []
+            for k, (alpha, beta, rx, ry) in zip(rest, coeffs):
+                row = [m[k][l] for l in rest]
+                if alpha or beta or rx or ry:  # else both updates leave row k
+                    row = [(x - alpha * u - beta * w - al * rx - bl * ry) % pM
+                           for x, u, w, (al, bl, _, _) in zip(row, ri, rj, coeffs)]
+                rows.append(row)
+            m = rows
+            pieces.append((vmin, [[a // pv, b // pv], [b // pv, c // pv]]))
             budget -= 2 * vmin
     return pieces
 

@@ -2,7 +2,8 @@
 
 A lattice here is a free Z-module of finite rank with an integer-valued
 symmetric bilinear form.  Determinant and signature are computed exactly by
-one rational congruence diagonalization; no floating point enters anywhere.
+one fraction-free (Bareiss) congruence elimination over Z; no fraction or
+floating point enters anywhere.
 
 Constructors also track whether a hyperbolic-plane direct summand is
 syntactically present, which downstream code uses to justify the
@@ -12,7 +13,6 @@ one-class-per-genus assumption for index computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -40,51 +40,48 @@ def _freeze(rows: Iterable[Sequence[int]]) -> Gram:
 
 
 def _det_and_signature(rows: Gram) -> tuple[int, Signature]:
-    """Determinant and Sylvester signature by symmetric Gaussian reduction
-    over Q.
+    """Determinant and Sylvester signature by symmetric fraction-free
+    (Bareiss) elimination over Z.
 
-    Pivot search: prefer a nonzero diagonal entry; if the remaining block has
-    zero diagonal but a nonzero off-diagonal entry (i,j), the row/column
-    operation R_i += R_j surfaces the nonzero diagonal value 2*a_ij.  Every
-    step is a congruence by a determinant-1 matrix, so det is the product of
-    the pivots.
+    Pivot search: prefer the first nonzero diagonal entry; if the remaining
+    block has zero diagonal but a nonzero off-diagonal entry (i,j), the
+    row/column operation R_i += R_j surfaces the nonzero diagonal value
+    2*a_ij.  `m` is always the remaining block, scaled by the previous pivot
+    `prev` (a leading principal minor of the transformed matrix), so the
+    update m_ik <- (m_ik d - m_i,piv m_piv,k) / prev divides exactly.  The
+    rational pivot of each step is d/prev, so its sign gives the signature,
+    and the last pivot is det: every step is a congruence by a
+    determinant-1 matrix.
     """
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [list(row) for row in rows]
     pos = neg = 0
-    det = Fraction(1)
-    active = list(range(n))
-    while active:
-        pivot = next((i for i in active if m[i][i] != 0), None)
+    prev = 1
+    while m:
+        pivot = next((i for i, row in enumerate(m) if row[i]), None)
         if pivot is None:
             pair = next(
-                ((i, j) for i in active for j in active if i != j and m[i][j] != 0),
+                ((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if i != j and x),
                 None,
             )
             if pair is None:
                 raise PreconditionError("Gram matrix is singular")
             i, j = pair
-            for k in range(n):
-                m[i][k] += m[j][k]
-            for k in range(n):
-                m[k][i] += m[k][j]
+            m[i] = [x + y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] += row[j]
             pivot = i
         d = m[pivot][pivot]
-        det *= d
-        if d > 0:
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        active.remove(pivot)
-        for i in active:
-            f = m[i][pivot] / d
-            if f == 0:
-                continue
-            for k in range(n):
-                m[i][k] -= f * m[pivot][k]
-            for k in range(n):
-                m[k][i] -= f * m[k][pivot]
-    return int(det), Signature(pos, neg)
+        prow = m.pop(pivot)
+        del prow[pivot]
+        for i, row in enumerate(m):
+            f = row.pop(pivot)
+            m[i] = [(x * d - f * y) // prev for x, y in zip(row, prow)]
+        prev = d
+    return prev, Signature(pos, neg)
 
 
 class Lattice:

@@ -38,12 +38,10 @@ from .errors import PreconditionError
 __all__ = [
     "SymbolicReal",
     "bernoulli",
-    "bernoulli_polynomial",
     "kronecker",
     "fundamental_discriminant",
     "generalized_bernoulli",
     "zeta_closed",
-    "zeta_negative",
     "l_closed",
     "gamma_half",
     "gamma_factor",
@@ -165,12 +163,6 @@ def bernoulli(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
-    """B_k(x) = sum_i C(k,i) B_i x^(k-i), exact."""
-    x = Fraction(x)
-    return sum((math.comb(k, i) * bernoulli(i) * x ** (k - i) for i in range(k + 1)), Fraction(0))
-
-
 def fundamental_discriminant(m: int) -> tuple[int, int]:
     """Discriminant D of Q(sqrt(m)) and the t with m = d0 * t**2, d0 squarefree.
 
@@ -227,14 +219,6 @@ def zeta_closed(k2: int) -> SymbolicReal:
     return SymbolicReal(coeff, 2 * k2)
 
 
-def zeta_negative(n: int) -> Fraction:
-    """zeta(n) for n = 1 - 2k < 0 odd: equals -B_{2k}/(2k)."""
-    if n >= 0 or n % 2 == 0:
-        raise PreconditionError("expects a negative odd integer")
-    k2 = 1 - n
-    return -bernoulli(k2) / k2
-
-
 def gamma_half(j: int) -> SymbolicReal:
     """Gamma(j/2) as a SymbolicReal, for any j with j/2 not a nonpositive integer.
 
@@ -259,13 +243,23 @@ def gamma_half(j: int) -> SymbolicReal:
 
 
 def gamma_factor(rank: int) -> SymbolicReal:
-    """prod_{k=1}^{rank} pi^(-k/2) Gamma(k/2), exact."""
+    """prod_{k=1}^{rank} pi^(-k/2) Gamma(k/2), exact, in closed form.
+
+    Gamma(j) = (j-1)! for k = 2j and Gamma(j+1/2) = (2j)!/(4^j j!) sqrt(pi)
+    for k = 2j+1, so the value is one rational times pi to the half
+    exponent #odd k - rank(rank+1)/2.
+    """
     if rank < 1:
         raise PreconditionError("rank must be >= 1")
-    out = SymbolicReal(Fraction(1))
+    num = den = 1
     for k in range(1, rank + 1):
-        out = out * gamma_half(k) * SymbolicReal(Fraction(1), -k)
-    return out
+        j = k // 2
+        if k % 2:
+            num *= math.factorial(2 * j)
+            den *= 4**j * math.factorial(j)
+        else:
+            num *= math.factorial(j - 1)
+    return SymbolicReal(Fraction(num, den), (rank + 1) // 2 - rank * (rank + 1) // 2)
 
 
 def l_closed(t_arg: int, disc: int) -> SymbolicReal:

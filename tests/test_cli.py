@@ -1,3 +1,4 @@
+import gc
 import json
 
 from hmvol.cli import main
@@ -147,3 +148,18 @@ def test_analyze_stable_tag_on_odd_lattice_exit_3(capsys):
     code, _, err = run(capsys, "analyze", "U + U + <-1>", "--group", "O~+")
     assert code == 3
     assert "even" in err
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    # the parser is built once, so a command leaves nothing for the
+    # collector and a long-running caller's memory does not depend on when
+    # the collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            assert main(["catalog", "L", "--m", "0", "--d", "1..3"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()

@@ -1,11 +1,24 @@
 import random
+from typing import Optional
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hmvol.density import density_from_decomposition, local_density
-from hmvol.errors import PreconditionError
+from hmvol.arith import valuation
+from hmvol.density import bad_primes, density_from_decomposition, local_density
+from hmvol.errors import InternalCheckError, PreconditionError
 from hmvol.expr import lattice_from_text
-from hmvol.jordan import jordan_decompose, two_adic_normalize
+from hmvol.families import k_lattice, l_lattice, n_lattice, t_lattice, unimodular_ii
+from hmvol.jordan import (
+    _MIN_UNIT_PRECISION,
+    JordanDecomposition,
+    _assemble,
+    _PrecisionExhausted,
+    _split_pieces,
+    jordan_decompose,
+    two_adic_normalize,
+)
 from hmvol.lattices import (
     Lattice,
     direct_sum,
@@ -15,6 +28,186 @@ from hmvol.lattices import (
     rank_one,
     rescale,
 )
+
+from conftest import ORACLE_CORPUS, SIGNATURE_2N_EXPRESSIONS
+
+
+# ------------------------------------------- the full-scan split, as oracle
+
+def _val_mod(x: int, p: int, cap: int) -> Optional[int]:
+    """p-adic valuation of the residue x, or None if x = 0 mod p^cap."""
+    if x % p**cap == 0:
+        return None
+    return valuation(x, p)
+
+
+def scan_split_pieces(gram, p: int, modulus_exp: int):
+    """The split `jordan_decompose` used before the active-block one: every
+    pivot step scans every active pair, and row/column updates run over all
+    n indices.  Same contract as `jordan._split_pieces`."""
+    n = len(gram)
+    pM = p**modulus_exp
+    m = [[x % pM for x in row] for row in gram]
+    active = list(range(n))
+    pieces = []
+    budget = modulus_exp
+
+    def entry_val(i, j):
+        return _val_mod(m[i][j], p, modulus_exp)
+
+    while active:
+        vmin = None
+        where = None
+        on_diag = False
+        for i in active:
+            for j in active:
+                v = entry_val(i, j)
+                if v is not None and (vmin is None or v < vmin or (v == vmin and i == j and not on_diag)):
+                    vmin, where, on_diag = v, (i, j), i == j
+        if vmin is None:
+            raise _PrecisionExhausted
+        if budget - vmin < _MIN_UNIT_PRECISION:
+            raise _PrecisionExhausted
+        i, j = where
+
+        if p != 2 and not on_diag:
+            # surface a diagonal pivot; one of R_i +/- R_j has valuation vmin
+            sign = 1
+            cand = (m[i][i] + 2 * m[i][j] + m[j][j]) % pM
+            v = _val_mod(cand, p, modulus_exp)
+            if v is None or v > vmin:
+                sign = -1
+            for k in range(n):
+                m[i][k] = (m[i][k] + sign * m[j][k]) % pM
+            for k in range(n):
+                m[k][i] = (m[k][i] + sign * m[k][j]) % pM
+            on_diag = True
+            j = i
+
+        if on_diag:
+            piv = m[i][i]
+            unit = piv // p**vmin
+            inv_unit = pow(unit, -1, pM)
+            for k in active:
+                if k == i:
+                    continue
+                ck = ((m[k][i] // p**vmin) * inv_unit) % pM
+                if ck == 0:
+                    continue
+                for l in range(n):
+                    m[k][l] = (m[k][l] - ck * m[i][l]) % pM
+            for k in active:
+                if k == i:
+                    continue
+                ck = ((m[i][k] // p**vmin) * inv_unit) % pM
+                if ck == 0:
+                    continue
+                for l in range(n):
+                    m[l][k] = (m[l][k] - ck * m[l][i]) % pM
+            pieces.append((vmin, [[unit % pM]]))
+            active.remove(i)
+            budget -= vmin  # conservative ledger
+        else:
+            # p = 2, minimal valuation strictly off-diagonal: even 2x2 split
+            a, b, c = m[i][i], m[i][j], m[j][j]
+            det2 = (a * c - b * b) % pM
+            vdet = _val_mod(det2, p, modulus_exp)
+            if vdet is None or vdet != 2 * vmin:
+                raise InternalCheckError("2x2 pivot block is not p^(2v)-modular")
+            inv_det = pow(det2 // p**vdet, -1, pM)
+            for k in active:
+                if k in (i, j):
+                    continue
+                num_a = (m[k][i] * c - m[k][j] * b) % pM
+                num_b = (m[k][j] * a - m[k][i] * b) % pM
+                alpha = ((num_a // p**vdet) * inv_det) % pM
+                beta = ((num_b // p**vdet) * inv_det) % pM
+                for l in range(n):
+                    m[k][l] = (m[k][l] - alpha * m[i][l] - beta * m[j][l]) % pM
+            for k in active:
+                if k in (i, j):
+                    continue
+                num_a = (m[i][k] * c - m[j][k] * b) % pM
+                num_b = (m[j][k] * a - m[i][k] * b) % pM
+                alpha = ((num_a // p**vdet) * inv_det) % pM
+                beta = ((num_b // p**vdet) * inv_det) % pM
+                for l in range(n):
+                    m[l][k] = (m[l][k] - alpha * m[l][i] - beta * m[l][j]) % pM
+            pv = p**vmin
+            piece = [
+                [(a // pv) % pM, (b // pv) % pM],
+                [(b // pv) % pM, (c // pv) % pM],
+            ]
+            pieces.append((vmin, piece))
+            active.remove(i)
+            active.remove(j)
+            budget -= 2 * vmin
+    return pieces
+
+
+def scan_decompose(lattice: Lattice, p: int) -> JordanDecomposition:
+    """`jordan_decompose` assembled from `scan_split_pieces` (at the first
+    working precision, which the ledger never exhausts on these inputs)."""
+    vdet = valuation(lattice.det, p)
+    by_level: dict[int, list] = {}
+    for level, piece in scan_split_pieces(lattice.gram, p, 2 * vdet + 8):
+        by_level.setdefault(level, []).append(piece)
+    return JordanDecomposition(p, _assemble(by_level, p, vdet + 3), vdet + 3, normalized=(p != 2))
+
+
+def _assert_matches_scan(lattice: Lattice, p: int) -> None:
+    vdet = valuation(lattice.det, p)
+    for modulus_exp in (2 * vdet + 8, vdet + 5):  # the working and a scarce precision
+        try:
+            expected = scan_split_pieces(lattice.gram, p, modulus_exp)
+        except (_PrecisionExhausted, InternalCheckError) as exc:
+            with pytest.raises(type(exc)):
+                _split_pieces(lattice.gram, p, modulus_exp)
+        else:
+            assert _split_pieces(lattice.gram, p, modulus_exp) == expected
+    assert jordan_decompose(lattice, p) == scan_decompose(lattice, p)
+
+
+@st.composite
+def _gram_and_prime(draw):
+    """A prime p in {2, 3, 5, 7} and a nonsingular symmetric Gram of rank
+    <= 8 whose entries are small multiples of powers of p; about a third
+    have a zero diagonal (the off-diagonal pivot branches)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(min_value=1, max_value=8))
+    zero_diagonal = draw(st.integers(min_value=0, max_value=2)) == 0
+    entries = st.builds(lambda u, e: u * p**e, st.integers(-9, 9), st.sampled_from([0, 0, 1, 2, 3]))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                rows[i][j] = rows[j][i] = draw(entries)
+    try:
+        lattice = from_gram(rows)
+    except PreconditionError:
+        assume(False)
+    return lattice, p
+
+
+@given(_gram_and_prime())
+@settings(max_examples=400, deadline=None)
+def test_split_matches_full_scan_oracle(case):
+    _assert_matches_scan(*case)
+
+
+def test_split_matches_full_scan_oracle_on_corpora():
+    corpus = [lattice_from_text(t) for t in ORACLE_CORPUS + SIGNATURE_2N_EXPRESSIONS]
+    corpus += [unimodular_ii(m) for m in range(3)] + [t_lattice(m) for m in range(3)]
+    for m in (0, 2):
+        for d in range(1, 41):
+            corpus += [l_lattice(m, d), k_lattice(m, d)]
+            if d % 4 == 1:
+                corpus.append(n_lattice(m, d))
+    rng = random.Random(7)
+    corpus += [_random_lattice(rng) for _ in range(100)]
+    for lattice in corpus:
+        for p in sorted({2, 3, 5, 7, *bad_primes(lattice)}):
+            _assert_matches_scan(lattice, p)
 
 
 def test_hyperbolic_plane_odd_prime():

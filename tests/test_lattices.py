@@ -1,9 +1,13 @@
+import functools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmvol.errors import PreconditionError
 from hmvol.lattices import (
+    Gram,
     Signature,
     direct_sum,
     e8,
@@ -15,17 +19,103 @@ from hmvol.lattices import (
 
 
 def cofactor_det(rows):
-    """Independent determinant oracle: recursive cofactor expansion."""
+    """Independent determinant oracle: cofactor expansion along the first
+    row, recursively; each minor (the last rows, a set of columns) is
+    computed once."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        total += (-1) ** j * rows[0][j] * cofactor_det(minor)
-    return total
+
+    @functools.cache
+    def minor(cols):
+        if not cols:
+            return 1
+        r = n - len(cols)
+        total = 0
+        for pos, c in enumerate(cols):
+            if rows[r][c]:
+                total += (-1) ** pos * rows[r][c] * minor(cols[:pos] + cols[pos + 1:])
+        return total
+
+    return minor(tuple(range(n)))
+
+
+def charpoly(rows):
+    """Coefficients c_0 = 1, c_1, ..., c_n of det(xI - A), exact, by the
+    Faddeev-LeVerrier recurrence (every division by k is exact over Z)."""
+    n = len(rows)
+    coeffs = [1]
+    mk = [[0] * n for _ in range(n)]  # M_0 = 0
+    for k in range(1, n + 1):
+        # M_k = A M_{k-1} + c_{k-1} I, c_k = -tr(A M_k) / k
+        mk = [[sum(rows[i][t] * mk[t][j] for t in range(n)) + (coeffs[-1] if i == j else 0)
+               for j in range(n)] for i in range(n)]
+        trace = sum(rows[i][t] * mk[t][i] for i in range(n) for t in range(n))
+        assert trace % k == 0
+        coeffs.append(-trace // k)
+    return coeffs
+
+
+def descartes_inertia(rows):
+    """(positive, negative) eigenvalue counts of a symmetric matrix: its
+    characteristic polynomial is real-rooted, so Descartes' rule of signs
+    is exact; the negative roots are the positive roots of p(-x)."""
+
+    def sign_changes(seq):
+        signs = [x > 0 for x in seq if x]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    coeffs = charpoly(rows)  # highest degree first
+    n = len(coeffs) - 1
+    flipped = [c * (-1) ** (n - i) for i, c in enumerate(coeffs)]
+    return sign_changes(coeffs), sign_changes(flipped)
+
+
+def fraction_det_and_signature(rows: Gram) -> tuple[int, Signature]:
+    """Determinant and Sylvester signature by symmetric Gaussian reduction
+    over Q: the elimination `Lattice` used before the fraction-free one,
+    kept as its oracle.
+
+    Pivot search: prefer a nonzero diagonal entry; if the remaining block has
+    zero diagonal but a nonzero off-diagonal entry (i,j), the row/column
+    operation R_i += R_j surfaces the nonzero diagonal value 2*a_ij.  Every
+    step is a congruence by a determinant-1 matrix, so det is the product of
+    the pivots.
+    """
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    pos = neg = 0
+    det = Fraction(1)
+    active = list(range(n))
+    while active:
+        pivot = next((i for i in active if m[i][i] != 0), None)
+        if pivot is None:
+            pair = next(
+                ((i, j) for i in active for j in active if i != j and m[i][j] != 0),
+                None,
+            )
+            if pair is None:
+                raise PreconditionError("Gram matrix is singular")
+            i, j = pair
+            for k in range(n):
+                m[i][k] += m[j][k]
+            for k in range(n):
+                m[k][i] += m[k][j]
+            pivot = i
+        d = m[pivot][pivot]
+        det *= d
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(pivot)
+        for i in active:
+            f = m[i][pivot] / d
+            if f == 0:
+                continue
+            for k in range(n):
+                m[i][k] -= f * m[pivot][k]
+            for k in range(n):
+                m[k][i] -= f * m[k][pivot]
+    return int(det), Signature(pos, neg)
 
 
 def test_hyperbolic_plane():
@@ -190,28 +280,50 @@ def test_rescale_multiplicativity(lat, c):
 
 @st.composite
 def _symmetric_matrices(draw):
-    """Symmetric integer matrices of size <= 5; about half have a zero
-    diagonal, which sends the elimination through its pair-pivot branch."""
-    n = draw(st.integers(min_value=1, max_value=5))
-    zero_diagonal = draw(st.booleans())
-    entries = st.integers(min_value=-(2**62), max_value=2**62)
+    """Symmetric integer matrices of size <= 8.  About a third have a zero
+    diagonal, which sends the elimination through its pair-pivot branch;
+    entries are small (so that cancellations and singular matrices are
+    common) or up to 2^62; some matrices repeat one index as another, which
+    makes them singular."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    zero_diagonal = draw(st.integers(min_value=0, max_value=2)) == 0
+    bound = draw(st.sampled_from([2, 2**62]))
+    entries = st.integers(min_value=-bound, max_value=bound)
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             if i != j or not zero_diagonal:
                 rows[i][j] = rows[j][i] = draw(entries)
+    if n > 1 and draw(st.integers(min_value=0, max_value=4)) == 0:
+        i, j = draw(st.permutations(range(n)))[:2]
+        for k in range(n):
+            rows[j][k] = rows[k][j] = rows[i][k]
+        rows[j][j] = rows[i][i]
     return rows
 
 
 @given(_symmetric_matrices())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_det_matches_cofactor_expansion(rows):
     det = cofactor_det(rows)
     if det == 0:
         with pytest.raises(PreconditionError, match="singular"):
             from_gram(rows)
-    else:
-        assert from_gram(rows).det == det
+        with pytest.raises(PreconditionError, match="singular"):
+            fraction_det_and_signature(rows)
+        return
+    lat = from_gram(rows)
+    assert lat.det == det
+    assert (lat.det, lat.signature) == fraction_det_and_signature(lat.gram)
+    assert tuple(lat.signature) == descartes_inertia(rows)
+
+
+def test_descartes_inertia_reference():
+    # eigenvalues 3, 1 / 1, -1 (twice) / 9, 1, -3
+    assert descartes_inertia([[2, 1], [1, 2]]) == (2, 0)
+    assert descartes_inertia([[0, 1, 0], [1, 0, 0], [0, 0, -1]]) == (1, 2)
+    assert descartes_inertia([[9, 0, 0], [0, 1, 0], [0, 0, -3]]) == (2, 1)
+    assert charpoly([[1, 2], [2, 1]]) == [1, -2, -3]
 
 
 def test_lattice_immutable():

@@ -15,7 +15,6 @@ from hmvol.errors import PreconditionError
 from hmvol.special_values import (
     SymbolicReal,
     bernoulli,
-    bernoulli_polynomial,
     euler_factor,
     fundamental_discriminant,
     gamma_factor,
@@ -24,8 +23,22 @@ from hmvol.special_values import (
     kronecker,
     l_closed,
     zeta_closed,
-    zeta_negative,
 )
+
+
+def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
+    """B_k(x) = sum_i C(k,i) B_i x^(k-i), exact (the finite-sum oracle for
+    generalized Bernoulli numbers)."""
+    x = Fraction(x)
+    return sum((math.comb(k, i) * bernoulli(i) * x ** (k - i) for i in range(k + 1)), Fraction(0))
+
+
+def zeta_negative(n: int) -> Fraction:
+    """zeta(n) for n = 1 - 2k < 0 odd: equals -B_{2k}/(2k)."""
+    if n >= 0 or n % 2 == 0:
+        raise PreconditionError("expects a negative odd integer")
+    k2 = 1 - n
+    return -bernoulli(k2) / k2
 
 
 # ------------------------------------------------------------- Bernoulli
@@ -313,6 +326,20 @@ def test_gamma_factor_small_ranks():
     assert gamma_factor(2) == SymbolicReal(Fraction(1), -2)
     # gamma_factor(4) = 1/(2 pi^4)
     assert gamma_factor(4) == SymbolicReal(Fraction(1, 2), -8)
+
+
+def gamma_factor_product(rank: int) -> SymbolicReal:
+    """prod_{k=1}^{rank} pi^(-k/2) Gamma(k/2) as a product of 2*rank
+    SymbolicReal factors: the oracle for the closed form."""
+    out = SymbolicReal(Fraction(1))
+    for k in range(1, rank + 1):
+        out = out * gamma_half(k) * SymbolicReal(Fraction(1), -k)
+    return out
+
+
+def test_gamma_factor_matches_product():
+    for rank in range(1, 65):
+        assert gamma_factor(rank) == gamma_factor_product(rank)
 
 
 def test_gamma_factor_numeric():
