@@ -25,7 +25,6 @@ Two independent routes:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +34,9 @@ from .jordan import JordanDecomposition, jordan_decompose, two_adic_normalize
 from .lattices import Lattice
 
 ORACLE_CANDIDATE_CAP = 2**30
+# entries in one block of rank-2 pair dot products in the counting oracle; a
+# larger block is faster but raises peak memory
+_PAIR_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -155,43 +157,56 @@ def bad_primes(lattice: Lattice) -> tuple[int, ...]:
 
 
 def _siegel_count(gram, p: int, r: int) -> int:
-    """#{X in Mat_n(Z/p^r) : X^t S X = S mod p^r}, column-by-column with
-    pruning on partial congruences.  No guard; callers enforce feasibility."""
+    """#{X in Mat_n(Z/p^r) : X^t S X = S mod p^r}.  No guard; callers enforce
+    feasibility.
+
+    Column i of a solution satisfies c^t S c = S_ii, so the candidates for
+    each column are read off one table of all q^n vectors, q = p^r.  At
+    rank 2 the count is then the number of pairs (c0, c1) of candidates with
+    c0^t S c1 = S_01, taken as dot products in blocks of rows of c0 of at
+    most _PAIR_CHUNK entries each (at least one row).  At rank 3 each c0
+    prunes the candidates for c1 and c2 before their pairs are counted.
+    """
     import numpy as np
 
     n = len(gram)
+    if n > 3:
+        raise PreconditionError("oracle counting implemented for rank <= 3 only")
     q = p**r
     s = np.array([[x % q for x in row] for row in gram], dtype=np.int64)
     if n == 1:
+        # x^2 is reduced before the product, so no product reaches q^2, which
+        # fits int64 for q < 2^31; blocks of 2^16 stay in cache
         total = 0
-        for lo in range(0, q, 1 << 22):
-            x = np.arange(lo, min(lo + (1 << 22), q), dtype=np.int64)
-            total += int(np.count_nonzero((x * x * s[0, 0] - s[0, 0]) % q == 0))
+        for lo in range(0, q, 1 << 16):
+            x = np.arange(lo, min(lo + (1 << 16), q), dtype=np.int64)
+            total += int(np.count_nonzero(x * x % q * s[0, 0] % q == s[0, 0]))
         return total
-    cols = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int64)
+    cols = np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
     scols = cols @ s % q
     diag = np.einsum("ij,ij->i", cols, scols) % q
-    cand = [cols[diag == s[i, i]] for i in range(n)]
-    cand_s = [scols[diag == s[i, i]] for i in range(n)]
+    masks = [diag == s[i, i] for i in range(n)]
+    cand = [cols[m] for m in masks]
+    cand_s = [scols[m] for m in masks]
     total = 0
     if n == 2:
-        b1 = cand_s[1]
-        for c0 in cand[0]:
-            total += int(np.count_nonzero((b1 @ c0 - s[0, 1]) % q == 0))
+        b1 = cand_s[1].T
+        rows = max(1, _PAIR_CHUNK // max(1, b1.shape[1]))
+        for lo in range(0, len(cand[0]), rows):
+            dots = cand[0][lo:lo + rows] @ b1 % q
+            total += int(np.count_nonzero(dots == s[0, 1]))
         return total
-    if n == 3:
-        b1, b2 = cand_s[1], cand_s[2]
-        for c0 in cand[0]:
-            m1 = (b1 @ c0 - s[0, 1]) % q == 0
-            m2 = (b2 @ c0 - s[0, 2]) % q == 0
-            c1s = cand[1][m1]
-            c2ss = cand_s[2][m2]
-            if len(c1s) == 0 or len(c2ss) == 0:
-                continue
-            dots = c1s @ c2ss.T % q
-            total += int(np.count_nonzero(dots == s[1, 2]))
-        return total
-    raise PreconditionError("oracle counting implemented for rank <= 3 only")
+    b1, b2 = cand_s[1], cand_s[2]
+    for c0 in cand[0]:
+        m1 = (b1 @ c0 - s[0, 1]) % q == 0
+        m2 = (b2 @ c0 - s[0, 2]) % q == 0
+        c1s = cand[1][m1]
+        c2ss = cand_s[2][m2]
+        if len(c1s) == 0 or len(c2ss) == 0:
+            continue
+        dots = c1s @ c2ss.T % q
+        total += int(np.count_nonzero(dots == s[1, 2]))
+    return total
 
 
 def siegel_count_oracle(lattice: Lattice, p: int, r: int) -> Fraction:

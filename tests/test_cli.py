@@ -87,6 +87,14 @@ def test_oracle_match(capsys):
     assert "stable" in out
 
 
+def test_oracle_rank_one_deep_modulus_is_stable(capsys):
+    # 3^18 * 3^18 * 100 > 2^63: the counter must not wrap at r + 1 = 18
+    code, out, _ = run(capsys, "oracle", "<100>", "3", "17")
+    assert code == 0
+    assert "oracle r=18: 1\n" in out
+    assert "stabilization: stable" in out
+
+
 def test_oracle_convention_note(capsys):
     code, out, _ = run(capsys, "oracle", "<1> + <-1>", "2", "3")
     assert code == 0

@@ -1,7 +1,12 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import hmvol.density as density
 from hmvol.density import (
     _siegel_count,
     bad_primes,
@@ -11,7 +16,7 @@ from hmvol.density import (
     p_series,
     siegel_count_oracle,
 )
-from hmvol.errors import FeasibilityError
+from hmvol.errors import FeasibilityError, PreconditionError
 from hmvol.expr import lattice_from_text
 from hmvol.families import (
     fixture_alpha_ii,
@@ -26,6 +31,7 @@ from hmvol.families import (
     unimodular_ii,
 )
 from hmvol.jordan import jordan_decompose
+from hmvol.lattices import Lattice
 
 
 def test_p_series_values():
@@ -126,6 +132,112 @@ def test_good_prime_closed_form():
 
 # ------------------------------------------------------------- the oracle
 
+# The counter before rank-2 pairs were counted in blocks, kept verbatim as the
+# reference for `_siegel_count`; only its rank-2 and rank-3 branches are used
+# (its rank-1 products wrap int64 once q^2 |a| > 2^63).
+def loop_siegel_count(gram, p: int, r: int) -> int:
+    """#{X in Mat_n(Z/p^r) : X^t S X = S mod p^r}, column-by-column with
+    pruning on partial congruences.  No guard; callers enforce feasibility."""
+    import numpy as np
+
+    n = len(gram)
+    q = p**r
+    s = np.array([[x % q for x in row] for row in gram], dtype=np.int64)
+    if n == 1:
+        total = 0
+        for lo in range(0, q, 1 << 22):
+            x = np.arange(lo, min(lo + (1 << 22), q), dtype=np.int64)
+            total += int(np.count_nonzero((x * x * s[0, 0] - s[0, 0]) % q == 0))
+        return total
+    cols = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int64)
+    scols = cols @ s % q
+    diag = np.einsum("ij,ij->i", cols, scols) % q
+    cand = [cols[diag == s[i, i]] for i in range(n)]
+    cand_s = [scols[diag == s[i, i]] for i in range(n)]
+    total = 0
+    if n == 2:
+        b1 = cand_s[1]
+        for c0 in cand[0]:
+            total += int(np.count_nonzero((b1 @ c0 - s[0, 1]) % q == 0))
+        return total
+    if n == 3:
+        b1, b2 = cand_s[1], cand_s[2]
+        for c0 in cand[0]:
+            m1 = (b1 @ c0 - s[0, 1]) % q == 0
+            m2 = (b2 @ c0 - s[0, 2]) % q == 0
+            c1s = cand[1][m1]
+            c2ss = cand_s[2][m2]
+            if len(c1s) == 0 or len(c2ss) == 0:
+                continue
+            dots = c1s @ c2ss.T % q
+            total += int(np.count_nonzero(dots == s[1, 2]))
+        return total
+    raise PreconditionError("oracle counting implemented for rank <= 3 only")
+
+
+def _guarded_depths(p, n):
+    """Every depth r whose naive candidate count p^(r n^2) is inside the
+    public oracle guard."""
+    r = 1
+    while p ** (r * n * n) <= density.ORACLE_CANDIDATE_CAP:
+        yield r
+        r += 1
+
+
+def _random_gram(rng, n, bound):
+    while True:
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-bound, bound)
+        try:
+            Lattice(g)
+        except PreconditionError:  # singular
+            continue
+        return g
+
+
+def _column_candidates(gram, p, r):
+    """(#c0, #c1): the rank-2 column candidates, c^t S c = S_ii mod p^r."""
+    q = p**r
+    c0, c1 = np.indices((q, q), dtype=np.int64).reshape(2, -1)
+    (a, b), (_, d) = gram
+    value = (a * c0 * c0 + 2 * b * c0 * c1 + d * c1 * c1) % q
+    return int(np.count_nonzero(value == a % q)), int(np.count_nonzero(value == d % q))
+
+
+def test_counter_matches_loop_oracle(oracle_corpus, monkeypatch):
+    # the block counter against the per-column loop it replaced: rank 2 on
+    # the corpus and on seeded random Grams, at every guarded depth, with the
+    # default block and with blocks of 1, 2 and 7 rows of c0 (the last block
+    # partial in many cases); rank 3 inside the guard
+    rng = random.Random(8)
+    rank2 = [lat.gram for _, lat in oracle_corpus if lat.rank == 2]
+    primes = (2, 3, 5, 7, 11, 13)
+    cases = [(g, p, r) for g in rank2 for p in (2, 3, 5, 7) for r in _guarded_depths(p, 2)]
+    for i in range(200):
+        g = _random_gram(rng, 2, 40)
+        p = primes[i % len(primes)]
+        cases += [(g, p, r) for r in _guarded_depths(p, 2)]
+    partial = 0
+    for g, p, r in cases:
+        expected = loop_siegel_count(g, p, r)
+        assert _siegel_count(g, p, r) == expected, (g, p, r)
+        n0, n1 = _column_candidates(g, p, r)
+        for rows in (1, 2, 7):
+            # rows * n1 + n1 - 1 entries hold exactly `rows` rows
+            monkeypatch.setattr(density, "_PAIR_CHUNK", rows * n1 + max(n1 - 1, 0))
+            assert _siegel_count(g, p, r) == expected, (g, p, r, rows)
+            partial += n0 % rows != 0
+        monkeypatch.undo()
+    assert len(cases) >= 200 * 2 and partial > 100
+    for i in range(40):
+        g = _random_gram(rng, 3, 12)
+        p = (2, 3, 5, 7)[i % 4]
+        for r in _guarded_depths(p, 3):
+            assert _siegel_count(g, p, r) == loop_siegel_count(g, p, r), (g, p, r)
+
+
 def test_oracle_hyperbolic_plane():
     lat = lattice_from_text("U")
     # |O(hyperbolic plane over F_3)| = 4 congruence solutions at r = 1
@@ -140,6 +252,28 @@ def test_oracle_rank_one():
     # x^2 = 1 mod 3 has two solutions, value = 1
     assert siegel_count_oracle(lat, 3, 1) == 1
     assert local_density(lat, 3).value == 1
+
+
+def _square_roots_of_one(m, p):
+    """#{x mod m : x^2 = 1 mod m} for a power m of p."""
+    if p > 2:
+        return 1 if m == 1 else 2
+    return 1 if m <= 2 else 2 if m == 4 else 4
+
+
+def test_oracle_rank_one_large_modulus():
+    # #{x mod q : a x^2 = a} = g * N(q/g), g = gcd(a, q); the products
+    # x * x * a wrapped int64 once q^2 |a| > 2^63, which halved the unit cases
+    for a, p, r in ((1, 3, 14), (100, 3, 14), (1000003, 3, 14), (-7000001, 3, 14),
+                    (1000003, 5, 10), (1000003, 2, 22)):
+        q = p**r
+        g = math.gcd(a, q)
+        assert _siegel_count([[a]], p, r) == g * _square_roots_of_one(q // g, p), (a, p, r)
+
+
+def test_oracle_rank_checked_before_table():
+    with pytest.raises(PreconditionError, match="rank <= 3"):
+        _siegel_count([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]], 2, 20)
 
 
 def test_oracle_guards():
@@ -212,10 +346,7 @@ def test_oracle_agreement_random_grams():
     # seeded sweep over dense Gram matrices: exercises 2x2 even splits, odd
     # unit compression and the full correction window on inputs the named
     # corpus does not reach
-    import random
-
     from hmvol.arith import valuation
-    from hmvol.lattices import Lattice
 
     rng = random.Random(20240811)
     tested = 0
@@ -226,12 +357,12 @@ def test_oracle_agreement_random_grams():
             if det != 0 and abs(det) <= 48:
                 break
         lat = Lattice([[a, b], [b, c]])
-        for p in (2, 3):
+        for p in (2, 3, 5, 7):
             v = valuation(2 * abs(det), p)
             r = v + 3 if p == 2 else v + 2
-            if p ** (2 * r) > 20000:
+            if p ** (4 * r) > density.ORACLE_CANDIDATE_CAP:  # the public guard
                 continue
             count = _siegel_count(lat.gram, p, r)
             assert Fraction(count, 2 * p**r) == local_density(lat, p).value, (a, b, c, p)
             tested += 1
-    assert tested > 60
+    assert tested > 200
