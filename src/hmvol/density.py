@@ -57,10 +57,11 @@ def p_series(p: int, n: int) -> Fraction:
     """P_p(n) = prod_{i=1}^{n} (1 - p^(-2i)); the empty product is 1."""
     if n < 0:
         raise PreconditionError("P_p needs n >= 0")
-    out = Fraction(1)
+    # one integer over the common denominator p^2 p^4 ... p^(2n) = p^(n(n+1))
+    num = 1
     for i in range(1, n + 1):
-        out *= 1 - Fraction(1, p ** (2 * i))
-    return out
+        num *= p ** (2 * i) - 1
+    return Fraction(num, p ** (n * (n + 1)))
 
 
 def cross_rank_weight(decomp: JordanDecomposition) -> int:

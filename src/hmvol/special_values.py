@@ -9,13 +9,16 @@ A `SymbolicReal` is a value of the form
 with an exact rational coefficient and a squarefree positive radicand.  The
 volume pipeline only ever multiplies and divides such values, and every final
 volume collapses to a plain rational (the pi powers and surds cancel), which
-is asserted downstream.
+is asserted downstream.  Only a radicand given to the constructor is
+factored; two squarefree radicands multiply through their gcd.
 
 Bernoulli numbers come from one pass over the defining recurrence in
 increasing index, and the generalized Bernoulli number B_{k,chi} of a
 character of conductor f from the integer power sums
-S_j = sum_{a=1}^{f} chi(a) a^j (binomial expansion of B_k(a/f)), with
-rationals only in the final (k+1)-term combination.
+S_j = sum_{a=1}^{f} chi(a) a^j (binomial expansion of B_k(a/f)), combined
+over one common denominator.  The values chi_D(a), a < f, are one table built
+from the prime discriminants of D: squares mod p for each odd p | D, and a
+table mod 4 or 8 for the 2-part.
 
 L-values at positive integers are obtained from generalized Bernoulli numbers
 through the completed functional equation; the even-character case follows
@@ -31,8 +34,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 
-from .arith import kronecker, squarefree_decompose
+from .arith import factorize, kronecker, squarefree_decompose
 from .errors import PreconditionError
 
 __all__ = [
@@ -59,17 +63,16 @@ class SymbolicReal:
     radicand: int = 1
 
     def __post_init__(self):
-        coeff = Fraction(self.coefficient)
+        coeff = self.coefficient
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
         rad = self.radicand
         if rad < 1:
             raise ValueError("radicand must be a positive integer")
-        s, t = squarefree_decompose(rad)
-        coeff *= t
-        object.__setattr__(self, "coefficient", coeff)
-        object.__setattr__(self, "radicand", s)
-        if coeff == 0:
-            object.__setattr__(self, "pi_half_exponent", 0)
-            object.__setattr__(self, "radicand", 1)
+        if rad > 1:
+            rad, t = squarefree_decompose(rad)
+            coeff *= t
+        _set_parts(self, coeff, self.pi_half_exponent, rad)
 
     @property
     def is_rational(self) -> bool:
@@ -82,12 +85,14 @@ class SymbolicReal:
 
     def __mul__(self, other) -> "SymbolicReal":
         if isinstance(other, SymbolicReal):
-            return SymbolicReal(
-                self.coefficient * other.coefficient,
+            # r1 r2 = (r1/g)(r2/g) g^2, and (r1/g)(r2/g) is squarefree
+            g = math.gcd(self.radicand, other.radicand)
+            return _normal(
+                self.coefficient * other.coefficient * g,
                 self.pi_half_exponent + other.pi_half_exponent,
-                self.radicand * other.radicand,
+                (self.radicand // g) * (other.radicand // g),
             )
-        return SymbolicReal(self.coefficient * Fraction(other), self.pi_half_exponent, self.radicand)
+        return _normal(self.coefficient * _rational(other), self.pi_half_exponent, self.radicand)
 
     __rmul__ = __mul__
 
@@ -95,14 +100,14 @@ class SymbolicReal:
         if self.coefficient == 0:
             raise ZeroDivisionError("inverse of zero")
         # 1/sqrt(r) = sqrt(r)/r
-        return SymbolicReal(
+        return _normal(
             1 / (self.coefficient * self.radicand), -self.pi_half_exponent, self.radicand
         )
 
     def __truediv__(self, other) -> "SymbolicReal":
         if isinstance(other, SymbolicReal):
             return self * other.inverse()
-        return SymbolicReal(self.coefficient / Fraction(other), self.pi_half_exponent, self.radicand)
+        return _normal(self.coefficient / _rational(other), self.pi_half_exponent, self.radicand)
 
     def __rtruediv__(self, other) -> "SymbolicReal":
         return self.inverse() * other
@@ -136,6 +141,26 @@ class SymbolicReal:
         if self.radicand != 1:
             parts.append(f"sqrt({self.radicand})")
         return " * ".join(parts)
+
+
+def _set_parts(x: SymbolicReal, coefficient: Fraction, pi_half_exponent: int, radicand: int) -> None:
+    if coefficient == 0:
+        pi_half_exponent, radicand = 0, 1
+    object.__setattr__(x, "coefficient", coefficient)
+    object.__setattr__(x, "pi_half_exponent", pi_half_exponent)
+    object.__setattr__(x, "radicand", radicand)
+
+
+def _normal(coefficient: Fraction, pi_half_exponent: int, radicand: int) -> SymbolicReal:
+    """A SymbolicReal from parts already in normal form (a Fraction
+    coefficient, a squarefree radicand), without factoring the radicand."""
+    x = object.__new__(SymbolicReal)
+    _set_parts(x, coefficient, pi_half_exponent, radicand)
+    return x
+
+
+def _rational(x) -> Fraction | int:
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 @cache
@@ -176,6 +201,43 @@ def fundamental_discriminant(m: int) -> tuple[int, int]:
     return disc, t
 
 
+# chi_{d2} on residues mod |d2| for the 2-part d2 of a fundamental
+# discriminant; 1 stands for an odd discriminant
+_TWO_PART_CHARACTERS = {
+    1: (1,),
+    -4: (0, 1, 0, -1),
+    8: (0, 1, 0, -1, 0, -1, 0, 1),
+    -8: (0, 1, 0, 1, 0, -1, 0, -1),
+}
+
+
+def _character_table(disc: int) -> list[int]:
+    """[kronecker(disc, a) for a in range(|disc|)] for a fundamental
+    discriminant, from one factorization.
+
+    chi_disc is the product of the characters of the prime discriminants of
+    disc: p* = (-1)^((p-1)/2) p for each odd p | disc, whose value at a > 0
+    is the Legendre symbol (a/p), read off the squares mod p, and the 2-part
+    d2 = disc / prod p* in {1, -4, 8, -8}.  Tables T and t of coprime periods
+    M and m combine into the table of period M m as T[a mod M] * t[a mod m].
+    """
+    primes = factorize(abs(disc))
+    odd = math.prod(p if p % 4 == 1 else -p for p in primes if p != 2)
+    two_part = _TWO_PART_CHARACTERS.get(disc // odd)
+    if two_part is None or any(e > 1 for p, e in primes.items() if p != 2):
+        raise PreconditionError(f"{disc} is not a fundamental discriminant")
+    table = list(two_part)
+    for p in primes:
+        if p == 2:
+            continue
+        legendre = [-1] * p
+        legendre[0] = 0
+        for x in range(1, p // 2 + 1):
+            legendre[x * x % p] = 1
+        table = list(map(operator.mul, table * p, legendre * len(table)))
+    return table
+
+
 def generalized_bernoulli(k: int, disc: int) -> Fraction:
     """Generalized Bernoulli number B_{k,chi} for the Kronecker character of
     the fundamental discriminant `disc`.
@@ -186,28 +248,34 @@ def generalized_bernoulli(k: int, disc: int) -> Fraction:
         B_{k,chi} = sum_{i=0}^{k} C(k,i) B_i f^(i-1) S_{k-i},
         S_j = sum_{a=1}^{f} chi(a) a^j,
 
-    so the S_j are integers from one pass over the residues.  For disc = 1
-    this returns the ordinary B_k.
+    so the S_j are integers from one pass over the table of chi, and the sum
+    is one integer over the common denominator of B_0..B_k, times f.  For
+    disc = 1 this returns the ordinary B_k; any other disc that is not a
+    fundamental discriminant raises PreconditionError.
     """
     if k < 1:
         raise ValueError("index must be >= 1")
     if disc == 1:
         return bernoulli(k)
     f = abs(disc)
+    chi = _character_table(disc)
     sums = [0] * (k + 1)
-    # a block of residues at a time, so memory stays bounded for large f
-    for start in range(1, f + 1, _POWER_SUM_BLOCK):
-        residues, terms = [], []  # a with chi(a) != 0, and chi(a) * a^j
-        for a in range(start, min(start + _POWER_SUM_BLOCK, f + 1)):
-            chi = kronecker(disc, a)
-            if chi:
-                residues.append(a)
-                terms.append(chi)
+    # a block of residues at a time, so the lists of powers stay short
+    for start in range(1, f, _POWER_SUM_BLOCK):
+        block = chi[start:start + _POWER_SUM_BLOCK]
+        residues = list(compress(range(start, start + len(block)), block))
+        terms = list(filter(None, block))  # chi(a) * a^j over the residues
         sums[0] += sum(terms)
         for j in range(1, k + 1):
             terms = list(map(operator.mul, terms, residues))
             sums[j] += sum(terms)
-    return sum(math.comb(k, i) * bernoulli(i) * f**i * sums[k - i] for i in range(k + 1)) / f
+    bern = [bernoulli(i) for i in range(k + 1)]
+    den = math.lcm(*(b.denominator for b in bern))
+    num = sum(
+        math.comb(k, i) * b.numerator * (den // b.denominator) * f**i * sums[k - i]
+        for i, b in enumerate(bern)
+    )
+    return Fraction(num, den * f)
 
 
 def zeta_closed(k2: int) -> SymbolicReal:
@@ -285,7 +353,9 @@ def l_closed(t_arg: int, disc: int) -> SymbolicReal:
     b = generalized_bernoulli(t, disc)
     l_neg = SymbolicReal(Fraction(-b, t))  # L(1-t, chi)
     f = abs(disc)
-    dpow = SymbolicReal(Fraction(1, f**t), 0, f)  # |disc|^(1/2 - t)
+    # sqrt(f) = 2 sqrt(f/4) when 4 | f; f/4 and an odd f are squarefree
+    root, core = (1, f) if f % 2 else (2, f // 4)
+    dpow = _normal(Fraction(root, f**t), 0, core)  # |disc|^(1/2 - t)
     if disc > 0:
         # pi^{-s/2} Gamma(s/2) D^s L(s) = pi^{-(1-s)/2} Gamma((1-s)/2) D^{1/2} L(1-s)
         gammas = gamma_half(1 - t) / gamma_half(t)

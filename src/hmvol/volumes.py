@@ -11,7 +11,11 @@ hyperbolic plane splits off) and alpha_p are the local densities.  The Euler
 product over all primes collapses exactly: at good primes alpha_p has the
 closed unimodular form, so the tail is a finite product of zeta values (odd
 rank) or zeta values and one quadratic Dirichlet L-value (even rank), with
-rational corrections at the primes dividing 2 det L.
+rational corrections at the primes dividing 2 det L.  The L-value is that of
+the genus discriminant D: at a good prime p the one unimodular Jordan block
+has chi = kronecker(D, p) by construction (checked in the tests), so only
+the bad primes are decomposed.  The corrections and the alpha_p^(-1) at the
+bad primes make one rational.
 
 All pi powers and square roots cancel in the final volume; this is asserted,
 not assumed.  Volumes of the subgroup variants (plus, determinant-1, stable)
@@ -23,9 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
-from .arith import is_prime, kronecker
 from .density import (
     ORACLE_CANDIDATE_CAP,
     LocalDensity,
@@ -49,8 +52,6 @@ from .special_values import (
     zeta_closed,
 )
 
-_GOOD_PRIME_CHI_CHECKS = 5
-
 
 def _require_volume_domain(lattice: Lattice) -> None:
     if lattice.rank < 3:
@@ -66,27 +67,6 @@ def genus_discriminant(lattice: Lattice) -> int:
     return fundamental_discriminant((-1) ** t * lattice.det)[0]
 
 
-def _check_good_prime_chi(lattice: Lattice, disc: int) -> None:
-    """The genus character at good primes must agree with the block chi; a
-    mismatch means a sign-convention bug, so fail hard."""
-    checked = 0
-    p = 2
-    twodet = 2 * abs(lattice.det)
-    while checked < _GOOD_PRIME_CHI_CHECKS:
-        p += 1
-        if not is_prime(p) or twodet % p == 0:
-            continue
-        decomp = jordan_decompose(lattice, p)
-        if len(decomp.blocks) != 1 or decomp.blocks[0].level != 0:
-            raise InternalCheckError(f"lattice not unimodular at good prime {p}")
-        if decomp.blocks[0].chi != kronecker(disc, p):
-            raise InternalCheckError(
-                f"genus character mismatch at p={p}: block chi {decomp.blocks[0].chi}, "
-                f"kronecker({disc},{p}) = {kronecker(disc, p)}"
-            )
-        checked += 1
-
-
 def euler_alpha_product(lattice: Lattice) -> SymbolicReal:
     """prod_p alpha_p(L)^(-1) over all primes, as an exact symbolic value.
 
@@ -100,19 +80,20 @@ def euler_alpha_product(lattice: Lattice) -> SymbolicReal:
 
 
 def _euler_product(lattice: Lattice, densities: list[LocalDensity]) -> SymbolicReal:
-    """euler_alpha_product from the densities at the bad primes."""
+    """euler_alpha_product from the densities at the bad primes: the
+    alpha_p^(-1) and the bad-prime corrections make one rational, which
+    multiplies the zeta (and L) values."""
     bad = [d.p for d in densities]
-    acc = SymbolicReal(Fraction(1))
+    rational = Fraction(1)
     for d in densities:
-        acc = acc / d.value
+        rational /= d.value
     rho = lattice.rank
     if rho % 2:
         t = (rho - 1) // 2
-        for i in range(1, t + 1):
-            acc = acc * zeta_closed(2 * i)
+        values = [zeta_closed(2 * i) for i in range(1, t + 1)]
         for p in bad:
-            acc = acc * p_series(p, t)
-        return acc
+            rational *= p_series(p, t)
+        return prod(values, start=SymbolicReal(rational))
     t = rho // 2
     if lattice.det < 0:
         # chi_D(-1) != (-1)^t here; L(t, chi_D) has no elementary closed form
@@ -120,14 +101,13 @@ def _euler_product(lattice: Lattice, densities: list[LocalDensity]) -> SymbolicR
             "even-rank lattices with negative determinant fall outside the exact "
             "closed-form Euler product (odd-parity L-value)"
         )
+    # at p not dividing 2 det the one unimodular Jordan block has
+    # chi = kronecker(disc, p), so the good primes give L(t, chi_disc)
     disc = genus_discriminant(lattice)
-    _check_good_prime_chi(lattice, disc)
-    for i in range(1, t):
-        acc = acc * zeta_closed(2 * i)
-    acc = acc * l_closed(t, disc)
+    values = [zeta_closed(2 * i) for i in range(1, t)] + [l_closed(t, disc)]
     for p in bad:
-        acc = acc * p_series(p, t - 1) * euler_factor(disc, p, t)
-    return acc
+        rational *= p_series(p, t - 1) * euler_factor(disc, p, t)
+    return prod(values, start=SymbolicReal(rational))
 
 
 def _det_power(lattice: Lattice) -> SymbolicReal:

@@ -41,6 +41,23 @@ def test_p_series_values():
     assert p_series(2, 2) == Fraction(3, 4) * Fraction(15, 16)
 
 
+def fraction_p_series(p: int, n: int) -> Fraction:
+    """P_p(n) as n Fraction products, the earlier route (the reference for
+    the one-integer product over p^(n(n+1)))."""
+    out = Fraction(1)
+    for i in range(1, n + 1):
+        out *= 1 - Fraction(1, p ** (2 * i))
+    return out
+
+
+def test_p_series_matches_fraction_products():
+    for p in (2, 3, 5, 7, 11, 13, 9973):
+        for n in range(0, 33):
+            assert p_series(p, n) == fraction_p_series(p, n), (p, n)
+    with pytest.raises(PreconditionError):
+        p_series(3, -1)
+
+
 def test_cross_rank_weight_anchors():
     # U + U(2) + m E8(-1) at p = 2 has w = 3
     for m in (1, 2):

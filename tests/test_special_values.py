@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 import hmvol
 from hmvol.errors import PreconditionError
+from hmvol import special_values
+from hmvol.arith import squarefree_decompose
 from hmvol.special_values import (
     SymbolicReal,
     bernoulli,
@@ -200,6 +203,54 @@ def test_generalized_bernoulli_matches_finite_sum_definition():
             assert generalized_bernoulli(k, disc) == _finite_sum_generalized_bernoulli(k, disc), (k, disc)
 
 
+def kronecker_generalized_bernoulli(k: int, disc: int) -> Fraction:
+    """B_{k,chi} by the earlier route: one kronecker call per residue, power
+    sums in blocks of residues, and k+1 Fraction products (the reference for
+    the character-table route)."""
+    if disc == 1:
+        return bernoulli(k)
+    f = abs(disc)
+    block_size = special_values._POWER_SUM_BLOCK
+    sums = [0] * (k + 1)
+    for start in range(1, f + 1, block_size):
+        residues, terms = [], []
+        for a in range(start, min(start + block_size, f + 1)):
+            chi = kronecker(disc, a)
+            if chi:
+                residues.append(a)
+                terms.append(chi)
+        sums[0] += sum(terms)
+        for j in range(1, k + 1):
+            terms = list(map(operator.mul, terms, residues))
+            sums[j] += sum(terms)
+    return sum(math.comb(k, i) * bernoulli(i) * f**i * sums[k - i] for i in range(k + 1)) / f
+
+
+def test_character_table_matches_kronecker():
+    discs = [d for d in range(-2000, 2001) if _is_fundamental_discriminant(d)]
+    assert len(discs) == 1218
+    for disc in discs:
+        assert special_values._character_table(disc) == [kronecker(disc, a) for a in range(abs(disc))], disc
+
+
+def test_character_table_rejects_non_fundamental():
+    for disc in (-1, 3, 4, 9, 16, 20, -12, 45, -32):
+        with pytest.raises(PreconditionError, match="fundamental"):
+            special_values._character_table(disc)
+
+
+def test_generalized_bernoulli_matches_kronecker_route():
+    block = special_values._POWER_SUM_BLOCK
+    small = [d for d in range(-60, 61) if _is_fundamental_discriminant(d)]
+    # conductors spanning several blocks, with 2-parts 1, -4, 8 and -8
+    large = [-259, 521, -1028, 1048, -1016]
+    assert all(_is_fundamental_discriminant(d) for d in large)
+    assert {abs(d) // block for d in large} >= {1, 2, 4}
+    for disc in small + large:
+        for k in range(1, 15):
+            assert generalized_bernoulli(k, disc) == kronecker_generalized_bernoulli(k, disc), (k, disc)
+
+
 def test_generalized_bernoulli_trivial_character():
     assert generalized_bernoulli(4, 1) == bernoulli(4) == Fraction(-1, 30)
 
@@ -291,6 +342,36 @@ def test_symbolic_real_mul_commutes_and_associates(c1, e1, r1, c2, e2, r2):
     assert x * y == y * x
     z = SymbolicReal(Fraction(2, 7), -1, 6)
     assert (x * y) * z == x * (y * z)
+
+
+@given(
+    st.fractions(min_value=-50, max_value=50),
+    st.integers(-12, 12),
+    st.integers(1, 10**6),
+    st.fractions(min_value=-50, max_value=50),
+    st.integers(-12, 12),
+    st.integers(1, 10**6),
+)
+@settings(max_examples=200, deadline=None)
+def test_symbolic_real_gcd_product_matches_factored_product(c1, e1, r1, c2, e2, r2):
+    # the product multiplies squarefree radicands through their gcd; the
+    # reference factors the raw product of the radicands given
+    x = SymbolicReal(c1, e1, r1)
+    y = SymbolicReal(c2, e2, r2)
+    prod = x * y
+    assert prod == SymbolicReal(c1 * c2, e1 + e2, r1 * r2)
+    assert squarefree_decompose(prod.radicand) == (prod.radicand, 1)
+    if c1 == 0 or c2 == 0:
+        assert (prod.coefficient, prod.pi_half_exponent, prod.radicand) == (0, 0, 1)
+    assert x * 0 == SymbolicReal(Fraction(0)) == x * Fraction(0)
+    assert (x * 0).pi_half_exponent == 0 and (x * 0).radicand == 1
+
+
+def test_symbolic_real_keeps_fraction_and_converts_int_coefficient():
+    c = Fraction(3, 4)
+    assert SymbolicReal(c, 1).coefficient is c
+    x = SymbolicReal(5, 2, 12)
+    assert type(x.coefficient) is Fraction and x.coefficient == 10 and x.radicand == 3
 
 
 # ----------------------------------------------------------- zeta values

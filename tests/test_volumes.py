@@ -1,7 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import ORACLE_CORPUS, SIGNATURE_2N_EXPRESSIONS
+from hmvol.arith import is_prime, kronecker
 from hmvol.discforms import finite_isometry_order, discriminant_form, num_prime_divisors
 from hmvol.errors import PreconditionError
 from hmvol.expr import lattice_from_text
@@ -15,6 +19,8 @@ from hmvol.families import (
     t_lattice,
     unimodular_ii,
 )
+from hmvol.jordan import jordan_decompose
+from hmvol.lattices import from_gram
 from hmvol.special_values import SymbolicReal, l_closed, zeta_closed
 from hmvol.volumes import (
     build_report,
@@ -282,6 +288,55 @@ def test_build_report_runs_each_stage_once(monkeypatch):
     assert calls["_form_from_jordan"] == 1
     assert calls["finite_isometry_order"] == 1
     # one Jordan decomposition per bad prime feeds both the densities and
-    # the discriminant form; the 5 more are the good-prime chi checks
+    # the discriminant form, and no good prime is decomposed
     assert n_bad == 3
-    assert calls["jordan_decompose"] == n_bad + 5
+    assert calls["jordan_decompose"] == n_bad
+
+
+def _assert_good_prime_chi(lattice, count=5):
+    # the Euler product takes L(t, chi_D) for the good-prime tail: at the
+    # first `count` primes not dividing 2 det, the lattice is one unimodular
+    # Jordan block whose chi is kronecker(D, p), D the genus discriminant
+    disc = genus_discriminant(lattice)
+    twodet = 2 * abs(lattice.det)
+    p, checked = 2, 0
+    while checked < count:
+        p += 1
+        if not is_prime(p) or twodet % p == 0:
+            continue
+        blocks = jordan_decompose(lattice, p).blocks
+        assert [(b.level, b.rank) for b in blocks] == [(0, lattice.rank)], (lattice, p)
+        assert blocks[0].chi == kronecker(disc, p), (lattice, p)
+        checked += 1
+
+
+def test_good_prime_block_chi_is_the_genus_character():
+    lattices = [lattice_from_text(t) for t in ORACLE_CORPUS + SIGNATURE_2N_EXPRESSIONS]
+    even = [lat for lat in lattices if lat.rank % 2 == 0]
+    assert len(even) == 24
+    for lat in even:
+        _assert_good_prime_chi(lat)
+    for lat in (k_lattice(3, 30), k_lattice(0, 7), unimodular_ii(2)):
+        _assert_good_prime_chi(lat)
+
+
+@st.composite
+def _even_rank_grams(draw):
+    n = draw(st.sampled_from((2, 4, 6)))
+    upper = draw(st.lists(st.integers(-6, 6), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    gram = [[0] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = next(it)
+    return gram
+
+
+@given(_even_rank_grams())
+@settings(max_examples=60, deadline=None)
+def test_good_prime_block_chi_random_lattices(gram):
+    try:
+        lat = from_gram(gram)
+    except PreconditionError:  # singular
+        assume(False)
+    _assert_good_prime_chi(lat)
