@@ -12,7 +12,10 @@ exponent <= 2 (and, for the determinant-1 groups, when the rank is even).
 
 (A_L, q_L) is read off the p-adic Jordan blocks of level >= 1 (Nikulin
 1979), so its generators are primary: prime-power orders, grouped by
-increasing p, then by level.  N is counted one p-primary part at a time.
+increasing p, then by level.  q and b are held as integer tables at the
+scale of the exponent of A, from the Jordan blocks through the p-parts to
+the count of N, which runs one p-primary part at a time; only the readers
+`q_of` and `b_of` return `Fraction`s.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from . import arith
@@ -40,21 +43,24 @@ def num_prime_divisors(d: int) -> int:
 
 @dataclass(frozen=True)
 class FiniteQuadraticForm:
-    """(A, q): the orders of the generators, q-values in Q/2Z on the
-    generators, and the bilinear values in Q/Z.  `discriminant_form` gives
-    primary generators (prime-power orders, by increasing p, then level);
-    any generating set with A = prod Z/d_i is accepted."""
+    """(A, q) as integer tables at the scale n = lcm(orders), the exponent of
+    A: the orders of the generators g_i, q[i] = n q(g_i) mod 2n and b[i][j] =
+    n b(g_i, g_j) mod n.  `discriminant_form` gives primary generators
+    (prime-power orders, by increasing p, then level); any generating set with
+    A = prod Z/d_i is accepted.  `q_of` and `b_of` read values in Q/2Z and
+    Q/Z off the tables."""
 
     orders: tuple[int, ...]
-    q_values: tuple[Fraction, ...]
-    bilinear: tuple[tuple[Fraction, ...], ...]
+    q: tuple[int, ...]
+    b: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
+        return prod(self.orders)
+
+    @property
+    def exponent(self) -> int:
+        return lcm(*self.orders)
 
     @property
     def is_trivial(self) -> bool:
@@ -66,27 +72,19 @@ class FiniteQuadraticForm:
         return all(d <= 2 for d in self.orders)
 
     def element_order(self, x: tuple[int, ...]) -> int:
-        out = 1
-        for xi, di in zip(x, self.orders):
-            out = lcm(out, di // gcd(di, xi))
-        return out
+        return lcm(*(d // gcd(d, xi) for xi, d in zip(x, self.orders)))
 
     def q_of(self, x: tuple[int, ...]) -> Fraction:
-        total = Fraction(0)
-        k = len(self.orders)
-        for i in range(k):
-            total += x[i] * x[i] * self.q_values[i]
-            for j in range(i + 1, k):
-                total += 2 * x[i] * x[j] * self.bilinear[i][j]
-        return total % 2
+        n = self.exponent
+        total = 0
+        for i, xi in enumerate(x):
+            total += xi * (xi * self.q[i] + 2 * sum(map(mul, x[i + 1:], self.b[i][i + 1:])))
+        return Fraction(total % (2 * n), n)
 
     def b_of(self, x: tuple[int, ...], y: tuple[int, ...]) -> Fraction:
-        total = Fraction(0)
-        k = len(self.orders)
-        for i in range(k):
-            for j in range(k):
-                total += x[i] * y[j] * self.bilinear[i][j]
-        return total % 1
+        n = self.exponent
+        total = sum(xi * sum(map(mul, y, row)) for xi, row in zip(x, self.b))
+        return Fraction(total % n, n)
 
     def elements(self):
         return itertools.product(*(range(d) for d in self.orders))
@@ -104,26 +102,30 @@ def _form_from_jordan(
     U_ii / 2^l mod 2; at odd p only U_ii mod p^l is meaningful, and q(e_i) is
     its lift 2c / p^l with 2c = U_ii mod p^l, the one value in
     (2 / p^l)Z / 2Z that an element of odd order can take.  Different blocks
-    and different primes are orthogonal.
+    and different primes are orthogonal.  The exponent n of A is the product
+    of p^(top level) over p, so these values are written at once as integers
+    at scale n: U_ij s mod n, U_ii s mod 2n (p = 2) and 2c s, s = n / p^l.
     """
     blocks = [(d.p, b) for d in decomps for b in d.blocks if b.level >= 1]
+    n = prod(d.p ** max((b.level for b in d.blocks), default=0) for d in decomps)
     k = sum(b.rank for _, b in blocks)
     orders: list[int] = []
-    q_vals: list[Fraction] = []
-    bil = [[Fraction(0)] * k for _ in range(k)]
+    q: list[int] = []
+    bil = [[0] * k for _ in range(k)]
     for p, block in blocks:
         pl = p**block.level
+        s = n // pl
         u = block.unit_gram
         off = len(orders)
         for i in range(block.rank):
             for j in range(block.rank):
-                bil[off + i][off + j] = Fraction(u[i][j], pl) % 1
+                bil[off + i][off + j] = u[i][j] * s % n
             if p == 2:
-                q_vals.append(Fraction(u[i][i], pl) % 2)
+                q.append(u[i][i] * s % (2 * n))
             else:
-                q_vals.append(Fraction(2 * (u[i][i] * (pl + 1) // 2 % pl), pl))
+                q.append(2 * (u[i][i] * (pl + 1) // 2 % pl) * s)
             orders.append(pl)
-    form = FiniteQuadraticForm(tuple(orders), tuple(q_vals), tuple(map(tuple, bil)))
+    form = FiniteQuadraticForm(tuple(orders), tuple(q), tuple(map(tuple, bil)))
     if form.order != abs(lattice.det):
         raise PreconditionError("discriminant group order does not match |det|")
     return form
@@ -146,7 +148,11 @@ def _p_parts(form: FiniteQuadraticForm) -> list[tuple[int, FiniteQuadraticForm]]
     """The p-primary parts (p, (A_p, q_p)) of (A, q), in increasing p.
 
     A generator g of order d gives the generator c*g of A_p, of order
-    p^e = p^(v_p(d)) with c = d / p^e; q and b scale by c^2 and c*c'."""
+    p^e = p^(v_p(d)) with c = d / p^e; q and b scale by c^2 and c*c'.  At the
+    part's exponent n_p the tables are (c^2 q mod 2n) / (n / n_p) and
+    (c c' b mod n) / (n / n_p): c*g has order p^e, so n q(c*g) and
+    n b(c*g, c'*g') are multiples of n / p^e, and the division is exact."""
+    n = form.exponent
     factored = [arith.factorize(d) for d in form.orders]
     parts = []
     for p in sorted({p for f in factored for p in f}):
@@ -154,10 +160,11 @@ def _p_parts(form: FiniteQuadraticForm) -> list[tuple[int, FiniteQuadraticForm]]
             (p ** f[p], d // p ** f[p], i)
             for i, (d, f) in enumerate(zip(form.orders, factored)) if p in f
         )
+        unit = n // gens[-1][0]  # n / n_p
         parts.append((p, FiniteQuadraticForm(
             tuple(pe for pe, _, _ in gens),
-            tuple(c * c * form.q_values[i] % 2 for _, c, i in gens),
-            tuple(tuple(c * c2 * form.bilinear[i][j] % 1 for _, c2, j in gens) for _, c, i in gens),
+            tuple(c * c * form.q[i] % (2 * n) // unit for _, c, i in gens),
+            tuple(tuple(c * c2 * form.b[i][j] % n // unit for _, c2, j in gens) for _, c, i in gens),
         )))
     return parts
 
@@ -192,16 +199,8 @@ def finite_isometry_order(form: FiniteQuadraticForm) -> int:
     return count
 
 
-def _scaled(value: Fraction, n: int, modulus: int) -> int:
-    """n * value as an integer mod `modulus`."""
-    v = value * n
-    if v.denominator != 1:
-        raise PreconditionError("form values must lie in (1/N)Z, N the exponent of A")
-    return v.numerator % modulus
-
-
 def _bucket(
-    orders: tuple[int, ...], n: int, q: list[int], b: list[list[int]]
+    orders: tuple[int, ...], n: int, q: tuple[int, ...], b: tuple[tuple[int, ...], ...]
 ) -> dict[tuple[int, int], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """The elements x of A whose (order, n*q(x) mod 2n) is that of some
     generator, keyed by that pair, each as (x, B x mod n).
@@ -227,7 +226,7 @@ def _bucket(
     return buckets
 
 
-def _complete(options: list, chosen: list, b: list[list[int]], n: int) -> bool:
+def _complete(options: list, chosen: list, b: tuple[tuple[int, ...], ...], n: int) -> bool:
     """Extend `chosen`, images of g_i, ..., g_{i+len(chosen)-1} as (y, B y), by
     one image per remaining entry of `options` (the images already allowed
     by g_0, ..., g_{i-1}) so that b(y_l, y_j) = b(g_l, g_j); first
@@ -267,7 +266,8 @@ def _close(orbit: set, gens: list, orders: tuple[int, ...]) -> None:
 def _chain_count(form: FiniteQuadraticForm) -> int:
     """|O(A, q)| as prod_i |S_i g_i|, S_i the isometries fixing g_0..g_{i-1}.
 
-    q and b are held as integers (n q mod 2n, n b mod n, n the exponent of A).
+    q and b are read as the form stores them, integers n q mod 2n and n b
+    mod n at the exponent n of A.
     The candidates for S_i g_i are the elements with the order and q-value
     of g_i and b(x, g_j) = b(g_i, g_j) for j < i.  Levels run from the last
     generator up, so the isometries found below level i generate S_{i+1}.
@@ -280,11 +280,9 @@ def _chain_count(form: FiniteQuadraticForm) -> int:
     """
     if form.is_trivial:
         return 1
-    orders = form.orders
+    orders, q, b = form.orders, form.q, form.b
     k = len(orders)
-    n = lcm(*orders)
-    q = [_scaled(v, n, 2 * n) for v in form.q_values]
-    b = [[_scaled(v, n, n) for v in row] for row in form.bilinear]
+    n = form.exponent
     buckets = _bucket(orders, n, q, b)
     cands = [buckets.get((orders[l], q[l]), []) for l in range(k)]
     units = [tuple(int(j == i) for j in range(k)) for i in range(k)]

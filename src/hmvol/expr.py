@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ExpressionError
+from .errors import ExpressionError, PreconditionError
 from .lattices import Lattice, direct_sum, e8, from_gram, hyperbolic_plane, rank_one
 
 _PUNCT = ("+", "*", "(", ")", "<", ">", "[", "]", ",", ";")
@@ -201,33 +201,21 @@ def parse_expr(text: str) -> LatticeExpr:
 
 
 def _atom_lattice(atom) -> Lattice:
-    if isinstance(atom, UAtom):
-        if atom.scale == 0:
-            raise ExpressionError("scale must be nonzero", atom.offset)
-        return hyperbolic_plane(atom.scale)
-    if isinstance(atom, E8Atom):
-        if atom.scale == 0:
-            raise ExpressionError("scale must be nonzero", atom.offset)
-        return e8(atom.scale)
-    if isinstance(atom, RankOneAtom):
-        if atom.entry == 0:
-            raise ExpressionError("rank-1 Gram entry must be nonzero", atom.offset)
-        return rank_one(atom.entry)
-    if isinstance(atom, GramAtom):
-        rows = atom.rows
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ExpressionError("gram literal must be square", atom.offset)
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] != rows[j][i]:
-                    raise ExpressionError(
-                        f"gram literal not symmetric at ({i},{j})", atom.offset
-                    )
-        try:
-            return from_gram(rows)
-        except Exception as exc:
-            raise ExpressionError(f"bad gram literal: {exc}", atom.offset) from None
+    """The lattice of one atom; a constructor's rejection (zero scale or
+    entry, a non-square, non-symmetric or singular Gram literal, a cap)
+    becomes an `ExpressionError` at the atom's offset."""
+    prefix = "bad gram literal: " if isinstance(atom, GramAtom) else ""
+    try:
+        if isinstance(atom, UAtom):
+            return hyperbolic_plane(atom.scale)
+        if isinstance(atom, E8Atom):
+            return e8(atom.scale)
+        if isinstance(atom, RankOneAtom):
+            return rank_one(atom.entry)
+        if isinstance(atom, GramAtom):
+            return from_gram(atom.rows)
+    except PreconditionError as exc:
+        raise ExpressionError(f"{prefix}{exc}", atom.offset) from None
     raise ExpressionError(f"unknown atom {atom!r}", 0)  # pragma: no cover
 
 

@@ -163,11 +163,13 @@ def fixture_cusp_paramodular(d: int) -> Fraction:
     return Fraction(d * d, 3 * 2**4) * _prime_divisor_product(d, 2) * abs(bernoulli(2) * bernoulli(4))
 
 
-def _k_constant(m: int, d: int) -> Fraction:
+def _k_constant(m: int, d: int, disc: int) -> Fraction:
     # Volume constant for the K family: half the growth constant, as the
     # relation growth = (2/n!) * volume demands; cross-checked against the
-    # engine's unreduced chain in the two-route tests.
-    if d % 4 == 1:
+    # engine's unreduced chain in the two-route tests.  The cases are odd and
+    # even discriminant D of Q(sqrt d); d = 0 mod 4 can give an odd D (d = 4,
+    # 16, 20, 36).
+    if disc % 4 == 1:
         return Fraction(2 ** (4 * m + 1)) * (2 if d == 1 else 1)
     return Fraction(1, 2 ** (4 * m + 2))
 
@@ -182,7 +184,7 @@ def fixture_vol_k_tilde(m: int, d: int) -> Fraction:
     for p in factorize(2 * t):
         euler *= 1 - Fraction(kronecker(disc, p), p**s)
     return (
-        _k_constant(m, d)
+        _k_constant(m, d, disc)
         * Fraction(t) ** (8 * m + 3)
         * _bernoulli_product(8 * m + 2)
         / _double_factorial_even(8 * m + 2)
@@ -194,12 +196,13 @@ def fixture_vol_k_tilde(m: int, d: int) -> Fraction:
 
 def fixture_cusp_k_tilde(m: int, d: int) -> Fraction:
     """Leading coefficient for the stable-plus group of K(m,d), via its own
-    growth-constant case table (independent of the volume fixture)."""
-    if d % 4 == 1:
+    growth-constant case table (independent of the volume fixture), split on
+    the parity of D."""
+    disc, t = fundamental_discriminant(d)
+    if disc % 4 == 1:
         growth_const = Fraction(2 ** (4 * m + 2)) * (2 if d == 1 else 1)
     else:
         growth_const = Fraction(1, 2 ** (4 * m + 1))
-    disc, t = fundamental_discriminant(d)
     s = 4 * m + 2
     euler = Fraction(1)
     for p in factorize(2 * t):

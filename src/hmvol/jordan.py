@@ -53,9 +53,6 @@ class TwoAdicData:
     def is_even(self) -> bool:
         return not self.odd_units
 
-    @property
-    def odd_rank(self) -> int:
-        return len(self.odd_units)
 
 
 @dataclass(frozen=True)
@@ -73,12 +70,6 @@ class JordanDecomposition:
     blocks: tuple[JordanBlock, ...]
     working_precision: int
     normalized: bool
-
-    def block_at(self, level: int) -> Optional[JordanBlock]:
-        for b in self.blocks:
-            if b.level == level:
-                return b
-        return None
 
     @property
     def total_rank(self) -> int:

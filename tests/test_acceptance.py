@@ -95,7 +95,8 @@ def test_criterion_5_paramodular():
 
 def test_criterion_6_k_n_two_route():
     with criterion(6, "K/N two-route check", 30.0):
-        for d in (1, 2, 3, 5, 6, 7, 12):
+        # d = 4, 16, 20, 36: d = 0 mod 4 with an odd discriminant D
+        for d in (1, 2, 3, 4, 5, 6, 7, 12, 16, 20, 36):
             assert group_volume(k_lattice(0, d), "O~+") == fixture_vol_k_tilde(0, d), d
         for d in (1, 5, 13):
             assert group_volume(n_lattice(0, d), "O~+") == fixture_vol_n_tilde(0, d), d

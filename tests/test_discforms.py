@@ -3,6 +3,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +30,27 @@ from hmvol.jordan import jordan_decompose
 from hmvol.lattices import direct_sum, from_gram, rank_one
 
 from conftest import SIGNATURE_2N_EXPRESSIONS
+
+
+def _form(orders, q_values, bilinear) -> FiniteQuadraticForm:
+    """The integer tables of (A, q) on generators of the given orders, from
+    q(g_i) in Q/2Z and b(g_i, g_j) in Q/Z as `Fraction`s: n q mod 2n and
+    n b mod n at the exponent n."""
+    n = lcm(*orders)
+
+    def scaled(value: Fraction, modulus: int) -> int:
+        assert (value * n).denominator == 1, "values must lie in (1/n)Z"
+        return int(value * n) % modulus
+
+    return FiniteQuadraticForm(
+        tuple(orders),
+        tuple(scaled(v, 2 * n) for v in q_values),
+        tuple(tuple(scaled(v, n) for v in row) for row in bilinear),
+    )
+
+
+def _unit(k: int, i: int) -> tuple[int, ...]:
+    return tuple(int(j == i) for j in range(k))
 
 
 def test_factorize_and_rho():
@@ -61,9 +83,9 @@ def test_discriminant_form_rank_one():
         form = discriminant_form(rank_one(-2 * d))
         prime_powers = tuple(p**e for p, e in sorted(factorize(2 * d).items()))
         assert form.orders == prime_powers
-        for pe, q in zip(prime_powers, form.q_values):
+        for i, pe in enumerate(prime_powers):
             c = 2 * d // pe
-            assert q % 2 == Fraction(-c * c, 2 * d) % 2
+            assert form.q_of(_unit(len(prime_powers), i)) == Fraction(-c * c, 2 * d) % 2
 
 
 def test_discriminant_form_n_binary():
@@ -243,10 +265,11 @@ def _count_isometries(form: FiniteQuadraticForm) -> int:
     if form.is_trivial:
         return 1
     k = len(form.orders)
+    units = [_unit(k, i) for i in range(k)]
     buckets: dict[tuple[int, Fraction], list[tuple[int, ...]]] = {}
     for x in form.elements():
         buckets.setdefault((form.element_order(x), form.q_of(x)), []).append(x)
-    candidates = [buckets.get((form.orders[i], form.q_values[i]), []) for i in range(k)]
+    candidates = [buckets.get((form.orders[i], form.q_of(units[i])), []) for i in range(k)]
 
     chosen: list[tuple[int, ...]] = []
 
@@ -255,7 +278,7 @@ def _count_isometries(form: FiniteQuadraticForm) -> int:
             return 1
         count = 0
         for cand in candidates[i]:
-            if all(form.b_of(cand, chosen[j]) == form.bilinear[i][j] % 1 for j in range(i)):
+            if all(form.b_of(cand, chosen[j]) == form.b_of(units[i], units[j]) for j in range(i)):
                 chosen.append(cand)
                 count += extend(i + 1)
                 chosen.pop()
@@ -306,7 +329,7 @@ def test_odd_cyclic_part_has_two_isometries():
         while pk <= 2000:
             for u in (1, non_square):
                 q = Fraction(2 * u, pk)
-                form = FiniteQuadraticForm((pk,), (q % 2,), ((q % 1,),))
+                form = _form((pk,), (q % 2,), ((q % 1,),))
                 assert _chain_count(form) == 2, (pk, u)
                 assert finite_isometry_order(form) == 2, (pk, u)
             pk *= p
@@ -341,10 +364,10 @@ def _random_basis(form: FiniteQuadraticForm, rng: random.Random) -> FiniteQuadra
             span = {tuple((a + t * c) % m for a, c in zip(x, r)) for x in span for t in range(m)}
         if len(span) == form.order:
             break
-    return FiniteQuadraticForm(
+    return _form(
         form.orders,
-        tuple(form.q_of(r) for r in rows),
-        tuple(tuple(form.b_of(r, c) for c in rows) for r in rows),
+        [form.q_of(r) for r in rows],
+        [[form.b_of(r, c) for c in rows] for r in rows],
     )
 
 
@@ -505,10 +528,11 @@ def _smith_normal_form(mat: list[list[int]]) -> tuple[list[int], list[list[int]]
     return diag, v
 
 
-def _smith_discriminant_form(lattice) -> FiniteQuadraticForm:
-    """(A_L, q_L) with invariant-factor generators g_i = (V e_i) / d_i from
-    the Smith normal form of the Gram matrix, q and b from the dual pairing:
-    a route through the global Gram matrix, independent of the Jordan blocks."""
+def _smith_values(lattice) -> tuple[list[int], list[Fraction], list[list[Fraction]]]:
+    """(orders, q(g_i), b(g_i, g_j)) in `Fraction`s on the invariant-factor
+    generators g_i = (V e_i) / d_i from the Smith normal form of the Gram
+    matrix, q and b from the dual pairing: a route through the global Gram
+    matrix, independent of the Jordan blocks."""
     diag, v = _smith_normal_form([list(r) for r in lattice.gram])
     n = lattice.rank
     keep = [i for i in range(n) if diag[i] > 1]
@@ -523,17 +547,43 @@ def _smith_discriminant_form(lattice) -> FiniteQuadraticForm:
             bil[a][b] = pairing % 1
             if a == b:
                 q_vals.append(pairing % 2)
-    return FiniteQuadraticForm(tuple(diag[i] for i in keep), tuple(q_vals), tuple(map(tuple, bil)))
+    return [diag[i] for i in keep], q_vals, bil
+
+
+def _smith_discriminant_form(lattice) -> FiniteQuadraticForm:
+    return _form(*_smith_values(lattice))
+
+
+def _fraction_form_from_jordan(decomps) -> tuple[list[int], list[Fraction], list[list[Fraction]]]:
+    """(orders, q(g_i), b(g_i, g_j)) in `Fraction`s read off the Jordan
+    blocks p^l U, l >= 1, with no common scale: b = U_ij / p^l mod 1;
+    q = U_ii / 2^l mod 2 at p = 2 and the lift 2c / p^l, 2c = U_ii mod p^l,
+    at odd p.  The reference for `_form_from_jordan`'s integer tables."""
+    blocks = [(d.p, b) for d in decomps for b in d.blocks if b.level >= 1]
+    k = sum(b.rank for _, b in blocks)
+    orders: list[int] = []
+    q_vals: list[Fraction] = []
+    bil = [[Fraction(0)] * k for _ in range(k)]
+    for p, block in blocks:
+        pl = p**block.level
+        u = block.unit_gram
+        off = len(orders)
+        for i in range(block.rank):
+            for j in range(block.rank):
+                bil[off + i][off + j] = Fraction(u[i][j], pl) % 1
+            if p == 2:
+                q_vals.append(Fraction(u[i][i], pl) % 2)
+            else:
+                q_vals.append(Fraction(2 * (u[i][i] * (pl + 1) // 2 % pl), pl))
+            orders.append(pl)
+    return orders, q_vals, bil
 
 
 def _order_and_q_multiset(form: FiniteQuadraticForm) -> Counter:
     return Counter((form.element_order(x), form.q_of(x)) for x in form.elements())
 
 
-def test_jordan_form_matches_smith_reference():
-    # the form read off the Jordan blocks and the Smith-form construction
-    # describe the same (A, q): same order, exponent test and |O(q)|, and
-    # on small groups the same (element order, q) value distribution
+def _smith_corpus() -> dict:
     corpus = {}
     for text in SIGNATURE_2N_EXPRESSIONS + BRUTE_FORCE_TEXTS + BRUTE_FORCE_MULTI_PRIME_TEXTS:
         lat = lattice_from_text(text)
@@ -544,8 +594,15 @@ def test_jordan_form_matches_smith_reference():
         corpus[f"L(0,{d})"] = l_lattice(0, d)
         if d % 4 == 1:
             corpus[f"N(0,{d})"] = n_lattice(0, d)
+    return corpus
+
+
+def test_jordan_form_matches_smith_reference():
+    # the form read off the Jordan blocks and the Smith-form construction
+    # describe the same (A, q): same order, exponent test and |O(q)|, and
+    # on small groups the same (element order, q) value distribution
     compared = 0
-    for name, lat in corpus.items():
+    for name, lat in _smith_corpus().items():
         form = discriminant_form(lat)
         ref = _smith_discriminant_form(lat)
         assert form.order == ref.order == abs(lat.det), name
@@ -555,3 +612,39 @@ def test_jordan_form_matches_smith_reference():
             assert _order_and_q_multiset(form) == _order_and_q_multiset(ref), name
             compared += 1
     assert compared > 150
+
+
+def test_integer_form_matches_fraction_jordan_route():
+    # the integer tables written from the Jordan blocks read back, through
+    # q_of and b_of, as the Fraction values of the old construction
+    for name, lat in _smith_corpus().items():
+        decomps = [jordan_decompose(lat, p) for p in sorted(factorize(abs(lat.det)))]
+        orders, q_vals, bil = _fraction_form_from_jordan(decomps)
+        form = discriminant_form(lat)
+        assert list(form.orders) == orders, name
+        units = [_unit(len(orders), i) for i in range(len(orders))]
+        assert [form.q_of(x) for x in units] == q_vals, name
+        assert [[form.b_of(x, y) for y in units] for x in units] == bil, name
+        assert all(isinstance(v, int) for v in form.q + sum(form.b, ())), name
+
+
+def test_p_parts_rescale_smith_forms():
+    # invariant-factor generators have orders such as 6 or 60: each p-part's
+    # values, read off its integer tables, are c^2 q and c c' b computed in
+    # Fractions from the Smith-form values, c*g generating the p-part
+    mixed = 0
+    for name, lat in _smith_corpus().items():
+        orders, q_vals, bil = _smith_values(lat)
+        mixed += any(len(factorize(d)) > 1 for d in orders)
+        for p, part in _p_parts(_smith_discriminant_form(lat)):
+            gens = sorted(  # (p^e, c, index of g)
+                (p ** factorize(d)[p], d // p ** factorize(d)[p], i)
+                for i, d in enumerate(orders) if d % p == 0
+            )
+            assert part.orders == tuple(pe for pe, _, _ in gens), (name, p)
+            k = len(gens)
+            for a, (_, c, i) in enumerate(gens):
+                assert part.q_of(_unit(k, a)) == c * c * q_vals[i] % 2, (name, p)
+                for a2, (_, c2, j) in enumerate(gens):
+                    assert part.b_of(_unit(k, a), _unit(k, a2)) == c * c2 * bil[i][j] % 1, (name, p)
+    assert mixed > 50

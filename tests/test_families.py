@@ -18,6 +18,7 @@ from hmvol.families import (
     unimodular_ii,
 )
 from hmvol.lattices import Signature
+from hmvol.volumes import cusp_dim_leading
 
 
 def test_family_shapes():
@@ -46,12 +47,16 @@ def test_frozen_anchor_values():
 
 def test_growth_constant_consistent_with_volume_constant():
     # the growth fixture must be exactly (2/n!) times the volume fixture;
-    # n = 8m+2.  This consistency pins the corrected volume constant.
+    # n = 8m+2.  This consistency pins the corrected volume constant.  The
+    # two case tables split alike, so the growth fixture is also held to the
+    # engine: d = 4, 16, 20, 36 (d = 0 mod 4, odd discriminant) need the split
+    # on the discriminant
     for m in (0, 1):
-        for d in (1, 2, 3, 5, 6, 7, 12, 13):
+        for d in (1, 2, 3, 4, 5, 6, 7, 12, 13, 16, 20, 36):
             lead = fixture_cusp_k_tilde(m, d)
             vol = fixture_vol_k_tilde(m, d)
             assert lead == Fraction(2, factorial(8 * m + 2)) * vol, (m, d)
+            assert lead == cusp_dim_leading(k_lattice(m, d), "O~+"), (m, d)
 
 
 def test_k_two_adic_exponent_table():
