@@ -15,7 +15,6 @@ from .discforms import (
     FiniteQuadraticForm,
     discriminant_form,
     finite_isometry_order,
-    num_prime_divisors,
     projective_index,
 )
 from .errors import (

@@ -8,7 +8,6 @@ division.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -79,17 +78,22 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
+def squarefree_split(factors: dict[int, int]) -> tuple[int, int]:
+    """(c, t) with c squarefree and c * t**2 = prod p^e, from {p: e}."""
+    c = t = 1
+    for p, e in factors.items():
+        if e % 2:
+            c *= p
+        t *= p ** (e // 2)
+    return c, t
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = s * t**2 with s squarefree (sign carried by s). n != 0."""
     if n == 0:
         raise ValueError("squarefree_decompose expects a nonzero integer")
-    sign = -1 if n < 0 else 1
-    s, t = sign, 1
-    for p, e in factorize(abs(n)).items():
-        if e % 2:
-            s *= p
-        t *= p ** (e // 2)
-    return s, t
+    c, t = squarefree_split(factorize(abs(n)))
+    return (-c if n < 0 else c), t
 
 
 def valuation(n: int, p: int) -> int:
@@ -145,12 +149,3 @@ def kronecker(a: int, n: int) -> int:
         a %= n
     return result if n == 1 else 0
 
-
-@lru_cache(maxsize=None)
-def primes_up_to(bound: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(bound) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(i for i, flag in enumerate(sieve) if flag)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, valuation
+from .arith import valuation
 from .errors import FeasibilityError, PreconditionError
 from .jordan import JordanDecomposition, jordan_decompose, two_adic_normalize
 from .lattices import Lattice
@@ -154,7 +154,7 @@ def local_density(lattice: Lattice, p: int) -> LocalDensity:
 
 def bad_primes(lattice: Lattice) -> tuple[int, ...]:
     """Sorted primes dividing 2 * det(L); everywhere else L_p is unimodular."""
-    return tuple(sorted(factorize(2 * abs(lattice.det))))
+    return tuple(sorted({2, *lattice.det_factors}))
 
 
 def _siegel_count(gram, p: int, r: int) -> int:
@@ -210,36 +210,48 @@ def _siegel_count(gram, p: int, r: int) -> int:
     return total
 
 
+def _guard_depth(p: int, n: int) -> int:
+    """Deepest r the oracle guard allows: rank n <= 3, p^(r n^2) <= ORACLE_CANDIDATE_CAP."""
+    if n > 3:
+        raise FeasibilityError(f"oracle guard: rank {n} > 3")
+    r = 0
+    while p ** ((r + 1) * n * n) <= ORACLE_CANDIDATE_CAP:
+        r += 1
+    return r
+
+
 def siegel_count_oracle(lattice: Lattice, p: int, r: int) -> Fraction:
     """Siegel count at depth r: (1/2) p^(-r n(n-1)/2) #{X : X^t S X = S mod p^r}.
 
     Convention at p = 2: all entries of the congruence are taken mod 2^r.
     """
     n = lattice.rank
-    if n > 3:
-        raise FeasibilityError(f"oracle guard: rank {n} > 3")
+    deepest = _guard_depth(p, n)
     if r < 1:
         raise PreconditionError("depth r must be >= 1")
-    cost = p ** (r * n * n)
-    if cost > ORACLE_CANDIDATE_CAP:
+    if r > deepest:
         raise FeasibilityError(
-            f"oracle guard: p^(r*rank^2) = {p}^{r * n * n} = {cost} exceeds 2^30 naive candidates"
+            f"oracle guard: p^(r*rank^2) = {p}^{r * n * n} = {p ** (r * n * n)} "
+            "exceeds 2^30 naive candidates"
         )
     count = _siegel_count(lattice.gram, p, r)
     return Fraction(count, 2 * p ** (r * n * (n - 1) // 2))
 
 
-def oracle_stabilized(lattice: Lattice, p: int) -> tuple[int, Fraction]:
-    """Smallest r >= v_p(2 det)+1 with equal oracle values at r and r+1.
-
-    Raises FeasibilityError if the guard is reached before stabilization is
-    observed.
-    """
-    r = valuation(2 * abs(lattice.det), p) + 1
+def oracle_stabilized(lattice: Lattice, p: int) -> tuple[int, Fraction, bool] | None:
+    """(r, value, True) at the smallest r >= v_p(2 det)+1 whose oracle value
+    equals that at r+1, counting each depth once.  If the guard stops the walk
+    first, (r, value, False) at the deepest depth r >= 1 the guard allows (below
+    v_p(2 det)+1 when that is beyond the guard); None if even r = 1 is."""
+    deepest = _guard_depth(p, lattice.rank)
+    r = min(valuation(2 * abs(lattice.det), p) + 1, deepest)
+    if r == 0:
+        return None
     current = siegel_count_oracle(lattice, p, r)
-    while True:
+    while r < deepest:
         nxt = siegel_count_oracle(lattice, p, r + 1)
         if nxt == current:
-            return r, current
+            return r, current, True
         r += 1
         current = nxt
+    return r, current, False

@@ -34,13 +34,6 @@ from .lattices import Lattice
 ISOMETRY_ENUM_CAP = 10**5
 
 
-def num_prime_divisors(d: int) -> int:
-    """rho(d): number of distinct prime divisors; rho(1) = 0."""
-    if d < 1:
-        raise PreconditionError("expects a positive integer")
-    return len(arith.factorize(d)) if d > 1 else 0
-
-
 @dataclass(frozen=True)
 class FiniteQuadraticForm:
     """(A, q) as integer tables at the scale n = lcm(orders), the exponent of
@@ -131,17 +124,12 @@ def _form_from_jordan(
     return form
 
 
-def _det_decompositions(lattice: Lattice) -> list[JordanDecomposition]:
-    """The Jordan decompositions at the primes dividing det, in increasing p."""
-    return [jordan_decompose(lattice, p) for p in sorted(arith.factorize(abs(lattice.det)))]
-
-
 def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
     """(A_L, q_L) for an even lattice, read off its p-adic Jordan blocks of
     level >= 1 at the primes dividing det."""
     if not lattice.is_even:
         raise PreconditionError("discriminant form requires an even lattice")
-    return _form_from_jordan(lattice, _det_decompositions(lattice))
+    return _form_from_jordan(lattice, [jordan_decompose(lattice, p) for p in lattice.det_factors])
 
 
 def _p_parts(form: FiniteQuadraticForm) -> list[tuple[int, FiniteQuadraticForm]]:
@@ -377,5 +365,5 @@ def projective_index(lattice: Lattice, tag: str) -> int:
     direct summand (see `index_and_minus_id`)."""
     stable = None
     if tag in STABLE_TAGS:
-        stable = stable_invariants(lattice, _det_decompositions(lattice))
+        stable = stable_invariants(lattice, [jordan_decompose(lattice, p) for p in lattice.det_factors])
     return index_and_minus_id(lattice, tag, stable)[0]

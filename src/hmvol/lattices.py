@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .arith import factorize
 from .errors import PreconditionError
 
 RANK_CAP = 64
@@ -87,7 +88,7 @@ def _det_and_signature(rows: Gram) -> tuple[int, Signature]:
 class Lattice:
     """Nondegenerate integral lattice with cached rank/det/signature."""
 
-    __slots__ = ("gram", "rank", "det", "signature", "has_hyperbolic_summand")
+    __slots__ = ("gram", "rank", "det", "signature", "has_hyperbolic_summand", "_det_factors")
 
     def __init__(self, gram: Iterable[Sequence[int]], *, hyperbolic_summand: bool = False):
         g = _freeze(gram)
@@ -115,6 +116,14 @@ class Lattice:
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice instances are immutable")
+
+    @property
+    def det_factors(self) -> dict[int, int]:
+        """{p: v_p(det)} in increasing p; factored on first use, not at
+        construction."""
+        if not hasattr(self, "_det_factors"):
+            object.__setattr__(self, "_det_factors", factorize(abs(self.det)))
+        return self._det_factors
 
     @property
     def is_even(self) -> bool:

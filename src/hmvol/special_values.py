@@ -189,16 +189,19 @@ def bernoulli(n: int) -> Fraction:
 
 
 def fundamental_discriminant(m: int) -> tuple[int, int]:
-    """Discriminant D of Q(sqrt(m)) and the t with m = d0 * t**2, d0 squarefree.
-
-    D = d0 when d0 = 1 mod 4, else 4*d0; works for negative m as well.
+    """Discriminant D of Q(sqrt(m)) and the t with m = d0 * t**2, d0 squarefree
+    (D from d0 by `field_discriminant`); works for negative m as well.
     m = 1 gives (1, 1), the trivial character.
     """
     if m == 0:
         raise PreconditionError("fundamental discriminant of 0 is undefined")
     d0, t = squarefree_decompose(m)
-    disc = d0 if d0 % 4 == 1 else 4 * d0
-    return disc, t
+    return field_discriminant(d0), t
+
+
+def field_discriminant(d0: int) -> int:
+    """Discriminant of Q(sqrt(d0)), d0 squarefree: d0 if d0 = 1 mod 4, else 4*d0."""
+    return d0 if d0 % 4 == 1 else 4 * d0
 
 
 # chi_{d2} on residues mod |d2| for the 2-part d2 of a fundamental

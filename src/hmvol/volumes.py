@@ -15,12 +15,15 @@ rational corrections at the primes dividing 2 det L.  The L-value is that of
 the genus discriminant D: at a good prime p the one unimodular Jordan block
 has chi = kronecker(D, p) by construction (checked in the tests), so only
 the bad primes are decomposed.  The corrections and the alpha_p^(-1) at the
-bad primes make one rational.
+bad primes make one rational.  The bad primes, the surd of |det L|^((rho+1)/2)
+and D all come from one factorization of det, `Lattice.det_factors`.
 
 All pi powers and square roots cancel in the final volume; this is asserted,
 not assumed.  Volumes of the subgroup variants (plus, determinant-1, stable)
 follow by multiplying with the projective index, and the leading coefficient
 of cusp-form dimension growth for signature (2, n) is (2/n!) vol_HM(Gamma).
+Every entry point (`vol_hm`, `euler_alpha_product`, `siegel_identities`,
+`group_volume`, `cusp_dim_leading`) reads its value off `build_report`.
 """
 
 from __future__ import annotations
@@ -29,42 +32,35 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
 
+from .arith import squarefree_split
 from .density import (
-    ORACLE_CANDIDATE_CAP,
     LocalDensity,
     bad_primes,
     density_from_decomposition,
-    local_density,
     oracle_stabilized,
     p_series,
-    siegel_count_oracle,
 )
 from .discforms import GROUP_TAGS, STABLE_TAGS, index_and_minus_id, stable_invariants
-from .errors import FeasibilityError, InternalCheckError, PreconditionError
+from .errors import InternalCheckError, PreconditionError
 from .jordan import jordan_decompose
 from .lattices import Lattice
 from .special_values import (
     SymbolicReal,
+    _normal,
     euler_factor,
-    fundamental_discriminant,
+    field_discriminant,
     gamma_factor,
     l_closed,
     zeta_closed,
 )
 
 
-def _require_volume_domain(lattice: Lattice) -> None:
-    if lattice.rank < 3:
-        raise PreconditionError("volume formula needs rank >= 3")
-    if lattice.is_definite:
-        raise PreconditionError("volume formula needs an indefinite lattice")
-
-
 def genus_discriminant(lattice: Lattice) -> int:
     """Fundamental discriminant attached to an even-rank lattice: the
     discriminant of Q(sqrt((-1)^(rho/2) det L))."""
-    t = lattice.rank // 2
-    return fundamental_discriminant((-1) ** t * lattice.det)[0]
+    c, _ = squarefree_split(lattice.det_factors)
+    sign = (-1) ** (lattice.rank // 2) * (1 if lattice.det > 0 else -1)
+    return field_discriminant(sign * c)
 
 
 def euler_alpha_product(lattice: Lattice) -> SymbolicReal:
@@ -75,8 +71,7 @@ def euler_alpha_product(lattice: Lattice) -> SymbolicReal:
     zeta(2)...zeta(2t-2) L(t, chi_D) for even rank 2t with D the genus
     discriminant, both times rational corrections at the bad primes.
     """
-    _require_volume_domain(lattice)
-    return _euler_product(lattice, [local_density(lattice, p) for p in bad_primes(lattice)])
+    return build_report(lattice, ("O",)).euler_product
 
 
 def _euler_product(lattice: Lattice, densities: list[LocalDensity]) -> SymbolicReal:
@@ -111,34 +106,19 @@ def _euler_product(lattice: Lattice, densities: list[LocalDensity]) -> SymbolicR
 
 
 def _det_power(lattice: Lattice) -> SymbolicReal:
-    """|det L|^((rho+1)/2); a square root remains for even rank."""
+    """|det L|^((rho+1)/2); for even rank the square root of |det| = c t^2
+    is t sqrt(c), with c squarefree."""
     rho = lattice.rank
     adet = abs(lattice.det)
     if rho % 2:
         return SymbolicReal(Fraction(adet) ** ((rho + 1) // 2))
-    return SymbolicReal(Fraction(adet) ** (rho // 2), 0, adet)
-
-
-def _vol_from_euler(lattice: Lattice, euler: SymbolicReal, g_sp_plus: int) -> SymbolicReal:
-    """vol_HM(O(L)) from the Euler product euler_alpha_product(L)."""
-    if g_sp_plus < 1:
-        raise PreconditionError("spinor genus count must be a positive integer")
-    out = (
-        SymbolicReal(Fraction(2, g_sp_plus))
-        * _det_power(lattice)
-        * gamma_factor(lattice.rank)
-        * euler
-    )
-    if not out.is_rational:
-        raise InternalCheckError(
-            f"pi/surd cancellation failed in vol_HM: got {out!r}"
-        )
-    return out
+    c, t = squarefree_split(lattice.det_factors)
+    return _normal(Fraction(adet ** (rho // 2) * t), 0, c)
 
 
 def vol_hm(lattice: Lattice, g_sp_plus: int = 1) -> SymbolicReal:
     """Hirzebruch-Mumford volume of O(L); always collapses to a rational."""
-    return _vol_from_euler(lattice, euler_alpha_product(lattice), g_sp_plus)
+    return SymbolicReal(build_report(lattice, ("O",), g_sp_plus).volumes["O"])
 
 
 @dataclass(frozen=True)
@@ -164,15 +144,14 @@ def vol_s_so(m: int) -> SymbolicReal:
 def siegel_identities(lattice: Lattice, g_sp_plus: int = 1) -> SiegelIdentities:
     """Siegel volume of O(L)\\D, of the compact dual, and their ratio; the
     ratio must agree exactly with vol_hm (cross-identity check)."""
-    _require_volume_domain(lattice)
+    report = build_report(lattice, ("O",), g_sp_plus)
     r, s = lattice.signature
     g_r, g_s, g_rs = siegel_gamma(r), siegel_gamma(s), siegel_gamma(r + s)
-    euler = euler_alpha_product(lattice)
-    alpha_inf = SymbolicReal(Fraction(2, g_sp_plus)) * euler
+    alpha_inf = SymbolicReal(Fraction(2, g_sp_plus)) * report.euler_product
     vol_group = SymbolicReal(Fraction(2)) * alpha_inf * _det_power(lattice) / (g_r * g_s)
     vol_dual = SymbolicReal(Fraction(2)) * g_rs / (g_r * g_s)
     ratio = vol_group / vol_dual
-    if ratio != _vol_from_euler(lattice, euler, g_sp_plus):
+    if ratio != SymbolicReal(report.volumes["O"]):
         raise InternalCheckError("Siegel-volume ratio disagrees with the direct formula")
     return SiegelIdentities(g_r, g_s, g_rs, vol_group, vol_dual, ratio)
 
@@ -223,7 +202,10 @@ def build_report(
     vol_HM(O(L)) from that.  Every tag's volume is its index times
     vol_HM(O(L)), and its cusp term is 2/n! times that volume.
     """
-    _require_volume_domain(lattice)
+    if lattice.rank < 3:
+        raise PreconditionError("volume formula needs rank >= 3")
+    if lattice.is_definite:
+        raise PreconditionError("volume formula needs an indefinite lattice")
     sig = lattice.signature
     is_two_n = sig.positive == 2 and sig.negative >= 1
     if tags is None:
@@ -237,7 +219,17 @@ def build_report(
     decomps = [jordan_decompose(lattice, p) for p in bad]
     densities = [density_from_decomposition(d) for d in decomps]
     euler = _euler_product(lattice, densities)
-    vol = _vol_from_euler(lattice, euler, g_sp_plus).rational()
+    if g_sp_plus < 1:
+        raise PreconditionError("spinor genus count must be a positive integer")
+    exact = (
+        SymbolicReal(Fraction(2, g_sp_plus))
+        * _det_power(lattice)
+        * gamma_factor(lattice.rank)
+        * euler
+    )
+    if not exact.is_rational:
+        raise InternalCheckError(f"pi/surd cancellation failed in vol_HM: got {exact!r}")
+    vol = exact.rational()
     assumptions = []
     g_justified = lattice.has_hyperbolic_summand
     if g_justified:
@@ -282,23 +274,14 @@ def build_report(
         if lattice.rank <= 3:
             for density in densities:
                 p = density.p
-                try:
-                    r, value = oracle_stabilized(lattice, p)
-                    stabilized = True
-                except FeasibilityError:
-                    # guard reached before consecutive depths agreed; report
-                    # the deepest feasible depth without claiming stability
-                    r = 0
-                    while p ** ((r + 1) * lattice.rank**2) <= ORACLE_CANDIDATE_CAP:
-                        r += 1
-                    if r == 0:
-                        report.assumptions.append(
-                            f"oracle check at p={p} skipped: even depth r=1 needs "
-                            f"{p}^{lattice.rank**2} > 2^30 naive candidates"
-                        )
-                        continue
-                    value = siegel_count_oracle(lattice, p, r)
-                    stabilized = False
+                walk = oracle_stabilized(lattice, p)
+                if walk is None:
+                    report.assumptions.append(
+                        f"oracle check at p={p} skipped: even depth r=1 needs "
+                        f"{p}^{lattice.rank**2} > 2^30 naive candidates"
+                    )
+                    continue
+                r, value, stabilized = walk
                 matches = value == density.value
                 report.oracle_checks.append(
                     {"p": p, "r": r, "oracle": value, "stable": stabilized, "matches_formula": matches}

@@ -1,5 +1,6 @@
 import pytest
 
+from hmvol.arith import factorize
 from hmvol.expr import lattice_from_text
 
 # Rank <= 2 corpus for the counting-oracle suite: consecutive-depth
@@ -52,3 +53,8 @@ SIGNATURE_2N_EXPRESSIONS = (
 @pytest.fixture(scope="session")
 def signature_2n_corpus():
     return [(text, lattice_from_text(text)) for text in SIGNATURE_2N_EXPRESSIONS]
+
+
+def num_prime_divisors(d: int) -> int:
+    """rho(d): number of distinct prime divisors of d >= 1; rho(1) = 0."""
+    return len(factorize(d))

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from hmvol.cli import main as cli_main
 from hmvol.density import local_density, oracle_stabilized
-from hmvol.discforms import discriminant_form, finite_isometry_order, num_prime_divisors
+from hmvol.discforms import discriminant_form, finite_isometry_order
 from hmvol.expr import lattice_from_text
 from hmvol.families import (
     fixture_cusp_k3,
@@ -32,7 +32,7 @@ from hmvol.families import (
 from hmvol.lattices import direct_sum, e8, from_gram, hyperbolic_plane, rank_one, rescale
 from hmvol.volumes import cusp_dim_leading, group_volume, siegel_identities, vol_hm
 
-from conftest import ORACLE_CORPUS, SIGNATURE_2N_EXPRESSIONS
+from conftest import ORACLE_CORPUS, SIGNATURE_2N_EXPRESSIONS, num_prime_divisors
 
 
 @contextmanager
@@ -112,7 +112,8 @@ def test_criterion_7_oracle_suite():
             for p in (2, 3, 5):
                 if (2 * abs(lat.det)) % p:
                     continue
-                r, value = oracle_stabilized(lat, p)
+                r, value, stable = oracle_stabilized(lat, p)
+                assert stable, (text, p, r)
                 assert value == local_density(lat, p).value, (text, p, r)
                 checked += 1
         assert checked >= 17  # every entry at p=2, plus the odd-prime cases

@@ -307,7 +307,8 @@ def test_oracle_agreement_corpus(oracle_corpus):
         for p in (2, 3, 5, 7):
             if (2 * abs(lat.det)) % p:
                 continue
-            r, value = oracle_stabilized(lat, p)
+            r, value, stable = oracle_stabilized(lat, p)
+            assert stable, (text, p, r)
             assert value == local_density(lat, p).value, (text, p, r)
 
 

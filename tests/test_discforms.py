@@ -9,8 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hmvol.arith import factorize
-from hmvol.arith import primes_up_to
+from hmvol.arith import factorize, is_prime
 from hmvol.discforms import (
     ISOMETRY_ENUM_CAP,
     FiniteQuadraticForm,
@@ -19,7 +18,6 @@ from hmvol.discforms import (
     discriminant_form,
     finite_isometry_order,
     index_and_minus_id,
-    num_prime_divisors,
     projective_index,
     stable_invariants,
 )
@@ -29,7 +27,7 @@ from hmvol.families import k_lattice, l_lattice, n_lattice, t_lattice, unimodula
 from hmvol.jordan import jordan_decompose
 from hmvol.lattices import direct_sum, from_gram, rank_one
 
-from conftest import SIGNATURE_2N_EXPRESSIONS
+from conftest import SIGNATURE_2N_EXPRESSIONS, num_prime_divisors
 
 
 def _form(orders, q_values, bilinear) -> FiniteQuadraticForm:
@@ -323,7 +321,7 @@ def test_odd_cyclic_part_has_two_isometries():
     # the closed form for a cyclic part at odd p, pinned by the stabilizer
     # chain it bypasses: Z/p^k with q(g) = 2u/p^k for a square and a
     # non-square unit u
-    for p in primes_up_to(2000)[1:]:
+    for p in filter(is_prime, range(3, 2000)):
         non_square = next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
         pk = p
         while pk <= 2000:

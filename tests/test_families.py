@@ -79,8 +79,8 @@ def test_k_exponent_at_4_mod_8_pinned_by_oracle():
     # stabilized count 128 = 2^(9-2) * ... matches the formula path, while
     # the 8+s extrapolation would demand 256
     lat = lattice_from_text("<2> + <-8>")
-    r, value = oracle_stabilized(lat, 2)
-    assert value == Fraction(128)
+    r, value, stable = oracle_stabilized(lat, 2)
+    assert stable and value == Fraction(128)
     assert local_density(lat, 2).value == Fraction(128)
     # and the full K(0,4) two-adic density uses exponent 9
     alpha = local_density(k_lattice(0, 4), 2).value

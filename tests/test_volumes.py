@@ -4,9 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ORACLE_CORPUS, SIGNATURE_2N_EXPRESSIONS
+from conftest import ORACLE_CORPUS, SIGNATURE_2N_EXPRESSIONS, num_prime_divisors
 from hmvol.arith import is_prime, kronecker
-from hmvol.discforms import finite_isometry_order, discriminant_form, num_prime_divisors
+from hmvol.discforms import finite_isometry_order, discriminant_form
 from hmvol.errors import PreconditionError
 from hmvol.expr import lattice_from_text
 from hmvol.families import (
@@ -252,10 +252,10 @@ def test_report_flags_unjustified_default():
 
 
 def test_build_report_runs_each_stage_once(monkeypatch):
-    # every hmvol module that binds one of these names gets a counting wrapper
+    # every hmvol module that binds one of these names gets a recording wrapper
     import sys
 
-    from hmvol import density, discforms, jordan, special_values, volumes
+    from hmvol import arith, density, discforms, jordan, special_values, volumes
 
     targets = {
         "jordan_decompose": jordan.jordan_decompose,
@@ -263,34 +263,63 @@ def test_build_report_runs_each_stage_once(monkeypatch):
         "generalized_bernoulli": special_values.generalized_bernoulli,
         "_form_from_jordan": discforms._form_from_jordan,
         "finite_isometry_order": discforms.finite_isometry_order,
+        "factorize": arith.factorize,
+        "squarefree_decompose": arith.squarefree_decompose,
     }
-    calls = dict.fromkeys(targets, 0)
+    calls = {name: [] for name in targets}
 
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
+    def recording(name, fn):
+        def recorded(*args, **kwargs):
+            calls[name].append(args)
             return fn(*args, **kwargs)
 
-        return counted
+        return recorded
 
     modules = [m for n, m in sys.modules.items() if n.startswith("hmvol")]
     for name, fn in targets.items():
-        wrapper = counting(name, fn)
+        wrapper = recording(name, fn)
         for mod in modules:
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, wrapper)
     lat = k_lattice(3, 30)
-    n_bad = len(density.bad_primes(lat))
     rep = build_report(lat)
+    factored = [n for (n,) in calls["factorize"]]
     assert set(rep.volumes) == {"O", "O+", "SO+", "O~+", "SO~+"}
-    assert calls["_euler_product"] == 1
-    assert calls["generalized_bernoulli"] == 1
-    assert calls["_form_from_jordan"] == 1
-    assert calls["finite_isometry_order"] == 1
+    assert len(calls["_euler_product"]) == 1
+    assert len(calls["generalized_bernoulli"]) == 1
+    assert len(calls["_form_from_jordan"]) == 1
+    assert len(calls["finite_isometry_order"]) == 1
     # one Jordan decomposition per bad prime feeds both the densities and
     # the discriminant form, and no good prime is decomposed
+    n_bad = len(density.bad_primes(lat))
     assert n_bad == 3
-    assert calls["jordan_decompose"] == n_bad
+    assert len(calls["jordan_decompose"]) == n_bad
+    # det is factored once, on the lattice, and |D| once, for chi_D; every
+    # other factorization is of a generator order of A_L, a prime power
+    disc = volumes.genus_discriminant(lat)
+    composite = [n for n in factored if len(targets["factorize"](n)) > 1]
+    assert sorted(composite) == sorted([abs(lat.det), abs(disc)])
+    assert not calls["squarefree_decompose"]
+
+
+def test_oracle_check_counts_each_depth_once(monkeypatch):
+    # the oracle walk counts each depth at most once per prime, also when the
+    # guard stops it before two consecutive depths agree
+    from hmvol import density
+
+    counted = []
+    count = density._siegel_count
+
+    def recording(gram, p, r):
+        counted.append((p, r))
+        return count(gram, p, r)
+
+    monkeypatch.setattr(density, "_siegel_count", recording)
+    for text in ("<1> + <1> + <-1>", "U + <-22>"):
+        counted.clear()
+        rep = build_report(lattice_from_text(text), oracle_check=True)
+        assert rep.oracle_checks and not rep.oracle_checks[0]["stable"], text
+        assert len(counted) == len(set(counted)), (text, counted)
 
 
 def _assert_good_prime_chi(lattice, count=5):
