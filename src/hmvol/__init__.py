@@ -25,12 +25,7 @@ from .errors import (
     PreconditionError,
 )
 from .expr import evaluate, lattice_from_text, parse_expr, render
-from .jordan import (
-    JordanBlock,
-    JordanDecomposition,
-    jordan_decompose,
-    two_adic_normalize,
-)
+from .jordan import JordanBlock, JordanDecomposition, jordan_decompose
 from .lattices import (
     Lattice,
     Signature,

@@ -108,15 +108,6 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for an odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
 def kronecker(a: int, n: int) -> int:
     """Full Kronecker symbol (a|n), extending Jacobi to all integers n."""
     if n == 0:

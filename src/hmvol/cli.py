@@ -6,8 +6,8 @@ Subcommands:
     catalog FAM    engine values vs the closed-form fixtures, row per case
     oracle EXPR P R  brute-force Siegel count vs the density formula
 
-Exit codes: 0 ok, 1 catalog mismatch, 2 expression error, 3 precondition,
-4 feasibility guard, 5 internal consistency failure.
+Exit codes: 0 ok, 1 catalog mismatch, 2 expression or argument error,
+3 precondition, 4 feasibility guard, 5 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -124,8 +124,11 @@ def _print_report(report: VolumeReport, precision: int | None) -> None:
     for line in report.assumptions:
         print(f"note: {line}")
     for c in report.oracle_checks:
-        verdict = "match" if c["matches_formula"] else "MISMATCH"
-        status = "stabilized" if c["stable"] else "guard-capped"
+        # a guard-capped depth is below stabilization, so it claims no match
+        if c["stable"]:
+            status, verdict = "stabilized", "match" if c["matches_formula"] else "MISMATCH"
+        else:
+            status, verdict = "guard-capped", "not comparable"
         print(f"oracle check p={c['p']}: {status} at r={c['r']}, value {c['oracle']} ({verdict})")
 
 
@@ -150,15 +153,26 @@ _CATALOG_DEFAULTS = {
 
 
 def _parse_range(spec: str) -> tuple[int, ...]:
+    """argparse type for '0,2', '1..10' or a comma list of both."""
     out: list[int] = []
     for part in spec.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        lo, dots, hi = part.partition("..")
+        try:
+            out.extend(range(int(lo), int(hi) + 1) if dots else [int(lo)])
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"malformed range {part.strip()!r}") from None
     return tuple(out)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _catalog_row(family: str, m: int, d: int | None):
@@ -189,8 +203,8 @@ def _cmd_catalog(args) -> int:
     family = args.family
     if family not in _CATALOG_DEFAULTS:
         raise PreconditionError(f"unknown family {family!r}; choose from II, T, L, K, N")
-    ms = _parse_range(args.m) if args.m else _CATALOG_DEFAULTS[family]["m"]
-    ds = _parse_range(args.d) if args.d else _CATALOG_DEFAULTS[family]["d"]
+    ms = args.m or _CATALOG_DEFAULTS[family]["m"]
+    ds = args.d or _CATALOG_DEFAULTS[family]["d"]
     mismatches = 0
     for m in ms:
         for d in ds:
@@ -236,14 +250,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     a.add_argument("--json", action="store_true", help="emit the report as JSON")
     a.add_argument("--oracle-check", action="store_true",
                    help="verify densities against the counting oracle (rank <= 3)")
-    a.add_argument("--precision", type=int, default=None,
+    a.add_argument("--precision", type=_positive_int, default=None,
                    help="digits for the optional numeric echo")
     a.set_defaults(func=_cmd_analyze)
 
     c = sub.add_parser("catalog", help="compare engine values against closed-form fixtures")
     c.add_argument("family", help="one of II, T, L, K, N")
-    c.add_argument("--m", help="m values, e.g. '0,2' or '0..2'")
-    c.add_argument("--d", help="d values, e.g. '1..10'")
+    c.add_argument("--m", type=_parse_range, help="m values, e.g. '0,2' or '0..2'")
+    c.add_argument("--d", type=_parse_range, help="d values, e.g. '1..10'")
     c.set_defaults(func=_cmd_catalog)
 
     o = sub.add_parser("oracle", help="brute-force local density at depths r and r+1")

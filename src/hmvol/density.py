@@ -13,6 +13,9 @@ Two independent routes:
   where q sums the oddness corrections q_j and E_j is 1/2 unless both
   neighbouring blocks are even and the odd part is not <e1> + <e2> with
   e1 = e2 mod 4, in which case E_j = (1 + chi(N_j^even) 2^(-rank/2))/2.
+  The odd and even parts are those of the block as `jordan_decompose`
+  returns it, with the odd part already compressed to at most two units
+  (`odd_units`) and chi that of the even part (`chi`).
   The empty even part counts as chi = +1.  These conventions (including the
   counting convention below) are pinned by the oracle tests.
 
@@ -30,13 +33,15 @@ from fractions import Fraction
 
 from .arith import valuation
 from .errors import FeasibilityError, PreconditionError
-from .jordan import JordanDecomposition, jordan_decompose, two_adic_normalize
+from .jordan import JordanBlock, JordanDecomposition, jordan_decompose
 from .lattices import Lattice
 
 ORACLE_CANDIDATE_CAP = 2**30
 # entries in one block of rank-2 pair dot products in the counting oracle; a
 # larger block is faster but raises peak memory
 _PAIR_CHUNK = 2**16
+# a 2-adic level with no block: even, with the empty even part's chi = +1
+_EMPTY_BLOCK = JordanBlock(0, 0, (), 1, ())
 
 
 @dataclass(frozen=True)
@@ -98,23 +103,20 @@ def _density_odd(decomp: JordanDecomposition) -> LocalDensity:
 
 
 def _density_two(decomp: JordanDecomposition) -> LocalDensity:
-    if not decomp.normalized:
-        decomp = two_adic_normalize(decomp)
     by_level = {b.level: b for b in decomp.blocks}
 
     def is_even_at(j: int) -> bool:
-        b = by_level.get(j)
-        return b is None or b.two_adic.is_even
+        return not by_level.get(j, _EMPTY_BLOCK).odd_units
 
     n = decomp.total_rank
     w = cross_rank_weight(decomp)
     q = 0
     for b in decomp.blocks:
-        if not b.two_adic.is_even:
+        if b.odd_units:
             q += b.rank + (0 if is_even_at(b.level + 1) else 1)
     p_factor = Fraction(1)
     for b in decomp.blocks:
-        p_factor *= p_series(2, b.two_adic.even_rank // 2)
+        p_factor *= p_series(2, (b.rank - len(b.odd_units)) // 2)
 
     lo = min(by_level) - 1
     hi = max(by_level) + 1
@@ -123,14 +125,13 @@ def _density_two(decomp: JordanDecomposition) -> LocalDensity:
         if not (is_even_at(j - 1) and is_even_at(j + 1)):
             e_factors[j] = Fraction(1, 2)
             continue
-        b = by_level.get(j)
-        units = b.two_adic.odd_units if b is not None else ()
+        b = by_level.get(j, _EMPTY_BLOCK)
+        units = b.odd_units
         if len(units) == 2 and (units[0] - units[1]) % 4 == 0:
             e_factors[j] = Fraction(1, 2)
             continue
-        chi_even = b.two_adic.chi_even if b is not None else 1
-        even_rank = b.two_adic.even_rank if b is not None else 0
-        e_factors[j] = Fraction(1, 2) * (1 + Fraction(chi_even, 2 ** (even_rank // 2)))
+        even_rank = b.rank - len(units)
+        e_factors[j] = Fraction(1, 2) * (1 + Fraction(b.chi, 2 ** (even_rank // 2)))
 
     lead = Fraction(2) ** (n - 1 + w - q)
     value = lead * p_factor

@@ -87,8 +87,9 @@ def _form_from_jordan(
     lattice: Lattice, decomps: list[JordanDecomposition]
 ) -> FiniteQuadraticForm:
     """(A_L, q_L) for an even lattice from its Jordan decompositions at every
-    prime dividing det, in increasing p (raw, not `two_adic_normalize`d;
-    further primes add nothing).
+    prime dividing det, in increasing p (further primes add nothing).  It
+    reads each block's `unit_gram`, the raw split kept mod p^(v_p(det) + 3),
+    which holds U mod 2^(l+1) at p = 2.
 
     A block p^l U with l >= 1 gives one generator e_i / p^l of order p^l per
     row of U, with b(e_i, e_j) = U_ij / p^l mod 1.  At p = 2, q(e_i) =

@@ -9,27 +9,30 @@ diagonal unit when there is one, else found by one scan of the remaining
 block; the elimination keeps only that remaining (active) block, so every
 row and column update runs over the active indices alone.
 
-All arithmetic runs modulo p^M with M = 2 v_p(det) + 8; a conservative
-precision ledger guarantees unit classes (mod p for odd p, mod 8 for p = 2)
-stay exact, and the decomposition retries with doubled precision if the
-ledger ever drops too low (it cannot for nonsingular input, but the guard is
-kept as a hard error rather than a silent wrong answer).
+All arithmetic runs modulo p^M with M = 2 v_p(det) + 8.  A split-off piece
+of level l costs l (a 2x2 piece 2l) digits of the precision ledger, and the
+levels sum to v_p(det), so every entry of the active block stays exact mod
+p^(v_p(det) + 8): the active block never vanishes and every pivot keeps
+at least 4 exact digits above its level, which fixes unit classes mod p
+(mod 8 at p = 2).  The ledger is still checked, as a hard error rather than
+a silent wrong answer.
 
-The 2-adic odd parts are afterwards compressed to rank <= 2 by the classical
-unit relation
+At p = 2, `_assemble` compresses each block's odd part to at most two units
+by the classical unit relation (Conway-Sloane, SPLAG ch. 15 section 7)
 
     <a> + <b> + <c>  ~  <a+b+c> + (even binary of determinant abc/(a+b+c))
 
 over Z_2; its correctness is enforced empirically by the density oracle
-tests, not assumed.
+tests, not assumed.  The block's `unit_gram` stays the raw split, which the
+discriminant form reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from math import prod
 
-from .arith import is_prime, legendre, valuation
+from .arith import is_prime, kronecker, valuation
 from .errors import InternalCheckError, PreconditionError
 from .lattices import Lattice
 
@@ -37,39 +40,29 @@ _MIN_UNIT_PRECISION = 4
 
 
 @dataclass(frozen=True)
-class TwoAdicData:
-    """Even/odd split of a 2-adic unimodular block.
+class JordanBlock:
+    """One constituent p^level U of the decomposition.
 
-    odd_units are diagonal units mod 8; after normalization at most two
-    remain.  chi_even is the chi invariant of the even part (+1 for the empty
-    part, the empty sum of hyperbolic planes).
+    unit_gram is U as split (diagonal at odd p; at p = 2 a block sum of
+    rank-1 odd and 2x2 even pieces), with entries mod p^(v_p(det) + 3).  At
+    odd p, chi is the Legendre symbol of (-1)^(rank/2) det U (0 at odd rank)
+    and odd_units is empty.  At p = 2, odd_units are the odd part's units
+    mod 8, compressed to at most two and sorted, and chi is the chi of the
+    even part after compression (+1 for the empty even part); the even rank
+    is rank - len(odd_units).
     """
 
-    even_rank: int
-    chi_even: int
-    odd_units: tuple[int, ...]
-
-    @property
-    def is_even(self) -> bool:
-        return not self.odd_units
-
-
-
-@dataclass(frozen=True)
-class JordanBlock:
     level: int
     rank: int
     unit_gram: tuple[tuple[int, ...], ...]
     chi: int
-    two_adic: Optional[TwoAdicData] = None
+    odd_units: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class JordanDecomposition:
     p: int
     blocks: tuple[JordanBlock, ...]
-    working_precision: int
-    normalized: bool
 
     @property
     def total_rank(self) -> int:
@@ -78,10 +71,6 @@ class JordanDecomposition:
     @property
     def det_valuation(self) -> int:
         return sum(b.level * b.rank for b in self.blocks)
-
-
-class _PrecisionExhausted(Exception):
-    pass
 
 
 def _pivot_entry(m, p: int):
@@ -93,7 +82,7 @@ def _pivot_entry(m, p: int):
     off-diagonal entry of valuation vmin in row-major order; by symmetry
     that one lies above the diagonal, so only i < j is scanned, and an
     entry is valued only when it is not divisible by p^(best so far).
-    Raises _PrecisionExhausted if every entry is 0.
+    vmin is None if every entry is 0.
     """
     n = len(m)
     best, where = None, None
@@ -112,7 +101,7 @@ def _pivot_entry(m, p: int):
                     return 0, i, j
                 bound = p**best
     if where is None:
-        raise _PrecisionExhausted
+        return None, 0, 0
     return (best, *where)
 
 
@@ -125,7 +114,7 @@ def _split_pieces(gram, p: int, modulus_exp: int):
     and columns of split-off pieces are dropped, since no later step reads
     them, and every update runs over the remaining block only.  The first
     diagonal unit, if any, is the pivot; otherwise `_pivot_entry` scans.
-    Raises _PrecisionExhausted if the precision ledger runs dry.
+    Raises InternalCheckError if the precision ledger runs dry.
     """
     pM = p**modulus_exp
     m = [[x % pM for x in row] for row in gram]
@@ -138,8 +127,8 @@ def _split_pieces(gram, p: int, modulus_exp: int):
             vmin, j = 0, i
         else:
             vmin, i, j = _pivot_entry(m, p)
-        if budget - vmin < _MIN_UNIT_PRECISION:
-            raise _PrecisionExhausted
+        if vmin is None or budget - vmin < _MIN_UNIT_PRECISION:
+            raise InternalCheckError("p-adic precision exhausted in the Jordan split")
         pv = p**vmin
 
         if p != 2 and i != j:
@@ -198,14 +187,37 @@ def _split_pieces(gram, p: int, modulus_exp: int):
     return pieces
 
 
-def _chi_even_piece(piece) -> int:
-    """chi of a 2-adic even binary piece from its determinant class mod 8."""
-    d = (piece[0][0] * piece[1][1] - piece[0][1] * piece[1][0]) % 8
-    if d == 7:
+def _even_chi(det8: int) -> int:
+    """chi of a 2-adic even unimodular binary from its determinant mod 8:
+    +1 (hyperbolic) for 7, -1 for 3."""
+    if det8 == 7:
         return 1
-    if d == 3:
+    if det8 == 3:
         return -1
-    raise InternalCheckError(f"even binary determinant {d} mod 8 is not a unit of even type")
+    raise InternalCheckError(f"even binary determinant {det8} mod 8 is not a unit of even type")
+
+
+def _two_adic_invariants(pieces) -> tuple[int, tuple[int, ...]]:
+    """(chi, odd_units) of a 2-adic block from its split pieces.
+
+    The odd units, sorted mod 8, are compressed while more than two remain:
+    the first three a, b, c become the single unit a+b+c and an even binary
+    of determinant class abc/(a+b+c) mod 8, whose chi joins the even part's.
+    """
+    chi = 1
+    units = []
+    for pc in pieces:
+        if len(pc) == 1:
+            units.append(pc[0][0] % 8)
+        else:
+            chi *= _even_chi((pc[0][0] * pc[1][1] - pc[0][1] * pc[1][0]) % 8)
+    units.sort()
+    while len(units) > 2:
+        a, b, c = units[:3]
+        e = (a + b + c) % 8
+        chi *= _even_chi(a * b * c * pow(e, -1, 8) % 8)
+        units = sorted([e] + units[3:])
+    return chi, tuple(units)
 
 
 def _block_diag(pieces):
@@ -225,59 +237,29 @@ def _assemble(pieces_by_level, p: int, report_exp: int) -> tuple[JordanBlock, ..
     pR = p**report_exp
     blocks = []
     for level in sorted(pieces_by_level):
-        pieces = pieces_by_level[level]
-        rank = sum(len(pc) for pc in pieces)
-        reduced = [[[x % pR for x in row] for row in pc] for pc in pieces]
-        if p != 2:
-            units = [pc[0][0] for pc in reduced]
-            if rank % 2:
-                chi = 0
-            else:
-                det_unit = 1
-                for u in units:
-                    det_unit = det_unit * u % p
-                chi = legendre((-1) ** (rank // 2) * det_unit, p)
-            blocks.append(JordanBlock(level, rank, _block_diag(reduced), chi, None))
+        reduced = [[[x % pR for x in row] for row in pc] for pc in pieces_by_level[level]]
+        gram = _block_diag(reduced)
+        rank = len(gram)
+        if p == 2:
+            chi, odd_units = _two_adic_invariants(reduced)
         else:
-            odd_units = []
-            even_rank = 0
-            chi_even = 1
-            for pc in reduced:
-                if len(pc) == 1:
-                    odd_units.append(pc[0][0] % 8)
-                else:
-                    even_rank += 2
-                    chi_even *= _chi_even_piece(pc)
-            data = TwoAdicData(even_rank, chi_even, tuple(odd_units))
-            blocks.append(JordanBlock(level, rank, _block_diag(reduced), chi_even, data))
+            odd_units = ()
+            det_unit = prod(pc[0][0] % p for pc in reduced)
+            chi = 0 if rank % 2 else kronecker((-1) ** (rank // 2) * det_unit, p)
+        blocks.append(JordanBlock(level, rank, gram, chi, odd_units))
     return tuple(blocks)
 
 
 def jordan_decompose(lattice: Lattice, p: int) -> JordanDecomposition:
-    """Jordan decomposition of L over Z_p.
-
-    For p = 2 the result is in raw split form (each block a sum of rank-1 odd
-    and rank-2 even pieces); apply `two_adic_normalize` to compress odd parts
-    to rank <= 2 before feeding density formulas.
-    """
+    """Jordan decomposition of L over Z_p, one block per level; at p = 2
+    each block carries its compressed odd part and even-part chi."""
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     vdet = valuation(lattice.det, p)
-    report_exp = vdet + 3
-    modulus_exp = 2 * vdet + 8
-    for _ in range(6):
-        try:
-            raw = _split_pieces(lattice.gram, p, modulus_exp)
-            break
-        except _PrecisionExhausted:  # pragma: no cover - ledger is conservative
-            modulus_exp *= 2
-    else:  # pragma: no cover
-        raise InternalCheckError("p-adic precision kept collapsing; giving up")
     by_level: dict[int, list] = {}
-    for level, piece in raw:
+    for level, piece in _split_pieces(lattice.gram, p, 2 * vdet + 8):
         by_level.setdefault(level, []).append(piece)
-    blocks = _assemble(by_level, p, report_exp)
-    decomp = JordanDecomposition(p, blocks, report_exp, normalized=(p != 2))
+    decomp = JordanDecomposition(p, _assemble(by_level, p, vdet + 3))
     if decomp.total_rank != lattice.rank:
         raise InternalCheckError("Jordan blocks do not exhaust the rank")
     if decomp.det_valuation != vdet:
@@ -286,53 +268,3 @@ def jordan_decompose(lattice: Lattice, p: int) -> JordanDecomposition:
             f"v_p(det) = {vdet}"
         )
     return decomp
-
-
-def _canonical_even_gram(even_rank: int, chi_even: int):
-    """Canonical even part: hyperbolic planes, the last one replaced by the
-    non-hyperbolic binary when chi is -1."""
-    pieces = []
-    for k in range(even_rank // 2):
-        last = k == even_rank // 2 - 1
-        pieces.append([[2, 1], [1, 2]] if (last and chi_even == -1) else [[0, 1], [1, 0]])
-    return pieces
-
-
-def two_adic_normalize(decomp: JordanDecomposition) -> JordanDecomposition:
-    """Compress every 2-adic odd part to rank <= 2.
-
-    Three odd units a, b, c are replaced by the single unit a+b+c together
-    with an even binary of determinant class abc/(a+b+c) mod 8 (hyperbolic
-    for class 7, non-hyperbolic for class 3).  Rank and determinant class are
-    preserved; the resulting invariants are exactly the ones the 2-adic
-    density formula consumes.
-    """
-    if decomp.p != 2:
-        raise PreconditionError("two_adic_normalize applies to p = 2 only")
-    if decomp.normalized:
-        return decomp
-    new_blocks = []
-    for block in decomp.blocks:
-        data = block.two_adic
-        units = sorted(data.odd_units)
-        even_rank = data.even_rank
-        chi_even = data.chi_even
-        while len(units) > 2:
-            a, b, c = units[:3]
-            e = (a + b + c) % 8
-            delta = a * b * c * pow(e, -1, 8) % 8
-            if delta == 3:
-                chi_even = -chi_even
-            elif delta != 7:
-                raise InternalCheckError(f"absorbed binary has determinant {delta} mod 8")
-            even_rank += 2
-            units = sorted([e] + units[3:])
-        data2 = TwoAdicData(even_rank, chi_even, tuple(units))
-        pieces = [[[u]] for u in units] + _canonical_even_gram(even_rank, chi_even)
-        new_blocks.append(
-            replace(block, unit_gram=_block_diag(pieces), chi=chi_even, two_adic=data2)
-        )
-    out = JordanDecomposition(2, tuple(new_blocks), decomp.working_precision, normalized=True)
-    if out.total_rank != decomp.total_rank or out.det_valuation != decomp.det_valuation:
-        raise InternalCheckError("normalization changed rank or determinant valuation")
-    return out

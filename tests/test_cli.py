@@ -1,7 +1,12 @@
+import dataclasses
 import gc
 import json
 
-from hmvol.cli import main
+import pytest
+
+from hmvol.cli import _print_report, main
+from hmvol.expr import lattice_from_text
+from hmvol.volumes import build_report
 
 
 def run(capsys, *argv):
@@ -122,7 +127,7 @@ def test_catalog_unknown_family(capsys):
 def test_analyze_oracle_check_flag(capsys):
     code, out, _ = run(capsys, "analyze", "<1> + <1> + <-1>", "--group", "O", "--oracle-check")
     assert code == 0
-    assert "oracle check" in out and "match" in out
+    assert "oracle check p=2: guard-capped at r=3, value 2 (not comparable)" in out
 
 
 def test_analyze_oracle_check_notes_infeasible_prime(capsys):
@@ -133,6 +138,43 @@ def test_analyze_oracle_check_notes_infeasible_prime(capsys):
     assert "note: oracle check at p=11 skipped" in out
     assert "oracle check p=2: guard-capped at r=3" in out
     assert "oracle check p=11:" not in out
+
+
+def test_guard_capped_oracle_check_claims_no_verdict(capsys):
+    # a guard-capped depth is below stabilization: neither "match" (the value
+    # of <1> + <1> + <-1> happens to equal alpha_2) nor "MISMATCH" (U + <-22>)
+    for text in ("U + <-22>", "<1> + <1> + <-1>"):
+        code, out, _ = run(capsys, "analyze", text, "--oracle-check")
+        assert code == 0
+        assert "guard-capped at r=3" in out and "(not comparable)" in out
+        assert "match" not in out.lower()
+
+
+def test_stabilized_oracle_check_prints_verdict(capsys):
+    report = build_report(lattice_from_text("<1> + <1> + <-1>"), tags=("O",), oracle_check=True)
+    for matches, verdict in ((True, "(match)"), (False, "(MISMATCH)")):
+        check = dict(report.oracle_checks[0], stable=True, matches_formula=matches)
+        _print_report(dataclasses.replace(report, oracle_checks=[check]), None)
+        assert f"oracle check p=2: stabilized at r=3, value 2 {verdict}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "L", "--d", "1..x"),
+    ("catalog", "L", "--d", "1..2..3"),
+    ("analyze", "2*U + <-2>", "--precision", "0"),
+    ("analyze", "2*U + <-2>", "--precision", "-3"),
+])
+def test_malformed_option_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"error: argument {argv[2]}" in capsys.readouterr().err
+
+
+def test_catalog_mixed_range(capsys):
+    code, out, _ = run(capsys, "catalog", "L", "--m", "0", "--d", "1..2, 5")
+    assert code == 0
+    assert [line.split()[2] for line in out.splitlines()] == ["d=1", "d=2", "d=5"]
 
 
 def test_catalog_mismatch_exits_nonzero(capsys, monkeypatch):

@@ -14,10 +14,8 @@ from hmvol.jordan import (
     _MIN_UNIT_PRECISION,
     JordanDecomposition,
     _assemble,
-    _PrecisionExhausted,
     _split_pieces,
     jordan_decompose,
-    two_adic_normalize,
 )
 from hmvol.lattices import (
     Lattice,
@@ -64,10 +62,8 @@ def scan_split_pieces(gram, p: int, modulus_exp: int):
                 v = entry_val(i, j)
                 if v is not None and (vmin is None or v < vmin or (v == vmin and i == j and not on_diag)):
                     vmin, where, on_diag = v, (i, j), i == j
-        if vmin is None:
-            raise _PrecisionExhausted
-        if budget - vmin < _MIN_UNIT_PRECISION:
-            raise _PrecisionExhausted
+        if vmin is None or budget - vmin < _MIN_UNIT_PRECISION:
+            raise InternalCheckError("p-adic precision exhausted in the Jordan split")
         i, j = where
 
         if p != 2 and not on_diag:
@@ -146,13 +142,13 @@ def scan_split_pieces(gram, p: int, modulus_exp: int):
 
 
 def scan_decompose(lattice: Lattice, p: int) -> JordanDecomposition:
-    """`jordan_decompose` assembled from `scan_split_pieces` (at the first
-    working precision, which the ledger never exhausts on these inputs)."""
+    """`jordan_decompose` assembled from `scan_split_pieces` at the same
+    working precision."""
     vdet = valuation(lattice.det, p)
     by_level: dict[int, list] = {}
     for level, piece in scan_split_pieces(lattice.gram, p, 2 * vdet + 8):
         by_level.setdefault(level, []).append(piece)
-    return JordanDecomposition(p, _assemble(by_level, p, vdet + 3), vdet + 3, normalized=(p != 2))
+    return JordanDecomposition(p, _assemble(by_level, p, vdet + 3))
 
 
 def _assert_matches_scan(lattice: Lattice, p: int) -> None:
@@ -160,7 +156,7 @@ def _assert_matches_scan(lattice: Lattice, p: int) -> None:
     for modulus_exp in (2 * vdet + 8, vdet + 5):  # the working and a scarce precision
         try:
             expected = scan_split_pieces(lattice.gram, p, modulus_exp)
-        except (_PrecisionExhausted, InternalCheckError) as exc:
+        except InternalCheckError as exc:
             with pytest.raises(type(exc)):
                 _split_pieces(lattice.gram, p, modulus_exp)
         else:
@@ -169,11 +165,11 @@ def _assert_matches_scan(lattice: Lattice, p: int) -> None:
 
 
 @st.composite
-def _gram_and_prime(draw):
-    """A prime p in {2, 3, 5, 7} and a nonsingular symmetric Gram of rank
+def _gram_and_prime(draw, primes=(2, 3, 5, 7)):
+    """A prime p from `primes` and a nonsingular symmetric Gram of rank
     <= 8 whose entries are small multiples of powers of p; about a third
     have a zero diagonal (the off-diagonal pivot branches)."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
+    p = draw(st.sampled_from(primes))
     n = draw(st.integers(min_value=1, max_value=8))
     zero_diagonal = draw(st.integers(min_value=0, max_value=2)) == 0
     entries = st.builds(lambda u, e: u * p**e, st.integers(-9, 9), st.sampled_from([0, 0, 1, 2, 3]))
@@ -195,7 +191,9 @@ def test_split_matches_full_scan_oracle(case):
     _assert_matches_scan(*case)
 
 
-def test_split_matches_full_scan_oracle_on_corpora():
+def _corpus() -> list[Lattice]:
+    """The oracle and signature-(2, n) corpora, the II, T, L, K and N
+    families, and 100 random direct sums."""
     corpus = [lattice_from_text(t) for t in ORACLE_CORPUS + SIGNATURE_2N_EXPRESSIONS]
     corpus += [unimodular_ii(m) for m in range(3)] + [t_lattice(m) for m in range(3)]
     for m in (0, 2):
@@ -205,9 +203,65 @@ def test_split_matches_full_scan_oracle_on_corpora():
                 corpus.append(n_lattice(m, d))
     rng = random.Random(7)
     corpus += [_random_lattice(rng) for _ in range(100)]
-    for lattice in corpus:
+    return corpus
+
+
+def test_split_matches_full_scan_oracle_on_corpora():
+    for lattice in _corpus():
         for p in sorted({2, 3, 5, 7, *bad_primes(lattice)}):
             _assert_matches_scan(lattice, p)
+
+
+# ------------------------- the sequential 2-adic compression, as oracle
+
+def sequential_two_adic_blocks(lattice: Lattice) -> list[tuple]:
+    """(level, rank, chi, odd_units) per 2-adic block, by the route taken
+    before `jordan_decompose` compressed the odd part itself: the raw
+    split's odd units mod 8 and even-piece chi per level, then three sorted
+    units at a time a, b, c become <a+b+c> and an even binary whose
+    determinant class abc/(a+b+c) mod 8 is 7 (chi +1) or 3 (chi -1)."""
+    vdet = valuation(lattice.det, 2)
+    by_level: dict[int, list] = {}
+    for level, piece in _split_pieces(lattice.gram, 2, 2 * vdet + 8):
+        by_level.setdefault(level, []).append(piece)
+    blocks = []
+    for level in sorted(by_level):
+        units, even_rank, chi_even = [], 0, 1
+        for pc in by_level[level]:
+            if len(pc) == 1:
+                units.append(pc[0][0] % 8)
+            else:
+                even_rank += 2
+                chi_even *= {7: 1, 3: -1}[(pc[0][0] * pc[1][1] - pc[0][1] ** 2) % 8]
+        units.sort()
+        while len(units) > 2:
+            a, b, c = units[:3]
+            e = (a + b + c) % 8
+            delta = a * b * c * pow(e, -1, 8) % 8
+            assert delta in (3, 7)
+            if delta == 3:
+                chi_even = -chi_even
+            even_rank += 2
+            units = sorted([e] + units[3:])
+        blocks.append((level, even_rank + len(units), chi_even, tuple(units)))
+    return blocks
+
+
+def _assert_matches_sequential(lattice: Lattice) -> None:
+    dec = jordan_decompose(lattice, 2)
+    got = [(b.level, b.rank, b.chi, b.odd_units) for b in dec.blocks]
+    assert got == sequential_two_adic_blocks(lattice), lattice.gram
+
+
+@given(_gram_and_prime(primes=(2,)))
+@settings(max_examples=200, deadline=None)
+def test_two_adic_compression_matches_sequential_oracle(case):
+    _assert_matches_sequential(case[0])
+
+
+def test_two_adic_compression_matches_sequential_oracle_on_corpora():
+    for lattice in _corpus():
+        _assert_matches_sequential(lattice)
 
 
 def test_hyperbolic_plane_odd_prime():
@@ -219,11 +273,11 @@ def test_hyperbolic_plane_odd_prime():
 
 def test_t_lattice_two_adic_blocks():
     lat = direct_sum(hyperbolic_plane(), hyperbolic_plane(2), e8(-1))
-    dec = two_adic_normalize(jordan_decompose(lat, 2))
+    dec = jordan_decompose(lat, 2)
     assert [b.level for b in dec.blocks] == [0, 1]
     b0, b1 = dec.blocks
-    assert (b0.rank, b0.two_adic.is_even, b0.chi) == (10, True, 1)
-    assert (b1.rank, b1.two_adic.is_even, b1.chi) == (2, True, 1)
+    assert (b0.rank, b0.odd_units, b0.chi) == (10, (), 1)
+    assert (b1.rank, b1.odd_units, b1.chi) == (2, (), 1)
 
 
 def test_e8_two_adic_single_even_block():
@@ -231,7 +285,7 @@ def test_e8_two_adic_single_even_block():
     assert len(dec.blocks) == 1
     b = dec.blocks[0]
     assert (b.level, b.rank) == (0, 8)
-    assert b.two_adic.is_even
+    assert b.odd_units == ()
     assert b.chi == 1
 
 
@@ -254,28 +308,24 @@ def test_block_chi_odd_prime_square_class():
 
 
 def test_normalize_single_hyperbolic_piece():
-    dec = two_adic_normalize(jordan_decompose(hyperbolic_plane(), 2))
-    data = dec.blocks[0].two_adic
-    assert (data.even_rank, data.odd_units, data.is_even) == (2, (), True)
+    b = jordan_decompose(hyperbolic_plane(), 2).blocks[0]
+    assert (b.rank, b.odd_units, b.chi) == (2, (), 1)
 
 
 def test_normalize_three_odd_units():
     lat = direct_sum(rank_one(1), rank_one(1), rank_one(1))
-    dec = two_adic_normalize(jordan_decompose(lat, 2))
-    data = dec.blocks[0].two_adic
-    assert data.even_rank + len(data.odd_units) == 3
-    assert len(data.odd_units) == 1
+    b = jordan_decompose(lat, 2).blocks[0]
+    assert b.rank == 3
     # <1,1,1> ~ <3> + non-hyperbolic even binary
-    assert data.odd_units == (3,)
-    assert data.chi_even == -1
+    assert b.odd_units == (3,)
+    assert b.chi == -1
 
 
 def test_normalize_opposite_units_stay():
     lat = direct_sum(rank_one(1), rank_one(-1))
-    dec = two_adic_normalize(jordan_decompose(lat, 2))
-    data = dec.blocks[0].two_adic
-    assert sorted(data.odd_units) == [1, 7]
-    assert data.even_rank == 0
+    b = jordan_decompose(lat, 2).blocks[0]
+    assert b.odd_units == (1, 7)
+    assert (b.rank, b.chi) == (2, 1)
 
 
 def test_rejects_nonprime():
