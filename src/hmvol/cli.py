@@ -246,7 +246,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     a.add_argument("expr", help='lattice expression, e.g. "2*U + 2*E8(-1) + <-4>"')
     a.add_argument("--group", action="append", choices=list(GROUP_TAGS),
                    help="group tag (repeatable); default: every applicable tag")
-    a.add_argument("--gsp", type=int, default=1, help="number of proper spinor genera (default 1)")
+    a.add_argument("--gsp", type=_positive_int, default=1, help="number of proper spinor genera (default 1)")
     a.add_argument("--json", action="store_true", help="emit the report as JSON")
     a.add_argument("--oracle-check", action="store_true",
                    help="verify densities against the counting oracle (rank <= 3)")

@@ -9,7 +9,16 @@ diagonal unit when there is one, else found by one scan of the remaining
 block; the elimination keeps only that remaining (active) block, so every
 row and column update runs over the active indices alone.
 
-All arithmetic runs modulo p^M with M = 2 v_p(det) + 8.  A split-off piece
+A direct sum is split one summand at a time: `jordan_decompose` splits each
+distinct summand Gram once and concatenates the pieces, and `_assemble`
+sorts the pieces within each level.  On a block-diagonal Gram the
+elimination never mixes blocks, and its pivot rule restricted to one block
+picks what it would pick on that block alone, so the split of the whole
+Gram is an interleaving of the summand splits; sorting makes the
+interleaving irrelevant.  Only the non-unimodular atoms bring bad primes.
+
+All arithmetic runs modulo p^M with M = 2 v_p(det) + 8, det that of the
+whole lattice, also when a summand is split on its own.  A split-off piece
 of level l costs l (a 2x2 piece 2l) digits of the precision ledger, and the
 levels sum to v_p(det), so every entry of the active block stays exact mod
 p^(v_p(det) + 8): the active block never vanishes and every pivot keeps
@@ -237,7 +246,7 @@ def _assemble(pieces_by_level, p: int, report_exp: int) -> tuple[JordanBlock, ..
     pR = p**report_exp
     blocks = []
     for level in sorted(pieces_by_level):
-        reduced = [[[x % pR for x in row] for row in pc] for pc in pieces_by_level[level]]
+        reduced = sorted([[x % pR for x in row] for row in pc] for pc in pieces_by_level[level])
         gram = _block_diag(reduced)
         rank = len(gram)
         if p == 2:
@@ -252,13 +261,18 @@ def _assemble(pieces_by_level, p: int, report_exp: int) -> tuple[JordanBlock, ..
 
 def jordan_decompose(lattice: Lattice, p: int) -> JordanDecomposition:
     """Jordan decomposition of L over Z_p, one block per level; at p = 2
-    each block carries its compressed odd part and even-part chi."""
+    each block carries its compressed odd part and even-part chi.  A direct
+    sum is split once per distinct summand Gram, at L's precision."""
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     vdet = valuation(lattice.det, p)
+    splits = {}
     by_level: dict[int, list] = {}
-    for level, piece in _split_pieces(lattice.gram, p, 2 * vdet + 8):
-        by_level.setdefault(level, []).append(piece)
+    for part in lattice.summands or (lattice,):
+        if part.gram not in splits:
+            splits[part.gram] = _split_pieces(part.gram, p, 2 * vdet + 8)
+        for level, piece in splits[part.gram]:
+            by_level.setdefault(level, []).append(piece)
     decomp = JordanDecomposition(p, _assemble(by_level, p, vdet + 3))
     if decomp.total_rank != lattice.rank:
         raise InternalCheckError("Jordan blocks do not exhaust the rank")

@@ -1,9 +1,14 @@
 """Integral lattices given by symmetric Gram matrices, with exact invariants.
 
 A lattice here is a free Z-module of finite rank with an integer-valued
-symmetric bilinear form.  Determinant and signature are computed exactly by
-one fraction-free (Bareiss) congruence elimination over Z; no fraction or
-floating point enters anywhere.
+symmetric bilinear form.  Determinant and signature are exact, and no
+fraction or floating point enters anywhere.  A Gram literal gets them from
+one fraction-free (Bareiss) congruence elimination over Z.  The named atoms
+U(k) and <k> have them in closed form, E8(k) rescales one E8 eliminated at
+import, and rescaling multiplies det by c^rank and swaps the signature when
+c < 0.  A direct sum records its atoms (`summands`, nested sums flattened)
+and takes det as their product and the signature as their sum, so no
+elimination runs on its Gram; `jordan_decompose` splits the atoms too.
 
 Constructors also track whether a hyperbolic-plane direct summand is
 syntactically present, which downstream code uses to justify the
@@ -13,6 +18,7 @@ one-class-per-genus assumption for index computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Sequence
 
 from .arith import factorize
@@ -86,17 +92,26 @@ def _det_and_signature(rows: Gram) -> tuple[int, Signature]:
 
 
 class Lattice:
-    """Nondegenerate integral lattice with cached rank/det/signature."""
+    """Nondegenerate integral lattice with cached rank/det/signature.
 
-    __slots__ = ("gram", "rank", "det", "signature", "has_hyperbolic_summand", "_det_factors")
+    `Lattice(gram)` validates a Gram literal and eliminates it; it has no
+    hyperbolic summand.  The constructors below build the named atoms,
+    rescalings and direct sums through `_known`, from invariants they
+    already have.  `summands` holds
+    the atoms of a direct sum in order, nested sums flattened, and is empty
+    for an atom.
+    """
 
-    def __init__(self, gram: Iterable[Sequence[int]], *, hyperbolic_summand: bool = False):
+    __slots__ = (
+        "gram", "rank", "det", "signature", "has_hyperbolic_summand", "summands", "_det_factors",
+    )
+
+    def __init__(self, gram: Iterable[Sequence[int]]):
         g = _freeze(gram)
         n = len(g)
         if n == 0:
             raise PreconditionError("lattice must have positive rank")
-        if n > RANK_CAP:
-            raise PreconditionError(f"rank {n} exceeds cap {RANK_CAP}")
+        _check_rank(n)
         if any(len(row) != n for row in g):
             raise PreconditionError("Gram matrix must be square")
         for i in range(n):
@@ -108,11 +123,26 @@ class Lattice:
                         f"Gram matrix is not symmetric at ({i},{j}): {g[i][j]} != {g[j][i]}"
                     )
         det, signature = _det_and_signature(g)
-        object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "rank", n)
+        self._fill(g, det, signature, False, ())
+
+    @classmethod
+    def _known(
+        cls, gram: Gram, det: int, signature: Signature, hyperbolic_summand: bool,
+        summands: tuple[Lattice, ...] = (),
+    ) -> Lattice:
+        """A lattice whose Gram is already valid (square, symmetric, entries
+        under the cap) and whose det and signature are known: no elimination."""
+        lattice = object.__new__(cls)
+        lattice._fill(gram, det, signature, hyperbolic_summand, summands)
+        return lattice
+
+    def _fill(self, gram, det, signature, hyperbolic_summand, summands) -> None:
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "rank", len(gram))
         object.__setattr__(self, "det", det)
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "has_hyperbolic_summand", bool(hyperbolic_summand))
+        object.__setattr__(self, "summands", summands)
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice instances are immutable")
@@ -143,6 +173,17 @@ class Lattice:
         return f"Lattice(rank={self.rank}, det={self.det}, signature={self.signature})"
 
 
+def _check_rank(n: int) -> None:
+    if n > RANK_CAP:
+        raise PreconditionError(f"rank {n} exceeds cap {RANK_CAP}")
+
+
+def _check_entries(gram: Gram) -> None:
+    big = next((x for row in gram for x in row if abs(x) >= ENTRY_CAP), None)
+    if big is not None:
+        raise PreconditionError(f"entry {big} exceeds cap 2^63")
+
+
 _E8_EDGES = ((1, 3), (3, 4), (2, 4), (4, 5), (5, 6), (6, 7), (7, 8))
 
 
@@ -155,29 +196,30 @@ def _e8_gram() -> Gram:
     return _freeze(m)
 
 
+_E8 = Lattice(_e8_gram())
+
+
 def hyperbolic_plane(scale: int = 1) -> Lattice:
     """U(scale): Gram [[0, scale], [scale, 0]]; U(1) and U(-1) are hyperbolic planes."""
     if scale == 0:
         raise PreconditionError("scale must be nonzero")
-    return Lattice(
-        [[0, scale], [scale, 0]],
-        hyperbolic_summand=scale in (1, -1),
-    )
+    gram = ((0, scale), (scale, 0))
+    _check_entries(gram)
+    return Lattice._known(gram, -scale * scale, Signature(1, 1), scale in (1, -1))
 
 
 def e8(scale: int = 1) -> Lattice:
     """The E8 root lattice Gram (standard Cartan matrix), rescaled by `scale`."""
-    if scale == 0:
-        raise PreconditionError("scale must be nonzero")
-    base = _e8_gram()
-    return Lattice([[scale * x for x in row] for row in base])
+    return rescale(_E8, scale)
 
 
 def rank_one(k: int) -> Lattice:
     """<k>: the rank-1 lattice with Gram [k]."""
     if k == 0:
         raise PreconditionError("rank-1 Gram entry must be nonzero")
-    return Lattice([[k]])
+    gram = ((k,),)
+    _check_entries(gram)
+    return Lattice._known(gram, k, Signature(1, 0) if k > 0 else Signature(0, 1), False)
 
 
 def from_gram(rows: Iterable[Sequence[int]]) -> Lattice:
@@ -185,25 +227,39 @@ def from_gram(rows: Iterable[Sequence[int]]) -> Lattice:
 
 
 def rescale(lattice: Lattice, c: int) -> Lattice:
-    """L(c): multiply every Gram entry by c."""
+    """L(c): multiply every Gram entry by c; det gains c^rank and c < 0
+    swaps the signature."""
     if c == 0:
         raise PreconditionError("scale must be nonzero")
-    return Lattice(
-        [[c * x for x in row] for row in lattice.gram],
-        hyperbolic_summand=lattice.has_hyperbolic_summand and c in (1, -1),
+    gram = tuple(tuple(c * x for x in row) for row in lattice.gram)
+    _check_entries(gram)
+    pos, neg = lattice.signature
+    return Lattice._known(
+        gram,
+        c**lattice.rank * lattice.det,
+        Signature(pos, neg) if c > 0 else Signature(neg, pos),
+        lattice.has_hyperbolic_summand and c in (1, -1),
     )
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:
-    """Orthogonal (block-diagonal) sum."""
+    """Orthogonal (block-diagonal) sum: det is the product and the signature
+    the sum of the summands', whose Grams are already validated."""
     if not lattices:
         raise PreconditionError("direct_sum needs at least one summand")
     n = sum(l.rank for l in lattices)
-    rows = [[0] * n for _ in range(n)]
+    _check_rank(n)
+    rows = []
     offset = 0
     for lat in lattices:
-        for i in range(lat.rank):
-            for j in range(lat.rank):
-                rows[offset + i][offset + j] = lat.gram[i][j]
+        left, right = (0,) * offset, (0,) * (n - offset - lat.rank)
+        rows.extend(left + row + right for row in lat.gram)
         offset += lat.rank
-    return Lattice(rows, hyperbolic_summand=any(l.has_hyperbolic_summand for l in lattices))
+    return Lattice._known(
+        tuple(rows),
+        prod(l.det for l in lattices),
+        Signature(sum(l.signature.positive for l in lattices),
+                  sum(l.signature.negative for l in lattices)),
+        any(l.has_hyperbolic_summand for l in lattices),
+        tuple(atom for l in lattices for atom in (l.summands or (l,))),
+    )

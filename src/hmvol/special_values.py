@@ -12,13 +12,12 @@ volume collapses to a plain rational (the pi powers and surds cancel), which
 is asserted downstream.  Only a radicand given to the constructor is
 factored; two squarefree radicands multiply through their gcd.
 
-Bernoulli numbers come from one pass over the defining recurrence in
-increasing index, and the generalized Bernoulli number B_{k,chi} of a
-character of conductor f from the integer power sums
-S_j = sum_{a=1}^{f} chi(a) a^j (binomial expansion of B_k(a/f)), combined
-over one common denominator.  The values chi_D(a), a < f, are one table built
-from the prime discriminants of D: squares mod p for each odd p | D, and a
-table mod 4 or 8 for the 2-part.
+Bernoulli numbers are read off the integer tangent numbers, and the
+generalized Bernoulli number B_{k,chi} of a character of conductor f comes
+from the integer power sums S_j = sum_{a=1}^{f} chi(a) a^j (binomial
+expansion of B_k(a/f)), combined over one common denominator.  The values
+chi_D(a), a < f, are one table built from the prime discriminants of D:
+squares mod p for each odd p | D, and a table mod 4 or 8 for the 2-part.
 
 L-values at positive integers are obtained from generalized Bernoulli numbers
 through the completed functional equation; the even-character case follows
@@ -163,16 +162,29 @@ def _rational(x) -> Fraction | int:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
+def _tangent_numbers(count: int) -> list[int]:
+    """[0, T_1, ..., T_count]: the tangent numbers, tan x = sum T_k
+    x^(2k-1) / (2k-1)!, from the Knuth-Buckholtz integer triangle
+    (Brent-Harvey 2011, Algorithm TangentNumbers), O(count^2) integer
+    operations."""
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
 @cache
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (convention B_1 = -1/2).
 
-    Computed from the defining recurrence sum_{k=0}^{n} C(n+1,k) B_k = 0.
-    Odd n >= 3 gives 0; callers in the volume pipeline only use even n.
-    The loop asks for B_2, B_4, ... in increasing order, so each is already
-    cached or computed by one loop over cached values: a cold B_n costs one
-    pass over the recurrence, O(n^2) rational operations, and the recursion
-    is never more than two calls deep.
+    Even n = 2k >= 2 reads B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) off
+    the integer tangent number T_k, so a cold B_n costs O(n^2) integer
+    operations and one reduction of the fraction, and no call depends on
+    another.  Odd n >= 3 gives 0; callers in the volume pipeline only use
+    even n.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
@@ -182,10 +194,9 @@ def bernoulli(n: int) -> Fraction:
         return Fraction(-1, 2)
     if n % 2:
         return Fraction(0)
-    acc = 1 - Fraction(n + 1, 2)  # the k = 0 and k = 1 terms
-    for k in range(2, n, 2):
-        acc += math.comb(n + 1, k) * bernoulli(k)
-    return -acc / (n + 1)
+    k = n // 2
+    four_k = 4**k
+    return Fraction((-1) ** (k - 1) * n * _tangent_numbers(k)[k], four_k * (four_k - 1))
 
 
 def fundamental_discriminant(m: int) -> tuple[int, int]:

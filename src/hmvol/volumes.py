@@ -202,6 +202,8 @@ def build_report(
     vol_HM(O(L)) from that.  Every tag's volume is its index times
     vol_HM(O(L)), and its cusp term is 2/n! times that volume.
     """
+    if g_sp_plus < 1:
+        raise PreconditionError("spinor genus count must be a positive integer")
     if lattice.rank < 3:
         raise PreconditionError("volume formula needs rank >= 3")
     if lattice.is_definite:
@@ -219,8 +221,6 @@ def build_report(
     decomps = [jordan_decompose(lattice, p) for p in bad]
     densities = [density_from_decomposition(d) for d in decomps]
     euler = _euler_product(lattice, densities)
-    if g_sp_plus < 1:
-        raise PreconditionError("spinor genus count must be a positive integer")
     exact = (
         SymbolicReal(Fraction(2, g_sp_plus))
         * _det_power(lattice)

@@ -163,6 +163,8 @@ def test_stabilized_oracle_check_prints_verdict(capsys):
     ("catalog", "L", "--d", "1..2..3"),
     ("analyze", "2*U + <-2>", "--precision", "0"),
     ("analyze", "2*U + <-2>", "--precision", "-3"),
+    ("analyze", "2*U + <-2>", "--gsp", "0"),
+    ("analyze", "2*U + <-2>", "--gsp", "-1"),
 ])
 def test_malformed_option_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -206,6 +206,35 @@ def _corpus() -> list[Lattice]:
     return corpus
 
 
+def test_direct_sum_splits_each_summand_once(monkeypatch):
+    # L(2, 6) = 2U + 2E8(-1) + <-12> is built with no elimination, and each
+    # of its three distinct summands is split once at each bad prime
+    from hmvol import jordan, lattices
+
+    eliminated, split = [], []
+    det_and_signature, split_pieces = lattices._det_and_signature, jordan._split_pieces
+
+    def recording_det(gram):
+        eliminated.append(gram)
+        return det_and_signature(gram)
+
+    def recording_split(gram, p, modulus_exp):
+        split.append((gram, p))
+        return split_pieces(gram, p, modulus_exp)
+
+    monkeypatch.setattr(lattices, "_det_and_signature", recording_det)
+    monkeypatch.setattr(jordan, "_split_pieces", recording_split)
+    lat = l_lattice(2, 6)
+    primes = bad_primes(lat)
+    assert primes == (2, 3)
+    decomps = [jordan_decompose(lat, p) for p in primes]
+    assert eliminated == []
+    atoms = {atom.gram for atom in lat.summands}
+    assert len(atoms) == 3
+    assert sorted(split) == sorted((gram, p) for gram in atoms for p in primes)
+    assert decomps == [scan_decompose(lat, p) for p in primes]
+
+
 def test_split_matches_full_scan_oracle_on_corpora():
     for lattice in _corpus():
         for p in sorted({2, 3, 5, 7, *bad_primes(lattice)}):

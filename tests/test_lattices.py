@@ -2,13 +2,16 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hmvol.arith import factorize
 from hmvol.errors import PreconditionError
+from hmvol.jordan import jordan_decompose
 from hmvol.lattices import (
     Gram,
     Signature,
+    _det_and_signature,
     direct_sum,
     e8,
     from_gram,
@@ -316,6 +319,53 @@ def test_det_matches_cofactor_expansion(rows):
     assert lat.det == det
     assert (lat.det, lat.signature) == fraction_det_and_signature(lat.gram)
     assert tuple(lat.signature) == descartes_inertia(rows)
+
+
+_nonzero = st.integers(min_value=-6, max_value=6).filter(bool)
+
+
+@st.composite
+def _gram_literals(draw):
+    """Nonsingular symmetric Gram literals of rank <= 3, small entries."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(min_value=-4, max_value=4))
+    assume(cofactor_det(rows) != 0)
+    return from_gram(rows)
+
+
+_sum_atoms = st.one_of(
+    st.builds(hyperbolic_plane, _nonzero),
+    st.builds(e8, _nonzero),
+    st.builds(rank_one, st.integers(min_value=-24, max_value=24).filter(bool)),
+    _gram_literals(),
+)
+# nested sums, and rescaled sums, which are atoms again
+_sums = st.recursive(
+    _sum_atoms,
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(lambda parts: direct_sum(*parts)),
+        st.builds(rescale, inner, _nonzero),
+    ),
+    max_leaves=4,
+)
+
+
+@given(_sums)
+@settings(max_examples=80, deadline=None)
+def test_direct_sum_invariants_match_the_full_gram(lat):
+    # det and signature read off the summands agree with both eliminations
+    # of the full Gram, and so does the Jordan split summand by summand
+    assert (lat.det, lat.signature) == _det_and_signature(lat.gram)
+    assert (lat.det, lat.signature) == fraction_det_and_signature(lat.gram)
+    assert all(not atom.summands for atom in lat.summands)
+    if lat.summands:
+        assert direct_sum(*lat.summands).gram == lat.gram
+    full = from_gram(lat.gram)
+    for p in sorted(set(factorize(2 * abs(lat.det)))):
+        assert jordan_decompose(lat, p) == jordan_decompose(full, p), p
 
 
 def test_descartes_inertia_reference():

@@ -1,3 +1,4 @@
+import functools
 import math
 import operator
 import os
@@ -44,7 +45,34 @@ def zeta_negative(n: int) -> Fraction:
     return -bernoulli(k2) / k2
 
 
+@functools.cache
+def recurrence_bernoulli(n: int) -> Fraction:
+    """B_n from the defining recurrence sum_{k=0}^{n} C(n+1,k) B_k = 0 in
+    Fractions, each value cached: the route `bernoulli` took before the
+    tangent numbers, kept as its oracle."""
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    acc = 1 - Fraction(n + 1, 2)  # the k = 0 and k = 1 terms
+    for k in range(2, n, 2):
+        acc += math.comb(n + 1, k) * recurrence_bernoulli(k)
+    return -acc / (n + 1)
+
+
 # ------------------------------------------------------------- Bernoulli
+
+def test_bernoulli_matches_recurrence_oracle():
+    for n in range(130):
+        assert bernoulli(n) == recurrence_bernoulli(n), n
+
+
+def test_tangent_numbers():
+    # OEIS A000182
+    assert special_values._tangent_numbers(7) == [0, 1, 2, 16, 272, 7936, 353792, 22368256]
+
 
 def test_bernoulli_values():
     assert bernoulli(2) == Fraction(1, 6)
