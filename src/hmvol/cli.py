@@ -153,14 +153,18 @@ _CATALOG_DEFAULTS = {
 
 
 def _parse_range(spec: str) -> tuple[int, ...]:
-    """argparse type for '0,2', '1..10' or a comma list of both."""
+    """argparse type for '0,2', '1..10' or a comma list of both; an empty
+    range such as '5..1' is refused."""
     out: list[int] = []
     for part in spec.split(","):
         lo, dots, hi = part.partition("..")
         try:
-            out.extend(range(int(lo), int(hi) + 1) if dots else [int(lo)])
+            values = range(int(lo), int(hi) + 1) if dots else [int(lo)]
         except ValueError:
             raise argparse.ArgumentTypeError(f"malformed range {part.strip()!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty range {part.strip()!r}")
+        out.extend(values)
     return tuple(out)
 
 

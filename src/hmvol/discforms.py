@@ -10,12 +10,13 @@ projective index additionally depends on whether -id lies in the subgroup,
 which happens exactly when -id acts trivially on A_L, i.e. when A_L has
 exponent <= 2 (and, for the determinant-1 groups, when the rank is even).
 
-(A_L, q_L) is read off the p-adic Jordan blocks of level >= 1 (Nikulin
-1979), so its generators are primary: prime-power orders, grouped by
-increasing p, then by level.  q and b are held as integer tables at the
-scale of the exponent of A, from the Jordan blocks through the p-parts to
-the count of N, which runs one p-primary part at a time; only the readers
-`q_of` and `b_of` return `Fraction`s.
+(A_L, q_L) is the orthogonal sum of its p-primary parts (A_p, q_p) over
+p | det (Nikulin 1979), and it is held only as those parts, {p: (A_p, q_p)}
+in increasing p, from the Jordan blocks to the count of N.  Each part is
+read off the p-adic Jordan blocks of level >= 1 at its own p, with
+generators of order p^level, by level, and q and b as integer tables at the
+scale of the part's exponent; only the readers `q_of` and `b_of` return
+`Fraction`s.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from . import arith
 from .errors import FeasibilityError, PreconditionError
 from .jordan import JordanDecomposition, jordan_decompose
 from .lattices import Lattice
@@ -36,11 +36,10 @@ ISOMETRY_ENUM_CAP = 10**5
 
 @dataclass(frozen=True)
 class FiniteQuadraticForm:
-    """(A, q) as integer tables at the scale n = lcm(orders), the exponent of
-    A: the orders of the generators g_i, q[i] = n q(g_i) mod 2n and b[i][j] =
-    n b(g_i, g_j) mod n.  `discriminant_form` gives primary generators
-    (prime-power orders, by increasing p, then level); any generating set with
-    A = prod Z/d_i is accepted.  `q_of` and `b_of` read values in Q/2Z and
+    """One p-primary part (A_p, q_p), A_p = prod Z/d_i, as integer tables at
+    the scale n = lcm(orders), the exponent of A_p: the orders d_i of the
+    generators g_i (powers of p, by level), q[i] = n q(g_i) mod 2n and
+    b[i][j] = n b(g_i, g_j) mod n.  `q_of` and `b_of` read values in Q/2Z and
     Q/Z off the tables."""
 
     orders: tuple[int, ...]
@@ -83,11 +82,8 @@ class FiniteQuadraticForm:
         return itertools.product(*(range(d) for d in self.orders))
 
 
-def _form_from_jordan(
-    lattice: Lattice, decomps: list[JordanDecomposition]
-) -> FiniteQuadraticForm:
-    """(A_L, q_L) for an even lattice from its Jordan decompositions at every
-    prime dividing det, in increasing p (further primes add nothing).  It
+def _part_from_jordan(decomp: JordanDecomposition) -> FiniteQuadraticForm:
+    """(A_p, q_p) for an even lattice from its Jordan decomposition at p.  It
     reads each block's `unit_gram`, the raw split kept mod p^(v_p(det) + 3),
     which holds U mod 2^(l+1) at p = 2.
 
@@ -96,17 +92,18 @@ def _form_from_jordan(
     U_ii / 2^l mod 2; at odd p only U_ii mod p^l is meaningful, and q(e_i) is
     its lift 2c / p^l with 2c = U_ii mod p^l, the one value in
     (2 / p^l)Z / 2Z that an element of odd order can take.  Different blocks
-    and different primes are orthogonal.  The exponent n of A is the product
-    of p^(top level) over p, so these values are written at once as integers
-    at scale n: U_ij s mod n, U_ii s mod 2n (p = 2) and 2c s, s = n / p^l.
+    are orthogonal.  The exponent n of A_p is p^(top level), so these values
+    are written at once as integers at scale n: U_ij s mod n, U_ii s mod 2n
+    (p = 2) and 2c s, s = n / p^l.
     """
-    blocks = [(d.p, b) for d in decomps for b in d.blocks if b.level >= 1]
-    n = prod(d.p ** max((b.level for b in d.blocks), default=0) for d in decomps)
-    k = sum(b.rank for _, b in blocks)
+    p = decomp.p
+    blocks = [b for b in decomp.blocks if b.level >= 1]
+    n = p ** max((b.level for b in blocks), default=0)
+    k = sum(b.rank for b in blocks)
     orders: list[int] = []
     q: list[int] = []
     bil = [[0] * k for _ in range(k)]
-    for p, block in blocks:
+    for block in blocks:
         pl = p**block.level
         s = n // pl
         u = block.unit_gram
@@ -119,48 +116,34 @@ def _form_from_jordan(
             else:
                 q.append(2 * (u[i][i] * (pl + 1) // 2 % pl) * s)
             orders.append(pl)
-    form = FiniteQuadraticForm(tuple(orders), tuple(q), tuple(map(tuple, bil)))
-    if form.order != abs(lattice.det):
+    return FiniteQuadraticForm(tuple(orders), tuple(q), tuple(map(tuple, bil)))
+
+
+def _parts_from_jordan(
+    lattice: Lattice, decomps: list[JordanDecomposition]
+) -> dict[int, FiniteQuadraticForm]:
+    """{p: (A_p, q_p)} for p | det, from `decomps`, the Jordan
+    decompositions of an even lattice at (at least) every prime dividing det,
+    in increasing p (further primes add nothing)."""
+    parts = {d.p: _part_from_jordan(d) for d in decomps if d.p in lattice.det_factors}
+    if prod(part.order for part in parts.values()) != abs(lattice.det):
         raise PreconditionError("discriminant group order does not match |det|")
-    return form
-
-
-def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
-    """(A_L, q_L) for an even lattice, read off its p-adic Jordan blocks of
-    level >= 1 at the primes dividing det."""
-    if not lattice.is_even:
-        raise PreconditionError("discriminant form requires an even lattice")
-    return _form_from_jordan(lattice, [jordan_decompose(lattice, p) for p in lattice.det_factors])
-
-
-def _p_parts(form: FiniteQuadraticForm) -> list[tuple[int, FiniteQuadraticForm]]:
-    """The p-primary parts (p, (A_p, q_p)) of (A, q), in increasing p.
-
-    A generator g of order d gives the generator c*g of A_p, of order
-    p^e = p^(v_p(d)) with c = d / p^e; q and b scale by c^2 and c*c'.  At the
-    part's exponent n_p the tables are (c^2 q mod 2n) / (n / n_p) and
-    (c c' b mod n) / (n / n_p): c*g has order p^e, so n q(c*g) and
-    n b(c*g, c'*g') are multiples of n / p^e, and the division is exact."""
-    n = form.exponent
-    factored = [arith.factorize(d) for d in form.orders]
-    parts = []
-    for p in sorted({p for f in factored for p in f}):
-        gens = sorted(  # (p^e, c, index of g)
-            (p ** f[p], d // p ** f[p], i)
-            for i, (d, f) in enumerate(zip(form.orders, factored)) if p in f
-        )
-        unit = n // gens[-1][0]  # n / n_p
-        parts.append((p, FiniteQuadraticForm(
-            tuple(pe for pe, _, _ in gens),
-            tuple(c * c * form.q[i] % (2 * n) // unit for _, c, i in gens),
-            tuple(tuple(c * c2 * form.b[i][j] % n // unit for _, c2, j in gens) for _, c, i in gens),
-        )))
     return parts
 
 
-def finite_isometry_order(form: FiniteQuadraticForm) -> int:
-    """|O(A, q)| as the product of |O(A_p, q_p)| over the p-primary parts,
-    which are mutually orthogonal (Nikulin 1979).
+def discriminant_form(lattice: Lattice) -> dict[int, FiniteQuadraticForm]:
+    """(A_L, q_L) for an even lattice as its p-primary parts {p: (A_p, q_p)}
+    for p | det, in increasing p, each read off the p-adic Jordan blocks of
+    level >= 1 at p."""
+    if not lattice.is_even:
+        raise PreconditionError("discriminant form requires an even lattice")
+    return _parts_from_jordan(lattice, [jordan_decompose(lattice, p) for p in lattice.det_factors])
+
+
+def finite_isometry_order(parts: dict[int, FiniteQuadraticForm]) -> int:
+    """|O(A, q)| for (A, q) given by its p-primary parts {p: (A_p, q_p)}, as
+    the product of the |O(A_p, q_p)|: the parts are mutually orthogonal
+    (Nikulin 1979).
 
     A cyclic part at odd p has exactly the isometries +1 and -1.  Every
     other part is counted down a stabilizer chain (`_chain_count`): its
@@ -173,7 +156,7 @@ def finite_isometry_order(form: FiniteQuadraticForm) -> int:
     """
     count = 1
     counted = []
-    for p, part in _p_parts(form):
+    for p, part in parts.items():
         if p != 2 and len(part.orders) == 1:
             count *= 2
         elif part.order > ISOMETRY_ENUM_CAP:
@@ -312,8 +295,9 @@ def stable_invariants(
     lattice: Lattice, decomps: list[JordanDecomposition]
 ) -> tuple[int, bool]:
     """(|O(q_L)|, whether A_L has exponent <= 2): the discriminant data every
-    stable-group index needs, from one discriminant form built from `decomps`,
-    the Jordan decompositions of L at (at least) every prime dividing det.
+    stable-group index needs, from the p-parts of the discriminant form built
+    from `decomps`, the Jordan decompositions of L at (at least) every prime
+    dividing det, in increasing p.
 
     Requires an even signature-(2, n) lattice with a hyperbolic-plane direct
     summand (one class per genus, surjectivity onto O(q)).
@@ -326,8 +310,8 @@ def stable_invariants(
             "stable-group indices assume a hyperbolic-plane direct summand "
             "(one class per genus, surjectivity onto O(q))"
         )
-    form = _form_from_jordan(lattice, decomps)
-    return finite_isometry_order(form), form.is_two_elementary
+    parts = _parts_from_jordan(lattice, decomps)
+    return finite_isometry_order(parts), all(part.is_two_elementary for part in parts.values())
 
 
 def index_and_minus_id(

@@ -33,8 +33,6 @@ from .errors import PreconditionError
 from .lattices import Lattice, direct_sum, e8, from_gram, hyperbolic_plane, rank_one
 from .special_values import bernoulli, fundamental_discriminant, generalized_bernoulli
 
-FAMILY_NAMES = ("II", "T", "L", "K", "N")
-
 
 # ---------------------------------------------------------------- builders
 

@@ -161,6 +161,8 @@ def test_stabilized_oracle_check_prints_verdict(capsys):
 @pytest.mark.parametrize("argv", [
     ("catalog", "L", "--d", "1..x"),
     ("catalog", "L", "--d", "1..2..3"),
+    ("catalog", "L", "--d", "5..1"),
+    ("catalog", "L", "--m", "2..0"),
     ("analyze", "2*U + <-2>", "--precision", "0"),
     ("analyze", "2*U + <-2>", "--precision", "-3"),
     ("analyze", "2*U + <-2>", "--gsp", "0"),

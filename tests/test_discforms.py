@@ -3,7 +3,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +14,6 @@ from hmvol.discforms import (
     ISOMETRY_ENUM_CAP,
     FiniteQuadraticForm,
     _chain_count,
-    _p_parts,
     discriminant_form,
     finite_isometry_order,
     index_and_minus_id,
@@ -67,10 +66,9 @@ def test_factorize_large_semiprime():
 
 
 def test_discriminant_form_trivial_for_unimodular():
-    form = discriminant_form(unimodular_ii(1))
-    assert form.is_trivial
-    assert form.order == 1
-    assert finite_isometry_order(form) == 1
+    parts = discriminant_form(unimodular_ii(1))
+    assert parts == {}
+    assert finite_isometry_order(parts) == 1
 
 
 def test_discriminant_form_rank_one():
@@ -78,12 +76,13 @@ def test_discriminant_form_rank_one():
     # p-parts in increasing p; the p-part of order p^e is generated by c*g
     # with c = 2d/p^e, so its q-value is c^2 * (-1/2d)
     for d in (1, 3, 6):
-        form = discriminant_form(rank_one(-2 * d))
-        prime_powers = tuple(p**e for p, e in sorted(factorize(2 * d).items()))
-        assert form.orders == prime_powers
-        for i, pe in enumerate(prime_powers):
-            c = 2 * d // pe
-            assert form.q_of(_unit(len(prime_powers), i)) == Fraction(-c * c, 2 * d) % 2
+        parts = discriminant_form(rank_one(-2 * d))
+        prime_powers = sorted(factorize(2 * d).items())
+        assert list(parts) == [p for p, _ in prime_powers]
+        for p, e in prime_powers:
+            c = 2 * d // p**e
+            assert parts[p].orders == (p**e,)
+            assert parts[p].q_of((1,)) == Fraction(-c * c, 2 * d) % 2
 
 
 def test_discriminant_form_n_binary():
@@ -91,8 +90,8 @@ def test_discriminant_form_n_binary():
     # determinant is -d), not 2d
     for d in (5, 13, 29):
         binary = from_gram([[2, 1], [1, (1 - d) // 2]])
-        form = discriminant_form(binary)
-        assert form.orders == (d,)
+        parts = discriminant_form(binary)
+        assert {p: part.orders for p, part in parts.items()} == {d: (d,)}
 
 
 def test_discriminant_form_rejects_odd_lattice():
@@ -103,19 +102,19 @@ def test_discriminant_form_rejects_odd_lattice():
 def test_group_order_matches_det():
     for text in ("U(2)", "<-2> + <4>", "2*U + <-24>", "U + <2> + <-8>"):
         lat = lattice_from_text(text)
-        assert discriminant_form(lat).order == abs(lat.det)
+        assert prod(part.order for part in discriminant_form(lat).values()) == abs(lat.det)
 
 
 def test_quadratic_identity_on_generators():
     # q(x + y) - q(x) - q(y) = 2 b(x, y) mod 2Z
     for text in ("<-6> + <2>", "U(2)", "U(2) + <-4>", "gram[2,1;1,-4]"):
-        form = discriminant_form(lattice_from_text(text))
-        elems = list(form.elements())
-        for x in elems[: min(len(elems), 12)]:
-            for y in elems[: min(len(elems), 12)]:
-                xy = tuple((a + b) % d for a, b, d in zip(x, y, form.orders))
-                lhs = (form.q_of(xy) - form.q_of(x) - form.q_of(y)) % 2
-                assert lhs == (2 * form.b_of(x, y)) % 2
+        for form in discriminant_form(lattice_from_text(text)).values():
+            elems = list(form.elements())
+            for x in elems[: min(len(elems), 12)]:
+                for y in elems[: min(len(elems), 12)]:
+                    xy = tuple((a + b) % d for a, b, d in zip(x, y, form.orders))
+                    lhs = (form.q_of(xy) - form.q_of(x) - form.q_of(y)) % 2
+                    assert lhs == (2 * form.b_of(x, y)) % 2
 
 
 def test_isometry_order_rank_one_sweep():
@@ -143,7 +142,7 @@ def test_unit_square_count_mod_4d():
 def test_minus_id_criterion():
     # -id lies in the stable group iff A_L has exponent <= 2
     def two_elementary(lat):
-        return discriminant_form(lat).is_two_elementary
+        return all(part.is_two_elementary for part in discriminant_form(lat).values())
 
     assert two_elementary(l_lattice(0, 1))  # A = Z/2
     assert not two_elementary(l_lattice(0, 3))  # A = Z/6
@@ -235,20 +234,27 @@ BRUTE_FORCE_MULTI_PRIME_TEXTS = ("2*U + <-2> + <-6>", "U + U(3) + <-2>", "2*U + 
 
 def test_isometry_order_matches_brute_force():
     # finite_isometry_order multiplies orbit sizes down a stabilizer chain;
-    # this reference counts bijective q-preserving maps directly
+    # this reference counts bijective q-preserving maps directly, on each
+    # p-part and on the unsplit Smith-form reference of the whole group
     texts = list(BRUTE_FORCE_TEXTS)
     lattices = [lattice_from_text(t) for t in texts] + [l_lattice(0, d) for d in range(1, 9)]
     for text, lat in zip(texts + [f"L(0,{d})" for d in range(1, 9)], lattices):
-        form = discriminant_form(lat)
-        assert len(form.orders) <= 3 and form.order <= 16, text
-        assert finite_isometry_order(form) == _brute_force_isometry_order(form), text
+        parts = discriminant_form(lat)
+        assert sum(len(part.orders) for part in parts.values()) <= 3, text
+        assert abs(lat.det) <= 16, text
+        for p, part in parts.items():
+            assert finite_isometry_order({p: part}) == _brute_force_isometry_order(part), (text, p)
+        assert finite_isometry_order(parts) == _brute_force_isometry_order(
+            _smith_discriminant_form(lat)), text
     # several primes over several generators: the product over p-parts
     # against the unsplit reference
     for text in BRUTE_FORCE_MULTI_PRIME_TEXTS:
-        form = discriminant_form(lattice_from_text(text))
-        assert len(form.orders) >= 2 and num_prime_divisors(form.order) >= 2, text
-        assert form.order <= 24, text
-        assert finite_isometry_order(form) == _brute_force_isometry_order(form), text
+        lat = lattice_from_text(text)
+        parts = discriminant_form(lat)
+        assert sum(len(part.orders) for part in parts.values()) >= 2 and len(parts) >= 2, text
+        assert abs(lat.det) <= 24, text
+        assert finite_isometry_order(parts) == _brute_force_isometry_order(
+            _smith_discriminant_form(lat)), text
 
 
 def _count_isometries(form: FiniteQuadraticForm) -> int:
@@ -287,19 +293,21 @@ def _count_isometries(form: FiniteQuadraticForm) -> int:
 
 def test_isometry_order_is_product_over_p_parts():
     # the enumerator above is the reference: the product over p-parts
-    # equals it on the unsplit form, and the stabilizer-chain count equals
-    # it on every p-part with |A_p| <= 10^4 of the corpora
+    # equals it on the unsplit Smith-form reference of the whole group, and
+    # the stabilizer-chain count equals it on every p-part with
+    # |A_p| <= 10^4 of the corpora
     unsplit = {}
     for text in SIGNATURE_2N_EXPRESSIONS:
         lat = lattice_from_text(text)
         if lat.is_even and lat.has_hyperbolic_summand and abs(lat.det) <= 10**4:
-            unsplit[text] = discriminant_form(lat)
+            unsplit[text] = lat
     for d in range(1, 201):
-        unsplit[f"L(0,{d})"] = discriminant_form(l_lattice(0, d))
+        unsplit[f"L(0,{d})"] = l_lattice(0, d)
     assert len(unsplit) > 200
-    for name, form in unsplit.items():
-        assert finite_isometry_order(form) == _count_isometries(form), name
-    forms = dict(unsplit)
+    forms = {}
+    for name, lat in unsplit.items():
+        forms[name] = discriminant_form(lat)
+        assert finite_isometry_order(forms[name]) == _count_isometries(_smith_discriminant_form(lat)), name
     texts = BRUTE_FORCE_TEXTS + BRUTE_FORCE_MULTI_PRIME_TEXTS
     texts += tuple(f"2*U + {n}*<-2>" for n in range(1, 6))
     for text in texts:
@@ -308,13 +316,13 @@ def test_isometry_order_is_product_over_p_parts():
         forms[f"K(0,{d})"] = discriminant_form(k_lattice(0, d))
         if d % 4 == 1:
             forms[f"N(0,{d})"] = discriminant_form(n_lattice(0, d))
-    parts = 0
-    for name, form in forms.items():
-        for p, part in _p_parts(form):
+    counted = 0
+    for name, parts in forms.items():
+        for p, part in parts.items():
             if part.order <= 10**4:
                 assert _chain_count(part) == _count_isometries(part), (name, p)
-                parts += 1
-    assert parts > 900
+                counted += 1
+    assert counted > 900
 
 
 def test_odd_cyclic_part_has_two_isometries():
@@ -329,24 +337,24 @@ def test_odd_cyclic_part_has_two_isometries():
                 q = Fraction(2 * u, pk)
                 form = _form((pk,), (q % 2,), ((q % 1,),))
                 assert _chain_count(form) == 2, (pk, u)
-                assert finite_isometry_order(form) == 2, (pk, u)
+                assert finite_isometry_order({p: form}) == 2, (pk, u)
             pk *= p
 
 
 def test_isometry_order_anchors():
     # 2U + n<-2>: A = (Z/2)^n with q = -1/2 on each generator
     for n, expected in zip(range(1, 7), (1, 2, 6, 24, 120, 1440)):
-        form = discriminant_form(lattice_from_text(f"2*U + {n}*<-2>"))
-        assert finite_isometry_order(form) == expected, n
+        parts = discriminant_form(lattice_from_text(f"2*U + {n}*<-2>"))
+        assert finite_isometry_order(parts) == expected, n
     # even-type 2-elementary forms: |O+_{2m}(2)| = 2 * 2^(m(m-1)) (2^m - 1)
     # prod_{i<m} (4^i - 1); E8(-2) gives m = 4, the Enriques lattice
     # U + U(2) + E8(-2) gives m = 5
-    form = discriminant_form(lattice_from_text("2*U + E8(-2)"))
-    assert form.orders == (2,) * 8
-    assert finite_isometry_order(form) == 348_364_800
-    form = discriminant_form(lattice_from_text("U + U(2) + E8(-2)"))
-    assert form.orders == (2,) * 10
-    assert finite_isometry_order(form) == 46_998_591_897_600
+    parts = discriminant_form(lattice_from_text("2*U + E8(-2)"))
+    assert list(parts) == [2] and parts[2].orders == (2,) * 8
+    assert finite_isometry_order(parts) == 348_364_800
+    parts = discriminant_form(lattice_from_text("U + U(2) + E8(-2)"))
+    assert list(parts) == [2] and parts[2].orders == (2,) * 10
+    assert finite_isometry_order(parts) == 46_998_591_897_600
 
 
 def _random_basis(form: FiniteQuadraticForm, rng: random.Random) -> FiniteQuadraticForm:
@@ -375,8 +383,7 @@ def test_isometry_order_is_basis_invariant():
     rng = random.Random(6)
     for text in ("2*U + 4*<-2>", "U + U(2) + 2*<-2>", "2*U + E8(-2)", "U + U(4) + 2*<-4>",
                  "U + U(3) + <-6> + <-2>", "U + U(5) + gram[-2,1;1,-2]"):
-        form = discriminant_form(lattice_from_text(text))
-        for p, part in _p_parts(form):
+        for p, part in discriminant_form(lattice_from_text(text)).items():
             if len(set(part.orders)) != 1 or len(part.orders) < 2:
                 continue
             expected = _chain_count(part)
@@ -388,12 +395,12 @@ def test_isometry_order_is_basis_invariant():
 
 
 def test_isometry_count_leaves_no_reference_cycles():
-    form = discriminant_form(lattice_from_text("U + U(2) + 3*<-2>"))
-    assert form.is_two_elementary
+    parts = discriminant_form(lattice_from_text("U + U(2) + 3*<-2>"))
+    assert list(parts) == [2] and parts[2].is_two_elementary
     gc.collect()
     gc.disable()
     try:
-        assert finite_isometry_order(form) > 0
+        assert finite_isometry_order(parts) > 0
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -413,25 +420,24 @@ def _block_text(kind: int, a: int, b: int, c: int) -> str:
 def test_chain_count_matches_enumerator_on_random_sums(blocks):
     assume(all(kind < 2 or 4 * a * c != b * b for kind, a, b, c in blocks))
     lat = lattice_from_text(" + ".join(["U"] + [_block_text(*blk) for blk in blocks]))
-    form = discriminant_form(lat)
-    parts = [part for _, part in _p_parts(form)]
+    parts = discriminant_form(lat)
     # the enumerator's dead branches grow like |A_p|^(generators - 1)
-    assume(form.order <= 2000)
-    assume(all(part.order ** (len(part.orders) - 1) <= 2 * 10**4 for part in parts))
+    assume(abs(lat.det) <= 2000)
+    assume(all(part.order ** (len(part.orders) - 1) <= 2 * 10**4 for part in parts.values()))
     expected = 1
-    for part in parts:
+    for part in parts.values():
         expected *= _count_isometries(part)
-    assert finite_isometry_order(form) == expected
+    assert finite_isometry_order(parts) == expected
 
 
 def test_isometry_guard_prices_each_p_part():
     # |A| = 2 * 1000003 is far over the cap, but the only enumerated part
     # is Z/2; a 2-part over the cap still trips the guard
     assert finite_isometry_order(discriminant_form(l_lattice(0, 1000003))) == 2
-    form = discriminant_form(lattice_from_text("2*U + <-131072>"))
-    assert form.order == 131072 > ISOMETRY_ENUM_CAP
+    parts = discriminant_form(lattice_from_text("2*U + <-131072>"))
+    assert list(parts) == [2] and parts[2].order == 131072 > ISOMETRY_ENUM_CAP
     with pytest.raises(FeasibilityError, match=r"2-part .*\|A_2\| = 131072"):
-        finite_isometry_order(form)
+        finite_isometry_order(parts)
 
 
 def test_index_and_minus_id_table():
@@ -549,14 +555,41 @@ def _smith_values(lattice) -> tuple[list[int], list[Fraction], list[list[Fractio
 
 
 def _smith_discriminant_form(lattice) -> FiniteQuadraticForm:
+    """(A_L, q_L) as one form on the invariant-factor generators, whose
+    orders, such as 6 or 60, are not prime powers; `_p_parts` splits it."""
     return _form(*_smith_values(lattice))
+
+
+def _p_parts(form: FiniteQuadraticForm) -> list[tuple[int, FiniteQuadraticForm]]:
+    """The p-primary parts (p, (A_p, q_p)) of (A, q), in increasing p.
+
+    A generator g of order d gives the generator c*g of A_p, of order
+    p^e = p^(v_p(d)) with c = d / p^e; q and b scale by c^2 and c*c'.  At the
+    part's exponent n_p the tables are (c^2 q mod 2n) / (n / n_p) and
+    (c c' b mod n) / (n / n_p): c*g has order p^e, so n q(c*g) and
+    n b(c*g, c'*g') are multiples of n / p^e, and the division is exact."""
+    n = form.exponent
+    factored = [factorize(d) for d in form.orders]
+    parts = []
+    for p in sorted({p for f in factored for p in f}):
+        gens = sorted(  # (p^e, c, index of g)
+            (p ** f[p], d // p ** f[p], i)
+            for i, (d, f) in enumerate(zip(form.orders, factored)) if p in f
+        )
+        unit = n // gens[-1][0]  # n / n_p
+        parts.append((p, FiniteQuadraticForm(
+            tuple(pe for pe, _, _ in gens),
+            tuple(c * c * form.q[i] % (2 * n) // unit for _, c, i in gens),
+            tuple(tuple(c * c2 * form.b[i][j] % n // unit for _, c2, j in gens) for _, c, i in gens),
+        )))
+    return parts
 
 
 def _fraction_form_from_jordan(decomps) -> tuple[list[int], list[Fraction], list[list[Fraction]]]:
     """(orders, q(g_i), b(g_i, g_j)) in `Fraction`s read off the Jordan
     blocks p^l U, l >= 1, with no common scale: b = U_ij / p^l mod 1;
     q = U_ii / 2^l mod 2 at p = 2 and the lift 2c / p^l, 2c = U_ii mod p^l,
-    at odd p.  The reference for `_form_from_jordan`'s integer tables."""
+    at odd p.  The reference for `_part_from_jordan`'s integer tables."""
     blocks = [(d.p, b) for d in decomps for b in d.blocks if b.level >= 1]
     k = sum(b.rank for _, b in blocks)
     orders: list[int] = []
@@ -596,19 +629,23 @@ def _smith_corpus() -> dict:
 
 
 def test_jordan_form_matches_smith_reference():
-    # the form read off the Jordan blocks and the Smith-form construction
-    # describe the same (A, q): same order, exponent test and |O(q)|, and
-    # on small groups the same (element order, q) value distribution
+    # the parts read off the Jordan blocks and the p-parts of the Smith-form
+    # construction describe the same (A_p, q_p) at every p: same order,
+    # exponent test and |O(q_p)|, and on small groups the same
+    # (element order, q) value distribution
     compared = 0
     for name, lat in _smith_corpus().items():
-        form = discriminant_form(lat)
-        ref = _smith_discriminant_form(lat)
-        assert form.order == ref.order == abs(lat.det), name
-        assert form.is_two_elementary == ref.is_two_elementary, name
-        assert finite_isometry_order(form) == finite_isometry_order(ref), name
-        if form.order <= 2000:
-            assert _order_and_q_multiset(form) == _order_and_q_multiset(ref), name
-            compared += 1
+        parts = discriminant_form(lat)
+        ref = dict(_p_parts(_smith_discriminant_form(lat)))
+        assert list(parts) == list(ref) == list(lat.det_factors), name
+        assert prod(part.order for part in parts.values()) == abs(lat.det), name
+        for p, part in parts.items():
+            assert part.order == ref[p].order, (name, p)
+            assert part.is_two_elementary == ref[p].is_two_elementary, (name, p)
+            assert finite_isometry_order({p: part}) == finite_isometry_order({p: ref[p]}), (name, p)
+            if part.order <= 2000:
+                assert _order_and_q_multiset(part) == _order_and_q_multiset(ref[p]), (name, p)
+                compared += 1
     assert compared > 150
 
 
@@ -616,14 +653,17 @@ def test_integer_form_matches_fraction_jordan_route():
     # the integer tables written from the Jordan blocks read back, through
     # q_of and b_of, as the Fraction values of the old construction
     for name, lat in _smith_corpus().items():
-        decomps = [jordan_decompose(lat, p) for p in sorted(factorize(abs(lat.det)))]
-        orders, q_vals, bil = _fraction_form_from_jordan(decomps)
-        form = discriminant_form(lat)
-        assert list(form.orders) == orders, name
-        units = [_unit(len(orders), i) for i in range(len(orders))]
-        assert [form.q_of(x) for x in units] == q_vals, name
-        assert [[form.b_of(x, y) for y in units] for x in units] == bil, name
-        assert all(isinstance(v, int) for v in form.q + sum(form.b, ())), name
+        primes = sorted(factorize(abs(lat.det)))
+        parts = discriminant_form(lat)
+        assert list(parts) == primes, name
+        for p in primes:
+            orders, q_vals, bil = _fraction_form_from_jordan([jordan_decompose(lat, p)])
+            form = parts[p]
+            assert list(form.orders) == orders, (name, p)
+            units = [_unit(len(orders), i) for i in range(len(orders))]
+            assert [form.q_of(x) for x in units] == q_vals, (name, p)
+            assert [[form.b_of(x, y) for y in units] for x in units] == bil, (name, p)
+            assert all(isinstance(v, int) for v in form.q + sum(form.b, ())), (name, p)
 
 
 def test_p_parts_rescale_smith_forms():

@@ -261,7 +261,7 @@ def test_build_report_runs_each_stage_once(monkeypatch):
         "jordan_decompose": jordan.jordan_decompose,
         "_euler_product": volumes._euler_product,
         "generalized_bernoulli": special_values.generalized_bernoulli,
-        "_form_from_jordan": discforms._form_from_jordan,
+        "_part_from_jordan": discforms._part_from_jordan,
         "finite_isometry_order": discforms.finite_isometry_order,
         "factorize": arith.factorize,
         "squarefree_decompose": arith.squarefree_decompose,
@@ -287,18 +287,18 @@ def test_build_report_runs_each_stage_once(monkeypatch):
     assert set(rep.volumes) == {"O", "O+", "SO+", "O~+", "SO~+"}
     assert len(calls["_euler_product"]) == 1
     assert len(calls["generalized_bernoulli"]) == 1
-    assert len(calls["_form_from_jordan"]) == 1
+    # one part of the discriminant form per prime dividing det, counted once
+    assert [d.p for (d,) in calls["_part_from_jordan"]] == list(lat.det_factors) == [2, 3, 5]
     assert len(calls["finite_isometry_order"]) == 1
     # one Jordan decomposition per bad prime feeds both the densities and
     # the discriminant form, and no good prime is decomposed
     n_bad = len(density.bad_primes(lat))
     assert n_bad == 3
     assert len(calls["jordan_decompose"]) == n_bad
-    # det is factored once, on the lattice, and |D| once, for chi_D; every
-    # other factorization is of a generator order of A_L, a prime power
+    # det is factored once, on the lattice, and |D| once, for chi_D; nothing
+    # else is factored
     disc = volumes.genus_discriminant(lat)
-    composite = [n for n in factored if len(targets["factorize"](n)) > 1]
-    assert sorted(composite) == sorted([abs(lat.det), abs(disc)])
+    assert factored == [abs(lat.det), abs(disc)] == [120, 120]
     assert not calls["squarefree_decompose"]
 
 
