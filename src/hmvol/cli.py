@@ -7,13 +7,15 @@ Subcommands:
     oracle EXPR P R  brute-force Siegel count vs the density formula
 
 Exit codes: 0 ok, 1 catalog mismatch, 2 expression or argument error,
-3 precondition, 4 feasibility guard, 5 internal consistency failure.
+3 precondition, 4 feasibility guard, 5 internal consistency failure,
+141 standard output closed by its reader (nothing more is printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -280,7 +282,14 @@ _PARSER = build_arg_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone (`| head -1`): stop quietly, and point stdout at
+        # devnull so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ExpressionError as exc:
         print(f"expression error: {exc}", file=sys.stderr)
         return 2

@@ -20,10 +20,10 @@ Two independent routes:
   counting convention below) are pinned by the oracle tests.
 
 * `siegel_count_oracle` counts matrix self-congruences X^t S X = S mod p^r
-  directly and is completely independent of the decomposition code.  At p = 2
-  the congruence is taken plainly mod 2^r for every entry; the variant with
-  quadratic conditions mod 2^(r+1) does not reproduce the closed forms and is
-  rejected (see tests).
+  directly (p-adically lifted column candidates, the last column bucketed on
+  S c), independently of the decomposition code.  At p = 2 every entry is
+  taken plainly mod 2^r; the variant with quadratic conditions mod 2^(r+1)
+  does not reproduce the closed forms and is rejected (see tests).
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from .jordan import JordanBlock, JordanDecomposition, jordan_decompose
 from .lattices import Lattice
 
 ORACLE_CANDIDATE_CAP = 2**30
-# entries in one block of rank-2 pair dot products in the counting oracle; a
-# larger block is faster but raises peak memory
+# pairs in one block of the counting oracle; larger is faster but uses more memory
 _PAIR_CHUNK = 2**16
 # a 2-adic level with no block: even, with the empty even part's chi = +1
 _EMPTY_BLOCK = JordanBlock(0, 0, (), 1, ())
@@ -159,60 +158,61 @@ def bad_primes(lattice: Lattice) -> tuple[int, ...]:
 
 
 def _siegel_count(gram, p: int, r: int) -> int:
-    """#{X in Mat_n(Z/p^r) : X^t S X = S mod p^r}.  No guard; callers enforce
-    feasibility.
+    """#{X in Mat_n(Z/q) : X^t S X = S mod q}, q = p^r; callers guard it.
 
-    Column i of a solution satisfies c^t S c = S_ii, so the candidates for
-    each column are read off one table of all q^n vectors, q = p^r.  At
-    rank 2 the count is then the number of pairs (c0, c1) of candidates with
-    c0^t S c1 = S_01, taken as dot products in blocks of rows of c0 of at
-    most _PAIR_CHUNK entries each (at least one row).  At rank 3 each c0
-    prunes the candidates for c1 and c2 before their pairs are counted.
+    Column i solves c^t S c = S_ii; its solutions mod p^(k+1) are among the
+    lifts c + p^k t, t in [0, p)^n, of those mod p^k (each reduces to one).
+    At rank 1, a x^2 = a mod q iff x^2 = 1 mod q/g, g = gcd(a, q), and
+    x -> x mod q/g is g-to-1.  The last column c meets the cross conditions
+    only through u = S c mod q, so it counts as buckets u of multiplicity
+    m_u: rank 2 sums m_u over the (c0, u) with c0.u = S_01; rank 3 sums
+    m_u [c1.u = S_12] over (c0, c1) with c0^t S c1 = S_01 joined to (c0, u)
+    with c0.u = S_02.  A block of rows of c0 or c1 holds <= _PAIR_CHUNK pairs.
     """
     import numpy as np
+
+    def lifted(s, depth, target):
+        # S c is reduced before the dot product, so no entry passes n m^2
+        digits = np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T
+        cand, m = np.zeros((1, n), dtype=np.int64), 1
+        for _ in range(depth):
+            lifts = (cand[:, None, :] + m * digits).reshape(-1, n)
+            m *= p
+            cand = lifts[np.einsum("ij,ij->i", lifts, lifts @ s % m) % m == target % m]
+        return cand
 
     n = len(gram)
     if n > 3:
         raise PreconditionError("oracle counting implemented for rank <= 3 only")
     q = p**r
-    s = np.array([[x % q for x in row] for row in gram], dtype=np.int64)
     if n == 1:
-        # x^2 is reduced before the product, so no product reaches q^2, which
-        # fits int64 for q < 2^31; blocks of 2^16 stay in cache
-        total = 0
-        for lo in range(0, q, 1 << 16):
-            x = np.arange(lo, min(lo + (1 << 16), q), dtype=np.int64)
-            total += int(np.count_nonzero(x * x % q * s[0, 0] % q == s[0, 0]))
-        return total
-    cols = np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
-    scols = cols @ s % q
-    diag = np.einsum("ij,ij->i", cols, scols) % q
-    masks = [diag == s[i, i] for i in range(n)]
-    cand = [cols[m] for m in masks]
-    cand_s = [scols[m] for m in masks]
-    total = 0
+        v = valuation(gram[0][0] % q or q, p)
+        return p**v * len(lifted(np.ones((1, 1), dtype=np.int64), r - v, 1))
+    s = np.array([[x % q for x in row] for row in gram], dtype=np.int64)
+    cand = [lifted(s, r, int(s[i, i])) for i in range(n)]
+    keys, mult = np.unique(cand[-1] @ s % q @ q ** np.arange(n), return_counts=True)
+    u = keys[:, None] // q ** np.arange(n) % q
+    rows = max(1, _PAIR_CHUNK // max(len(keys), len(cand[1]) if n == 3 else 0))
+    blocks = np.split(cand[0], range(rows, len(cand[0]), rows))
     if n == 2:
-        b1 = cand_s[1].T
-        rows = max(1, _PAIR_CHUNK // max(1, b1.shape[1]))
-        for lo in range(0, len(cand[0]), rows):
-            dots = cand[0][lo:lo + rows] @ b1 % q
-            total += int(np.count_nonzero(dots == s[0, 1]))
-        return total
-    b1, b2 = cand_s[1], cand_s[2]
-    for c0 in cand[0]:
-        m1 = (b1 @ c0 - s[0, 1]) % q == 0
-        m2 = (b2 @ c0 - s[0, 2]) % q == 0
-        c1s = cand[1][m1]
-        c2ss = cand_s[2][m2]
-        if len(c1s) == 0 or len(c2ss) == 0:
-            continue
-        dots = c1s @ c2ss.T % q
-        total += int(np.count_nonzero(dots == s[1, 2]))
+        return sum(int((c0 @ u.T % q == s[0, 1]).sum(axis=0) @ mult) for c0 in blocks)
+    b = np.vstack([c1 @ u.T % q == s[1, 2]
+                   for c1 in np.split(cand[1], range(rows, len(cand[1]), rows))])
+    total = 0
+    for c0 in blocks:
+        pr, pc = np.nonzero(c0 @ s % q @ cand[1].T % q == s[0, 1])
+        ar, au = np.nonzero(c0 @ u.T % q == s[0, 2])
+        # each (c0, c1) once per bucket u of its c0: au[first:first + reps]
+        first = np.searchsorted(ar, pr)
+        reps = np.searchsorted(ar, pr, side="right") - first
+        us = au[np.arange(reps.sum()) + np.repeat(first - np.cumsum(reps) + reps, reps)]
+        total += int(mult[us][b[np.repeat(pc, reps), us]].sum())
     return total
 
 
 def _guard_depth(p: int, n: int) -> int:
-    """Deepest r the oracle guard allows: rank n <= 3, p^(r n^2) <= ORACLE_CANDIDATE_CAP."""
+    """Deepest r the oracle guard allows: rank n <= 3, p^(r n^2) <= ORACLE_CANDIDATE_CAP.
+    That naive count bounds the lifted work: no counter array exceeds it."""
     if n > 3:
         raise FeasibilityError(f"oracle guard: rank {n} > 3")
     r = 0

@@ -1,9 +1,14 @@
 import dataclasses
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hmvol
 from hmvol.cli import _print_report, main
 from hmvol.expr import lattice_from_text
 from hmvol.volumes import build_report
@@ -217,3 +222,19 @@ def test_main_leaves_no_cyclic_garbage(capsys):
     finally:
         gc.enable()
     capsys.readouterr()
+
+
+def test_closed_stdout_exits_quietly():
+    # a reader that stops after one line, as `hmvol analyze ... --json | head -1`;
+    # 20,000-digit echoes make the report (~100 kB) overrun the pipe buffer,
+    # so the write after the close always meets a broken pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(hmvol.__file__).parents[1]))
+    argv = [sys.executable, "-m", "hmvol.cli", "analyze", "2*U + <-2>", "--json",
+            "--precision", "20000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and err == ""
+

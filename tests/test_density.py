@@ -149,6 +149,66 @@ def test_good_prime_closed_form():
 
 # ------------------------------------------------------------- the oracle
 
+# The counter before columns were lifted and bucketed, kept verbatim (its
+# rank-1 residue scan included) as the reference for `_siegel_count`: each
+# column's candidates are filtered from a table of all q^n vectors, and rank-3
+# pairs are counted once per candidate c0.
+TABLE_PAIR_CHUNK = 2**16
+
+
+def table_siegel_count(gram, p: int, r: int) -> int:
+    """#{X in Mat_n(Z/p^r) : X^t S X = S mod p^r}.  No guard; callers enforce
+    feasibility.
+
+    Column i of a solution satisfies c^t S c = S_ii, so the candidates for
+    each column are read off one table of all q^n vectors, q = p^r.  At
+    rank 2 the count is then the number of pairs (c0, c1) of candidates with
+    c0^t S c1 = S_01, taken as dot products in blocks of rows of c0 of at
+    most TABLE_PAIR_CHUNK entries each (at least one row).  At rank 3 each c0
+    prunes the candidates for c1 and c2 before their pairs are counted.
+    """
+    import numpy as np
+
+    n = len(gram)
+    if n > 3:
+        raise PreconditionError("oracle counting implemented for rank <= 3 only")
+    q = p**r
+    s = np.array([[x % q for x in row] for row in gram], dtype=np.int64)
+    if n == 1:
+        # x^2 is reduced before the product, so no product reaches q^2, which
+        # fits int64 for q < 2^31; blocks of 2^16 stay in cache
+        total = 0
+        for lo in range(0, q, 1 << 16):
+            x = np.arange(lo, min(lo + (1 << 16), q), dtype=np.int64)
+            total += int(np.count_nonzero(x * x % q * s[0, 0] % q == s[0, 0]))
+        return total
+    cols = np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
+    scols = cols @ s % q
+    diag = np.einsum("ij,ij->i", cols, scols) % q
+    masks = [diag == s[i, i] for i in range(n)]
+    cand = [cols[m] for m in masks]
+    cand_s = [scols[m] for m in masks]
+    total = 0
+    if n == 2:
+        b1 = cand_s[1].T
+        rows = max(1, TABLE_PAIR_CHUNK // max(1, b1.shape[1]))
+        for lo in range(0, len(cand[0]), rows):
+            dots = cand[0][lo:lo + rows] @ b1 % q
+            total += int(np.count_nonzero(dots == s[0, 1]))
+        return total
+    b1, b2 = cand_s[1], cand_s[2]
+    for c0 in cand[0]:
+        m1 = (b1 @ c0 - s[0, 1]) % q == 0
+        m2 = (b2 @ c0 - s[0, 2]) % q == 0
+        c1s = cand[1][m1]
+        c2ss = cand_s[2][m2]
+        if len(c1s) == 0 or len(c2ss) == 0:
+            continue
+        dots = c1s @ c2ss.T % q
+        total += int(np.count_nonzero(dots == s[1, 2]))
+    return total
+
+
 # The counter before rank-2 pairs were counted in blocks, kept verbatim as the
 # reference for `_siegel_count`; only its rank-2 and rank-3 branches are used
 # (its rank-1 products wrap int64 once q^2 |a| > 2^63).
@@ -214,20 +274,38 @@ def _random_gram(rng, n, bound):
         return g
 
 
-def _column_candidates(gram, p, r):
-    """(#c0, #c1): the rank-2 column candidates, c^t S c = S_ii mod p^r."""
-    q = p**r
-    c0, c1 = np.indices((q, q), dtype=np.int64).reshape(2, -1)
-    (a, b), (_, d) = gram
-    value = (a * c0 * c0 + 2 * b * c0 * c1 + d * c1 * c1) % q
-    return int(np.count_nonzero(value == a % q)), int(np.count_nonzero(value == d % q))
+def _blocks(gram, p, r):
+    """(#c0, block width) of the counter's rows of c0, from a table of all
+    q^n columns: the width is the number of buckets S c mod q of the last
+    column's candidates, and at rank 3 at least the number of c1 candidates."""
+    n, q = len(gram), p**r
+    s = np.array(gram, dtype=np.int64) % q
+    cols = np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
+    value = np.einsum("ij,ij->i", cols, cols @ s) % q
+    cand = [cols[value == s[i, i]] for i in range(n)]
+    buckets = len(np.unique(cand[-1] @ s % q, axis=0))
+    return len(cand[0]), buckets if n == 2 else max(buckets, len(cand[1]))
+
+
+def _tiny_blocks_agree(monkeypatch, g, p, r, expected):
+    """The counter with blocks of 1, 2 and 7 rows of c0 gives `expected`;
+    returns how many of those runs end on a partial block."""
+    n0, width = _blocks(g, p, r)
+    partial = 0
+    for rows in (1, 2, 7):
+        # rows * width + width - 1 entries hold exactly `rows` rows
+        monkeypatch.setattr(density, "_PAIR_CHUNK", rows * width + width - 1)
+        assert _siegel_count(g, p, r) == expected, (g, p, r, rows)
+        partial += n0 % rows != 0
+    monkeypatch.undo()
+    return partial
 
 
 def test_counter_matches_loop_oracle(oracle_corpus, monkeypatch):
-    # the block counter against the per-column loop it replaced: rank 2 on
-    # the corpus and on seeded random Grams, at every guarded depth, with the
-    # default block and with blocks of 1, 2 and 7 rows of c0 (the last block
-    # partial in many cases); rank 3 inside the guard
+    # the lifted, bucketed counter against the per-column loop: rank 2 on the
+    # corpus and on seeded random Grams, and rank 3 on seeded random Grams, at
+    # every guarded depth, with the default block and with blocks of 1, 2 and
+    # 7 rows of c0 (the last block partial in many cases)
     rng = random.Random(8)
     rank2 = [lat.gram for _, lat in oracle_corpus if lat.rank == 2]
     primes = (2, 3, 5, 7, 11, 13)
@@ -236,23 +314,54 @@ def test_counter_matches_loop_oracle(oracle_corpus, monkeypatch):
         g = _random_gram(rng, 2, 40)
         p = primes[i % len(primes)]
         cases += [(g, p, r) for r in _guarded_depths(p, 2)]
-    partial = 0
+    partial = {2: 0, 3: 0}
     for g, p, r in cases:
         expected = loop_siegel_count(g, p, r)
         assert _siegel_count(g, p, r) == expected, (g, p, r)
-        n0, n1 = _column_candidates(g, p, r)
-        for rows in (1, 2, 7):
-            # rows * n1 + n1 - 1 entries hold exactly `rows` rows
-            monkeypatch.setattr(density, "_PAIR_CHUNK", rows * n1 + max(n1 - 1, 0))
-            assert _siegel_count(g, p, r) == expected, (g, p, r, rows)
-            partial += n0 % rows != 0
-        monkeypatch.undo()
-    assert len(cases) >= 200 * 2 and partial > 100
+        partial[2] += _tiny_blocks_agree(monkeypatch, g, p, r, expected)
+    assert len(cases) >= 200 * 2
     for i in range(40):
         g = _random_gram(rng, 3, 12)
         p = (2, 3, 5, 7)[i % 4]
         for r in _guarded_depths(p, 3):
-            assert _siegel_count(g, p, r) == loop_siegel_count(g, p, r), (g, p, r)
+            expected = loop_siegel_count(g, p, r)
+            assert _siegel_count(g, p, r) == expected, (g, p, r)
+            partial[3] += _tiny_blocks_agree(monkeypatch, g, p, r, expected)
+    assert partial[2] > 100 and partial[3] > 20, partial
+
+
+def test_counter_matches_table_oracle(oracle_corpus):
+    # the lifted, bucketed counter against the table counter it replaced, at
+    # every guarded depth: the corpus, seeded random rank-2 and rank-3 Grams,
+    # and Grams whose last-column candidates share few buckets S c mod q
+    rng = random.Random(15)
+    primes = (2, 3, 5, 7, 11, 13)
+    grams = [lat.gram for _, lat in oracle_corpus if lat.rank > 1]
+    grams += [lattice_from_text(t).gram for t in ("<1> + <1> + <1>", "<1> + <1> + <-1>",
+                                                   "U + <1>", "U + <2>")]
+    grams += [_random_gram(rng, 2, 40) for _ in range(200)]
+    grams += [_random_gram(rng, 3, 12) for _ in range(40)]
+    cases = [(g, p, r) for g in grams for p in primes for r in _guarded_depths(p, len(g))]
+    # S = 4 (3, -5) and 4 (1, -3): 1,024 columns in a few hundred buckets
+    cases += [(g, 2, r) for g in ([[12, 0], [0, -20]], [[4, 0], [0, -12]]) for r in range(1, 8)]
+    for g, p, r in cases:
+        assert _siegel_count(g, p, r) == table_siegel_count(g, p, r), (g, p, r)
+    assert sum(len(g) == 3 for g, _, _ in cases) > 40
+    for r in (1, 2, 3):
+        # S = 0 mod q: every column is a candidate, all in one bucket
+        assert _siegel_count([[8, 0], [0, 8]], 2, r) == table_siegel_count([[8, 0], [0, 8]], 2, r)
+        assert _siegel_count([[8, 0], [0, 8]], 2, r) == 2 ** (4 * r)
+
+
+def test_rank_one_counter_matches_residue_scan():
+    # a x^2 = a mod q counted from the lifted square roots of 1 mod q/g
+    # against the table counter's scan of all q residues
+    rng = random.Random(27)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        r = rng.randint(1, int(20 * math.log(2) / math.log(p)))
+        a = rng.choice((rng.randint(-50, 50) or 1, rng.randint(-10**6, 10**6) or 1, p**r * 7))
+        assert _siegel_count([[a]], p, r) == table_siegel_count([[a]], p, r), (a, p, r)
 
 
 def test_oracle_hyperbolic_plane():
