@@ -17,6 +17,14 @@ picks what it would pick on that block alone, so the split of the whole
 Gram is an interleaving of the summand splits; sorting makes the
 interleaving irrelevant.  Only the non-unimodular atoms bring bad primes.
 
+A summand unimodular at p (p does not divide its det; at p = 2 it must also
+be even, such as U or E8(-1)) is not split at all: its pieces would all
+land in level 0, whose Gram nothing reads, and it gives level 0 only its
+rank and det.  At odd p the det joins the product of the level-0 units.  At
+p = 2 its split would be even 2x2 pieces with product of determinants
+= det mod 8, each of class 7 (chi +1) or 3 (chi -1), so it multiplies the
+level-0 chi by kronecker(det, 2).
+
 All arithmetic runs modulo p^M with M = 2 v_p(det) + 8, det that of the
 whole lattice, also when a summand is split on its own.  A split-off piece
 of level l costs l (a 2x2 piece 2l) digits of the precision ledger, and the
@@ -32,8 +40,8 @@ by the classical unit relation (Conway-Sloane, SPLAG ch. 15 section 7)
     <a> + <b> + <c>  ~  <a+b+c> + (even binary of determinant abc/(a+b+c))
 
 over Z_2; its correctness is enforced empirically by the density oracle
-tests, not assumed.  The block's `unit_gram` stays the raw split, which the
-discriminant form reads.
+tests, not assumed.  The `unit_gram` of a block of level >= 1 stays the
+raw split, which the discriminant form reads; a level-0 block carries none.
 """
 
 from __future__ import annotations
@@ -53,7 +61,8 @@ class JordanBlock:
     """One constituent p^level U of the decomposition.
 
     unit_gram is U as split (diagonal at odd p; at p = 2 a block sum of
-    rank-1 odd and 2x2 even pieces), with entries mod p^(v_p(det) + 3).  At
+    rank-1 odd and 2x2 even pieces), with entries mod p^(v_p(det) + 3), at
+    level >= 1 only; it is () at level 0, where no reader needs it.  At
     odd p, chi is the Legendre symbol of (-1)^(rank/2) det U (0 at odd rank)
     and odd_units is empty.  At p = 2, odd_units are the odd part's units
     mod 8, compressed to at most two and sorted, and chi is the chi of the
@@ -242,19 +251,32 @@ def _block_diag(pieces):
     return tuple(tuple(r) for r in rows)
 
 
-def _assemble(pieces_by_level, p: int, report_exp: int) -> tuple[JordanBlock, ...]:
+def _assemble(pieces_by_level, p: int, report_exp: int,
+              unimodular: tuple[int, int] = (0, 1)) -> tuple[JordanBlock, ...]:
+    """The blocks from the split pieces of each level, plus `unimodular`:
+    (rank, det) of the summands added to level 0 without a split (an even
+    one at p = 2), whose det is a unit at p."""
     pR = p**report_exp
+    extra_rank, extra_det = unimodular
     blocks = []
-    for level in sorted(pieces_by_level):
-        reduced = sorted([[x % pR for x in row] for row in pc] for pc in pieces_by_level[level])
-        gram = _block_diag(reduced)
-        rank = len(gram)
+    for level in sorted({*pieces_by_level, *([0] if extra_rank else [])}):
+        reduced = sorted([[x % pR for x in row] for row in pc]
+                         for pc in pieces_by_level.get(level, ()))
+        rank = sum(len(pc) for pc in reduced)
+        det_unit = 1
+        if level == 0:
+            rank += extra_rank
+            det_unit = extra_det
         if p == 2:
             chi, odd_units = _two_adic_invariants(reduced)
+            # the even split of the unsplit part has prod det_i = det mod 8,
+            # and _even_chi(d) = kronecker(d, 2) for d = 3, 7 mod 8
+            chi *= kronecker(det_unit, 2)
         else:
             odd_units = ()
-            det_unit = prod(pc[0][0] % p for pc in reduced)
+            det_unit *= prod(pc[0][0] % p for pc in reduced)
             chi = 0 if rank % 2 else kronecker((-1) ** (rank // 2) * det_unit, p)
+        gram = _block_diag(reduced) if level else ()
         blocks.append(JordanBlock(level, rank, gram, chi, odd_units))
     return tuple(blocks)
 
@@ -262,18 +284,26 @@ def _assemble(pieces_by_level, p: int, report_exp: int) -> tuple[JordanBlock, ..
 def jordan_decompose(lattice: Lattice, p: int) -> JordanDecomposition:
     """Jordan decomposition of L over Z_p, one block per level; at p = 2
     each block carries its compressed odd part and even-part chi.  A direct
-    sum is split once per distinct summand Gram, at L's precision."""
+    sum is split once per distinct summand Gram, at L's precision, except
+    that a summand unimodular at p (and even, at p = 2) only adds its rank
+    and det to level 0."""
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     vdet = valuation(lattice.det, p)
     splits = {}
     by_level: dict[int, list] = {}
+    unimodular_rank, unimodular_det = 0, 1
     for part in lattice.summands or (lattice,):
+        if part.det % p and (p != 2 or part.is_even):
+            unimodular_rank += part.rank
+            unimodular_det = unimodular_det * part.det % (8 * p)
+            continue
         if part.gram not in splits:
             splits[part.gram] = _split_pieces(part.gram, p, 2 * vdet + 8)
         for level, piece in splits[part.gram]:
             by_level.setdefault(level, []).append(piece)
-    decomp = JordanDecomposition(p, _assemble(by_level, p, vdet + 3))
+    decomp = JordanDecomposition(
+        p, _assemble(by_level, p, vdet + 3, (unimodular_rank, unimodular_det)))
     if decomp.total_rank != lattice.rank:
         raise InternalCheckError("Jordan blocks do not exhaust the rank")
     if decomp.det_valuation != vdet:

@@ -14,10 +14,15 @@ factored; two squarefree radicands multiply through their gcd.
 
 Bernoulli numbers are read off the integer tangent numbers, and the
 generalized Bernoulli number B_{k,chi} of a character of conductor f comes
-from the integer power sums S_j = sum_{a=1}^{f} chi(a) a^j (binomial
-expansion of B_k(a/f)), combined over one common denominator.  The values
-chi_D(a), a < f, are one table built from the prime discriminants of D:
-squares mod p for each odd p | D, and a table mod 4 or 8 for the 2-part.
+from the integer power sums S_j = sum_{0<a<f/2} chi(a) a^j over half the
+residues (binomial expansion of B_k(a/f), folded by chi(f-a) B_k(1-a/f) =
+chi(a) B_k(a/f)), combined over one common denominator.  B_{k,chi} is 0
+when chi(-1) != (-1)^k, with no power sum formed.  The values chi_D(a),
+a < f, are one table built from the prime discriminants of D: squares mod p
+for each odd p | D, and a table mod 4 or 8 for the 2-part.  That table and
+the power sums are linear in f, so a call priced over _GENBERN_WORK_CAP
+products raises FeasibilityError before the table is built.  The product
+zeta(2)...zeta(2t) is one fraction from one tangent-number triangle.
 
 L-values at positive integers are obtained from generalized Bernoulli numbers
 through the completed functional equation; the even-character case follows
@@ -36,7 +41,7 @@ from functools import cache
 from itertools import compress
 
 from .arith import factorize, kronecker, squarefree_decompose
-from .errors import PreconditionError
+from .errors import FeasibilityError, PreconditionError
 
 __all__ = [
     "SymbolicReal",
@@ -45,12 +50,16 @@ __all__ = [
     "fundamental_discriminant",
     "generalized_bernoulli",
     "zeta_closed",
+    "zeta_product",
     "l_closed",
     "gamma_half",
     "gamma_factor",
 ]
 
 _POWER_SUM_BLOCK = 256
+# products priced for the power sums of one B_{k,chi} (the chi table, f,
+# plus (f/2)(k/2 + 1)); the largest admitted call takes a few seconds
+_GENBERN_WORK_CAP = 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -176,6 +185,12 @@ def _tangent_numbers(count: int) -> list[int]:
     return t
 
 
+def _even_bernoulli(k: int, t_k: int) -> Fraction:
+    """B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent number T_k."""
+    four_k = 4**k
+    return Fraction((-1) ** (k - 1) * 2 * k * t_k, four_k * (four_k - 1))
+
+
 @cache
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (convention B_1 = -1/2).
@@ -194,9 +209,7 @@ def bernoulli(n: int) -> Fraction:
         return Fraction(-1, 2)
     if n % 2:
         return Fraction(0)
-    k = n // 2
-    four_k = 4**k
-    return Fraction((-1) ** (k - 1) * n * _tangent_numbers(k)[k], four_k * (four_k - 1))
+    return _even_bernoulli(n // 2, _tangent_numbers(n // 2)[n // 2])
 
 
 def fundamental_discriminant(m: int) -> tuple[int, int]:
@@ -225,9 +238,19 @@ _TWO_PART_CHARACTERS = {
 }
 
 
-def _character_table(disc: int) -> list[int]:
+def _fundamental_primes(disc: int) -> dict[int, int]:
+    """factorize(|disc|), once disc is checked to be a fundamental
+    discriminant: squarefree odd part, 2-part in {1, -4, 8, -8}."""
+    primes = factorize(abs(disc))
+    odd = math.prod(p if p % 4 == 1 else -p for p in primes if p != 2)
+    if disc // odd not in _TWO_PART_CHARACTERS or any(e > 1 for p, e in primes.items() if p != 2):
+        raise PreconditionError(f"{disc} is not a fundamental discriminant")
+    return primes
+
+
+def _character_table(disc: int, primes: dict[int, int]) -> list[int]:
     """[kronecker(disc, a) for a in range(|disc|)] for a fundamental
-    discriminant, from one factorization.
+    discriminant with factorization `primes` (`_fundamental_primes`).
 
     chi_disc is the product of the characters of the prime discriminants of
     disc: p* = (-1)^((p-1)/2) p for each odd p | disc, whose value at a > 0
@@ -235,12 +258,8 @@ def _character_table(disc: int) -> list[int]:
     d2 = disc / prod p* in {1, -4, 8, -8}.  Tables T and t of coprime periods
     M and m combine into the table of period M m as T[a mod M] * t[a mod m].
     """
-    primes = factorize(abs(disc))
     odd = math.prod(p if p % 4 == 1 else -p for p in primes if p != 2)
-    two_part = _TWO_PART_CHARACTERS.get(disc // odd)
-    if two_part is None or any(e > 1 for p, e in primes.items() if p != 2):
-        raise PreconditionError(f"{disc} is not a fundamental discriminant")
-    table = list(two_part)
+    table = list(_TWO_PART_CHARACTERS[disc // odd])
     for p in primes:
         if p == 2:
             continue
@@ -257,39 +276,80 @@ def generalized_bernoulli(k: int, disc: int) -> Fraction:
     the fundamental discriminant `disc`.
 
     Defined by the finite sum B_{k,chi} = f^(k-1) sum_{a=1}^{f} chi(a) B_k(a/f)
-    with f = |disc|.  Expanding B_k(a/f) binomially gives
+    with f = |disc|.  It is 0 unless chi(-1) = sign(disc) equals (-1)^k;
+    then chi(f-a) B_k(1-a/f) = chi(a) B_k(a/f) folds the sum onto a < f/2,
+    and expanding B_k(a/f) binomially gives
 
-        B_{k,chi} = sum_{i=0}^{k} C(k,i) B_i f^(i-1) S_{k-i},
-        S_j = sum_{a=1}^{f} chi(a) a^j,
+        B_{k,chi} = 2 sum_{i=0}^{k} C(k,i) B_i f^(i-1) S_{k-i},
+        S_j = sum_{0<a<f/2} chi(a) a^j.
 
-    so the S_j are integers from one pass over the table of chi, and the sum
-    is one integer over the common denominator of B_0..B_k, times f.  For
-    disc = 1 this returns the ordinary B_k; any other disc that is not a
-    fundamental discriminant raises PreconditionError.
+    B_i = 0 at odd i >= 3, so only S_{k-1} and the S_j with j = k mod 2 are
+    formed, the latter by stepping the terms by a^2; B_0..B_k come from one
+    tangent-number triangle, and the sum is one integer over their common
+    denominator, times f.  For disc = 1 this returns the ordinary B_k; any
+    other disc that is not a fundamental discriminant raises
+    PreconditionError, and one whose power sums would take more than
+    _GENBERN_WORK_CAP products raises FeasibilityError.
     """
     if k < 1:
         raise ValueError("index must be >= 1")
     if disc == 1:
         return bernoulli(k)
+    primes = _fundamental_primes(disc)
+    if (disc < 0) == (k % 2 == 0):
+        return Fraction(0)
     f = abs(disc)
-    chi = _character_table(disc)
+    work = f + (f // 2) * (k // 2 + 1)
+    if work > _GENBERN_WORK_CAP:
+        raise FeasibilityError(
+            f"B_{{{k},chi}} of conductor {f} would take ~{work} products, "
+            f"over the cap {_GENBERN_WORK_CAP}"
+        )
+    chi = _character_table(disc, primes)
+    half = (f + 1) // 2  # a < f/2; chi(f/2) = 0 for even f
     sums = [0] * (k + 1)
     # a block of residues at a time, so the lists of powers stay short
-    for start in range(1, f, _POWER_SUM_BLOCK):
-        block = chi[start:start + _POWER_SUM_BLOCK]
+    for start in range(1, half, _POWER_SUM_BLOCK):
+        block = chi[start:min(start + _POWER_SUM_BLOCK, half)]
         residues = list(compress(range(start, start + len(block)), block))
-        terms = list(filter(None, block))  # chi(a) * a^j over the residues
-        sums[0] += sum(terms)
-        for j in range(1, k + 1):
+        squares = [a * a for a in residues]
+        terms = list(filter(None, block))  # chi(a) * a^j over the residues, j = 0
+        if k == 1:
+            sums[0] += sum(terms)
+        if k % 2:
             terms = list(map(operator.mul, terms, residues))
+        sums[k % 2] += sum(terms)
+        for j in range(k % 2 + 2, k + 1, 2):
+            if j == k:  # S_{k-1} from the terms of a^(k-2)
+                sums[k - 1] += sum(map(operator.mul, terms, residues))
+            terms = list(map(operator.mul, terms, squares))
             sums[j] += sum(terms)
-    bern = [bernoulli(i) for i in range(k + 1)]
-    den = math.lcm(*(b.denominator for b in bern))
+    tangents = _tangent_numbers(k // 2)
+    bern = {0: Fraction(1), 1: Fraction(-1, 2)}
+    bern.update((2 * m, _even_bernoulli(m, tangents[m])) for m in range(1, k // 2 + 1))
+    den = math.lcm(*(b.denominator for b in bern.values()))
     num = sum(
         math.comb(k, i) * b.numerator * (den // b.denominator) * f**i * sums[k - i]
-        for i, b in enumerate(bern)
+        for i, b in bern.items()
     )
-    return Fraction(num, den * f)
+    return Fraction(2 * num, den * f)
+
+
+def zeta_product(t: int) -> SymbolicReal:
+    """zeta(2) zeta(4) ... zeta(2t) as one exact multiple of pi^(t(t+1)).
+
+    zeta(2i) = T_i pi^(2i) / (2 (4^i - 1) (2i-1)!) with the tangent number
+    T_i, all T_i from one triangle, so the product is one fraction reduced
+    once.
+    """
+    tangents = _tangent_numbers(t)
+    num = den = odd_factorial = 1  # (2i-1)!
+    for i in range(1, t + 1):
+        if i > 1:
+            odd_factorial *= (2 * i - 2) * (2 * i - 1)
+        num *= tangents[i]
+        den *= 2 * (4**i - 1) * odd_factorial
+    return _normal(Fraction(num, den), 2 * t * (t + 1), 1)
 
 
 def zeta_closed(k2: int) -> SymbolicReal:

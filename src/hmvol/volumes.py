@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
 from .arith import squarefree_split
 from .density import (
@@ -51,7 +51,7 @@ from .special_values import (
     field_discriminant,
     gamma_factor,
     l_closed,
-    zeta_closed,
+    zeta_product,
 )
 
 
@@ -85,10 +85,9 @@ def _euler_product(lattice: Lattice, densities: list[LocalDensity]) -> SymbolicR
     rho = lattice.rank
     if rho % 2:
         t = (rho - 1) // 2
-        values = [zeta_closed(2 * i) for i in range(1, t + 1)]
         for p in bad:
             rational *= p_series(p, t)
-        return prod(values, start=SymbolicReal(rational))
+        return zeta_product(t) * rational
     t = rho // 2
     if lattice.det < 0:
         # chi_D(-1) != (-1)^t here; L(t, chi_D) has no elementary closed form
@@ -99,10 +98,9 @@ def _euler_product(lattice: Lattice, densities: list[LocalDensity]) -> SymbolicR
     # at p not dividing 2 det the one unimodular Jordan block has
     # chi = kronecker(disc, p), so the good primes give L(t, chi_disc)
     disc = genus_discriminant(lattice)
-    values = [zeta_closed(2 * i) for i in range(1, t)] + [l_closed(t, disc)]
     for p in bad:
         rational *= p_series(p, t - 1) * euler_factor(disc, p, t)
-    return prod(values, start=SymbolicReal(rational))
+    return zeta_product(t - 1) * l_closed(t, disc) * rational
 
 
 def _det_power(lattice: Lattice) -> SymbolicReal:

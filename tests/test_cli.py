@@ -81,6 +81,13 @@ def test_isometry_guard_exit_4(capsys):
     assert "2-part" in err and "|A_2| = 131072" in err
 
 
+def test_l_value_conductor_guard_exit_4(capsys):
+    # D = 4 * 2 * 2 * 2000000000001: the chi table alone would not fit in memory
+    code, out, err = run(capsys, "analyze", "U + <2> + <-2000000000001>")
+    assert code == 4 and out == ""
+    assert "conductor 16000000000008" in err and "Traceback" not in err
+
+
 def test_analyze_e8_minus_two_stable_exit_0(capsys):
     # |O(q)| = |O+_8(2)| = 348,364,800: counted down a stabilizer chain
     code, out, _ = run(capsys, "analyze", "2*U + E8(-2)", "--group", "O~+", "--json")

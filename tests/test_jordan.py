@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hmvol.arith import valuation
+from hmvol.arith import kronecker, valuation
 from hmvol.density import bad_primes, density_from_decomposition, local_density
 from hmvol.errors import InternalCheckError, PreconditionError
 from hmvol.expr import lattice_from_text
@@ -142,8 +142,11 @@ def scan_split_pieces(gram, p: int, modulus_exp: int):
 
 
 def scan_decompose(lattice: Lattice, p: int) -> JordanDecomposition:
-    """`jordan_decompose` assembled from `scan_split_pieces` at the same
-    working precision."""
+    """`jordan_decompose` assembled from `scan_split_pieces` of the whole
+    Gram at the same working precision, unimodular summands included.
+    Level-0 blocks carry no `unit_gram` on either route, so equality
+    compares level, rank, chi and odd_units at every level and unit_gram at
+    levels >= 1."""
     vdet = valuation(lattice.det, p)
     by_level: dict[int, list] = {}
     for level, piece in scan_split_pieces(lattice.gram, p, 2 * vdet + 8):
@@ -207,8 +210,9 @@ def _corpus() -> list[Lattice]:
 
 
 def test_direct_sum_splits_each_summand_once(monkeypatch):
-    # L(2, 6) = 2U + 2E8(-1) + <-12> is built with no elimination, and each
-    # of its three distinct summands is split once at each bad prime
+    # L(2, 6) = 2U + 2E8(-1) + <-12> is built with no elimination; U and
+    # E8(-1) are even unimodular, so only <-12> is split, once at each bad
+    # prime
     from hmvol import jordan, lattices
 
     eliminated, split = [], []
@@ -229,10 +233,29 @@ def test_direct_sum_splits_each_summand_once(monkeypatch):
     assert primes == (2, 3)
     decomps = [jordan_decompose(lat, p) for p in primes]
     assert eliminated == []
-    atoms = {atom.gram for atom in lat.summands}
-    assert len(atoms) == 3
-    assert sorted(split) == sorted((gram, p) for gram in atoms for p in primes)
+    assert len({atom.gram for atom in lat.summands}) == 3
+    assert split == [(((-12,),), 2), (((-12,),), 3)]
     assert decomps == [scan_decompose(lat, p) for p in primes]
+
+
+def test_unsplit_unimodular_chi_matches_split():
+    # an even unimodular summand adds (rank, det) to level 0 with
+    # chi = kronecker(det, 2) at p = 2, the Legendre symbol of
+    # (-1)^(rank/2) det at odd p; the split of its Gram must agree
+    atoms = [hyperbolic_plane(), hyperbolic_plane(-1), e8(1), e8(-1),
+             from_gram([[2, 1], [1, 2]]), from_gram([[2, 1], [1, -2]])]
+    for atom in atoms:
+        for p in (2, 3, 5, 7):
+            if atom.det % p == 0:
+                continue
+            by_level: dict[int, list] = {}
+            for level, piece in _split_pieces(atom.gram, p, 8):
+                by_level.setdefault(level, []).append(piece)
+            (split_block,) = _assemble(by_level, p, 3)
+            (block,) = jordan_decompose(atom, p).blocks
+            assert block == split_block, (atom.gram, p)
+            assert (block.level, block.rank, block.unit_gram) == (0, atom.rank, ())
+        assert jordan_decompose(atom, 2).blocks[0].chi == kronecker(atom.det, 2)
 
 
 def test_split_matches_full_scan_oracle_on_corpora():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmvol
-from hmvol.errors import PreconditionError
+from hmvol.errors import FeasibilityError, PreconditionError
 from hmvol import special_values
 from hmvol.arith import squarefree_decompose
 from hmvol.special_values import (
@@ -27,6 +27,7 @@ from hmvol.special_values import (
     kronecker,
     l_closed,
     zeta_closed,
+    zeta_product,
 )
 
 
@@ -258,13 +259,67 @@ def test_character_table_matches_kronecker():
     discs = [d for d in range(-2000, 2001) if _is_fundamental_discriminant(d)]
     assert len(discs) == 1218
     for disc in discs:
-        assert special_values._character_table(disc) == [kronecker(disc, a) for a in range(abs(disc))], disc
+        table = special_values._character_table(disc, special_values._fundamental_primes(disc))
+        assert table == [kronecker(disc, a) for a in range(abs(disc))], disc
 
 
 def test_character_table_rejects_non_fundamental():
     for disc in (-1, 3, 4, 9, 16, 20, -12, 45, -32):
         with pytest.raises(PreconditionError, match="fundamental"):
-            special_values._character_table(disc)
+            special_values._fundamental_primes(disc)
+        for k in (2, 3):  # the parity zero is no way around the check
+            with pytest.raises(PreconditionError, match="fundamental"):
+                generalized_bernoulli(k, disc)
+
+
+def full_range_generalized_bernoulli(k_max: int, disc: int) -> list[Fraction]:
+    """[B_{k,chi} for k = 1..k_max] by the route taken before the half-range
+    power sums: the binomial expansion over every residue 0 < a < f, every
+    power sum S_0..S_k, and B_0..B_k from `bernoulli` one by one (the
+    reference for the parity zero, the fold onto a < f/2 and the tangent
+    triangle).  The S_j do not depend on k, so they are formed once."""
+    f = abs(disc)
+    chi = special_values._character_table(disc, special_values._fundamental_primes(disc))
+    block_size = special_values._POWER_SUM_BLOCK
+    sums = [0] * (k_max + 1)
+    for start in range(1, f, block_size):
+        block = chi[start:start + block_size]
+        residues = [a for a, c in zip(range(start, start + len(block)), block) if c]
+        terms = list(filter(None, block))
+        sums[0] += sum(terms)
+        for j in range(1, k_max + 1):
+            terms = list(map(operator.mul, terms, residues))
+            sums[j] += sum(terms)
+    values = []
+    for k in range(1, k_max + 1):
+        bern = [bernoulli(i) for i in range(k + 1)]
+        den = math.lcm(*(b.denominator for b in bern))
+        num = sum(
+            math.comb(k, i) * b.numerator * (den // b.denominator) * f**i * sums[k - i]
+            for i, b in enumerate(bern)
+        )
+        values.append(Fraction(num, den * f))
+    return values
+
+
+@pytest.mark.parametrize("lo", range(-2000, 2001, 500))
+def test_generalized_bernoulli_matches_full_range_route(lo):
+    # every fundamental discriminant with |D| <= 2000 and 1 <= k <= 16, both
+    # parities of k; a chunk of discriminants per case keeps each under 3 s
+    discs = [d for d in range(lo, min(lo + 500, 2001)) if _is_fundamental_discriminant(d)]
+    for disc in discs:
+        expected = full_range_generalized_bernoulli(16, disc)
+        assert [generalized_bernoulli(k, disc) for k in range(1, 17)] == expected, disc
+
+
+def test_generalized_bernoulli_conductor_guard():
+    # priced at f + (f/2)(k/2 + 1) products, checked before the chi table
+    f = 2000000000001  # squarefree, = 1 mod 4: a fundamental discriminant
+    with pytest.raises(FeasibilityError, match="conductor 2000000000001"):
+        generalized_bernoulli(2, f)
+    assert generalized_bernoulli(3, 100000001) == 0  # the parity zero is free
+    with pytest.raises(FeasibilityError):
+        generalized_bernoulli(2, 100000001)
 
 
 def test_generalized_bernoulli_matches_kronecker_route():
@@ -413,6 +468,15 @@ def test_zeta_closed_values():
 def test_zeta_negative():
     assert zeta_negative(-5) == Fraction(-1, 252)
     assert zeta_negative(-1) == Fraction(-1, 12)
+
+
+def test_zeta_product_matches_product_of_zeta_closed():
+    # t <= 32 covers rank 64
+    expected = SymbolicReal(Fraction(1))
+    assert zeta_product(0) == expected
+    for t in range(1, 33):
+        expected = expected * zeta_closed(2 * t)
+        assert zeta_product(t) == expected, t
 
 
 def test_zeta_closed_rejects_odd():
