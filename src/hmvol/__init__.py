@@ -52,7 +52,6 @@ from .volumes import (
     cusp_dim_leading,
     euler_alpha_product,
     group_volume,
-    siegel_identities,
     vol_hm,
 )
 

@@ -14,10 +14,10 @@ Exit codes: 0 ok, 1 catalog mismatch, 2 expression or argument error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .density import local_density, siegel_count_oracle
 from .discforms import GROUP_TAGS
@@ -99,6 +99,38 @@ def _report_json(report: VolumeReport, precision: int | None) -> dict:
     return doc
 
 
+def _json_text(x, newline: str = "\n") -> str:
+    """json.dumps(x, indent=2), byte for byte, for dicts with str keys, lists,
+    tuples, str, int, bool and None; any other type raises TypeError.  The
+    stdlib leaves its C encoder whenever indent is set, so this writer indents
+    and keeps the C string escaper; a list of plain ints (a Gram row) is one
+    join.  `newline` is the line break and indent that x starts at."""
+    if isinstance(x, str):
+        return _json_str(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = newline + "  "
+    # str values, most of a report's leaves, are escaped without a recursive call;
+    # a key that is not a str raises TypeError in the escaper
+    if isinstance(x, dict):
+        items = [_json_str(k) + ": " + (_json_str(v) if type(v) is str else _json_text(v, inner))
+                 for k, v in x.items()]
+        brackets = "{}"
+    elif isinstance(x, (list, tuple)):
+        brackets = "[]"
+        if all(type(v) is int for v in x):
+            items = list(map(int.__repr__, x))
+        else:
+            items = [_json_str(v) if type(v) is str else _json_text(v, inner) for v in x]
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
 def _decimal(x: Fraction, digits: int) -> str:
     import mpmath
 
@@ -139,7 +171,7 @@ def _cmd_analyze(args) -> int:
     tags = tuple(args.group) if args.group else None
     report = build_report(lattice, tags=tags, g_sp_plus=args.gsp, oracle_check=args.oracle_check)
     if args.json:
-        print(json.dumps(_report_json(report, args.precision), indent=2))
+        print(_json_text(_report_json(report, args.precision)))
     else:
         _print_report(report, args.precision)
     return 0

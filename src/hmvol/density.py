@@ -17,7 +17,10 @@ Two independent routes:
   returns it, with the odd part already compressed to at most two units
   (`odd_units`) and chi that of the even part (`chi`).
   The empty even part counts as chi = +1.  These conventions (including the
-  counting convention below) are pinned by the oracle tests.
+  counting convention below) are pinned by the oracle tests.  Each alpha_p
+  is one integer fraction, reduced once: the lead term, P as the integer
+  prod (p^(2i) - 1) over p^(sum k(k+1)), and E_j = (p^k + chi)/p^k (at p = 2
+  1/2 or (2^k + chi)/2^(k+1)) multiply as numerators and denominators.
 
 * `siegel_count_oracle` counts matrix self-congruences X^t S X = S mod p^r
   directly (p-adically lifted column candidates, the last column bucketed on
@@ -41,6 +44,7 @@ ORACLE_CANDIDATE_CAP = 2**30
 _PAIR_CHUNK = 2**16
 # a 2-adic level with no block: even, with the empty even part's chi = +1
 _EMPTY_BLOCK = JordanBlock(0, 0, (), 1, ())
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -57,15 +61,21 @@ class LocalDensity:
         return out
 
 
+def _p_series_num(p: int, n: int) -> int:
+    """prod_{i=1}^{n} (p^(2i) - 1), the numerator of P_p(n) over p^(n(n+1))."""
+    num = pw = 1
+    for _ in range(n):
+        pw *= p * p
+        num *= pw - 1
+    return num
+
+
 def p_series(p: int, n: int) -> Fraction:
     """P_p(n) = prod_{i=1}^{n} (1 - p^(-2i)); the empty product is 1."""
     if n < 0:
         raise PreconditionError("P_p needs n >= 0")
     # one integer over the common denominator p^2 p^4 ... p^(2n) = p^(n(n+1))
-    num = 1
-    for i in range(1, n + 1):
-        num *= p ** (2 * i) - 1
-    return Fraction(num, p ** (n * (n + 1)))
+    return Fraction(_p_series_num(p, n), p ** (n * (n + 1)))
 
 
 def cross_rank_weight(decomp: JordanDecomposition) -> int:
@@ -83,22 +93,31 @@ def cross_rank_weight(decomp: JordanDecomposition) -> int:
     return w
 
 
-def _density_odd(decomp: JordanDecomposition) -> LocalDensity:
-    p = decomp.p
-    s = len(decomp.blocks)
-    w = cross_rank_weight(decomp)
-    p_factor = Fraction(1)
-    e_factors: dict[int, Fraction] = {}
-    for b in decomp.blocks:
-        p_factor *= p_series(p, b.rank // 2)
-        if b.rank % 2 == 0:
-            e_factors[b.level] = 1 + Fraction(b.chi, p ** (b.rank // 2))
-    lead = Fraction(2) ** (s - 1) * Fraction(p) ** w
-    value = lead * p_factor
+def _assembled(p: int, s: int, w: int, q: int, lead: Fraction, ks, e_factors) -> LocalDensity:
+    """alpha_p = lead prod_k P_p(k) / prod_j E_j from integers, reduced once:
+    prod_k P_p(k) is one integer over p^(sum k(k+1))."""
+    p_num, p_exp = 1, 0
+    for k in ks:
+        p_num *= _p_series_num(p, k)
+        p_exp += k * (k + 1)
+    num, den = lead.numerator * p_num, lead.denominator * p**p_exp
     for e in e_factors.values():
-        value /= e
-    breakdown = {"s": s, "w": w, "q": 0, "lead": lead, "P": p_factor, "E": e_factors}
-    return LocalDensity(p, value, breakdown)
+        num *= e.denominator
+        den *= e.numerator
+    breakdown = {"s": s, "w": w, "q": q, "lead": lead, "P": Fraction(p_num, p**p_exp), "E": e_factors}
+    return LocalDensity(p, Fraction(num, den), breakdown)
+
+
+def _density_odd(decomp: JordanDecomposition) -> LocalDensity:
+    p, blocks = decomp.p, decomp.blocks
+    w = cross_rank_weight(decomp)
+    # E_j = 1 + chi_j p^(-k) = (p^k + chi_j) / p^k, k = n_j / 2, at even n_j
+    e_factors = {
+        b.level: Fraction(p ** (b.rank // 2) + b.chi, p ** (b.rank // 2))
+        for b in blocks if b.rank % 2 == 0
+    }
+    lead = Fraction(p**w << (len(blocks) - 1))  # 2^(s-1) p^w
+    return _assembled(p, len(blocks), w, 0, lead, [b.rank // 2 for b in blocks], e_factors)
 
 
 def _density_two(decomp: JordanDecomposition) -> LocalDensity:
@@ -113,31 +132,22 @@ def _density_two(decomp: JordanDecomposition) -> LocalDensity:
     for b in decomp.blocks:
         if b.odd_units:
             q += b.rank + (0 if is_even_at(b.level + 1) else 1)
-    p_factor = Fraction(1)
-    for b in decomp.blocks:
-        p_factor *= p_series(2, (b.rank - len(b.odd_units)) // 2)
-
-    lo = min(by_level) - 1
-    hi = max(by_level) + 1
     e_factors: dict[int, Fraction] = {}
-    for j in range(lo, hi + 1):
-        if not (is_even_at(j - 1) and is_even_at(j + 1)):
-            e_factors[j] = Fraction(1, 2)
-            continue
+    for j in range(min(by_level) - 1, max(by_level) + 2):
         b = by_level.get(j, _EMPTY_BLOCK)
         units = b.odd_units
-        if len(units) == 2 and (units[0] - units[1]) % 4 == 0:
-            e_factors[j] = Fraction(1, 2)
-            continue
-        even_rank = b.rank - len(units)
-        e_factors[j] = Fraction(1, 2) * (1 + Fraction(b.chi, 2 ** (even_rank // 2)))
-
-    lead = Fraction(2) ** (n - 1 + w - q)
-    value = lead * p_factor
-    for e in e_factors.values():
-        value /= e
-    breakdown = {"s": len(decomp.blocks), "w": w, "q": q, "lead": lead, "P": p_factor, "E": e_factors}
-    return LocalDensity(2, value, breakdown)
+        if not (is_even_at(j - 1) and is_even_at(j + 1)) or (
+            len(units) == 2 and (units[0] - units[1]) % 4 == 0
+        ):
+            e_factors[j] = _HALF
+        else:
+            # E_j = (1 + chi 2^(-k)) / 2 = (2^k + chi) / 2^(k+1), k = rank N_j^even / 2
+            k = (b.rank - len(units)) // 2
+            e_factors[j] = Fraction((1 << k) + b.chi, 2 << k)
+    e = n - 1 + w - q
+    lead = Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
+    ks = [(b.rank - len(b.odd_units)) // 2 for b in decomp.blocks]
+    return _assembled(2, len(decomp.blocks), w, q, lead, ks, e_factors)
 
 
 def density_from_decomposition(decomp: JordanDecomposition) -> LocalDensity:

@@ -9,9 +9,10 @@ Builders return the lattices
     N(m,d)  = U + m E8(-1) + [2,1;1,(1-d)/2] signature (2, 8m+2), d = 1 mod 4
 
 The fixture functions code the final closed forms (Bernoulli products, case
-constants, the two-adic exponent table) directly; they share the Bernoulli /
-generalized-Bernoulli helpers with the engine but none of the Jordan, density
-or Euler-product code, so engine == fixture is a genuine two-route check.
+constants, the two-adic exponent table) directly; they share the Bernoulli
+(tangent-number) and generalized-Bernoulli helpers with the engine but none
+of the Jordan, density or Euler-product code, so engine == fixture is a
+genuine two-route check.
 
 Two constants are pinned by tests rather than by pattern extrapolation:
 
@@ -31,7 +32,12 @@ from fractions import Fraction
 from .arith import factorize, kronecker, valuation
 from .errors import PreconditionError
 from .lattices import Lattice, direct_sum, e8, from_gram, hyperbolic_plane, rank_one
-from .special_values import bernoulli, fundamental_discriminant, generalized_bernoulli
+from .special_values import (
+    _even_bernoulli,
+    _tangent_numbers,
+    fundamental_discriminant,
+    generalized_bernoulli,
+)
 
 
 # ---------------------------------------------------------------- builders
@@ -74,12 +80,15 @@ def n_lattice(m: int, d: int) -> Lattice:
 
 # ------------------------------------------------------------ small helpers
 
+def _even_bernoullis(top: int) -> list[Fraction]:
+    """[B_2, B_4, ..., B_top] (top even), read off one tangent-number triangle."""
+    tangents = _tangent_numbers(top // 2)
+    return [_even_bernoulli(k, tangents[k]) for k in range(1, top // 2 + 1)]
+
+
 def _bernoulli_product(top: int) -> Fraction:
     """B_2 B_4 ... B_top (top even); positive throughout the ranges used."""
-    out = Fraction(1)
-    for i in range(2, top + 1, 2):
-        out *= bernoulli(i)
-    return out
+    return math.prod(_even_bernoullis(top))
 
 
 def _double_factorial_even(top: int) -> int:
@@ -101,22 +110,24 @@ def _prime_divisor_product(d: int, exponent: int) -> Fraction:
 
 def fixture_vol_ii_oplus(m: int) -> Fraction:
     """vol_HM(O+(II(m))) = 2^-(4m+1) (B_2...B_{8m+2}/(8m+2)!!) B_{4m+2}/(4m+2)."""
+    bern = _even_bernoullis(8 * m + 2)
     return (
         Fraction(1, 2 ** (4 * m + 1))
-        * _bernoulli_product(8 * m + 2)
+        * math.prod(bern)
         / _double_factorial_even(8 * m + 2)
-        * bernoulli(4 * m + 2)
+        * bern[2 * m]  # B_{4m+2}
         / (4 * m + 2)
     )
 
 
 def fixture_dim_ii_leading(m: int) -> Fraction:
     """Leading k^(8m+2) coefficient for the stable group of II(m)."""
+    bern = _even_bernoullis(8 * m + 2)
     return (
         Fraction(1, 2 ** (4 * m))
-        * _bernoulli_product(8 * m + 2)
+        * math.prod(bern)
         / _double_factorial_even(8 * m + 2)
-        * bernoulli(4 * m + 2)
+        * bern[2 * m]  # B_{4m+2}
         / (4 * m + 2)
         / math.factorial(8 * m + 2)
     )
@@ -158,7 +169,7 @@ def fixture_cusp_k3(d: int) -> Fraction:
 
 def fixture_cusp_paramodular(d: int) -> Fraction:
     """Paramodular leading coefficient (d^2/(3*2^4)) prod_{p|d}(1+p^-2) |B_2 B_4|."""
-    return Fraction(d * d, 3 * 2**4) * _prime_divisor_product(d, 2) * abs(bernoulli(2) * bernoulli(4))
+    return Fraction(d * d, 3 * 2**4) * _prime_divisor_product(d, 2) * abs(_bernoulli_product(4))
 
 
 def _k_constant(m: int, d: int, disc: int) -> Fraction:

@@ -52,7 +52,6 @@ __all__ = [
     "zeta_closed",
     "zeta_product",
     "l_closed",
-    "gamma_half",
     "gamma_factor",
 ]
 
@@ -361,29 +360,6 @@ def zeta_closed(k2: int) -> SymbolicReal:
     return SymbolicReal(coeff, 2 * k2)
 
 
-def gamma_half(j: int) -> SymbolicReal:
-    """Gamma(j/2) as a SymbolicReal, for any j with j/2 not a nonpositive integer.
-
-    Expands through Gamma(x+1) = x Gamma(x) down to Gamma(1) = 1 or
-    Gamma(1/2) = sqrt(pi); half-integer arguments below 1/2 are reached by the
-    reflection-free downward recursion Gamma(x) = Gamma(x+1)/x.
-    """
-    if j % 2 == 0:
-        m = j // 2
-        if m <= 0:
-            raise PreconditionError(f"Gamma has a pole at {m}")
-        return SymbolicReal(Fraction(math.factorial(m - 1)))
-    coeff = Fraction(1)
-    x = Fraction(j, 2)
-    while x > Fraction(1, 2):
-        x -= 1
-        coeff *= x
-    while x < Fraction(1, 2):
-        coeff /= x
-        x += 1
-    return SymbolicReal(coeff, 1)
-
-
 def gamma_factor(rank: int) -> SymbolicReal:
     """prod_{k=1}^{rank} pi^(-k/2) Gamma(k/2), exact, in closed form.
 
@@ -425,20 +401,17 @@ def l_closed(t_arg: int, disc: int) -> SymbolicReal:
         )
     t = t_arg
     b = generalized_bernoulli(t, disc)
-    l_neg = SymbolicReal(Fraction(-b, t))  # L(1-t, chi)
     f = abs(disc)
     # sqrt(f) = 2 sqrt(f/4) when 4 | f; f/4 and an odd f are squarefree
     root, core = (1, f) if f % 2 else (2, f // 4)
-    dpow = _normal(Fraction(root, f**t), 0, core)  # |disc|^(1/2 - t)
-    if disc > 0:
-        # pi^{-s/2} Gamma(s/2) D^s L(s) = pi^{-(1-s)/2} Gamma((1-s)/2) D^{1/2} L(1-s)
-        gammas = gamma_half(1 - t) / gamma_half(t)
-    else:
-        # completed form (|D|/pi)^{(s+1)/2} Gamma((s+1)/2) L(s) invariant under s -> 1-s
-        gammas = gamma_half(2 - t) / gamma_half(t + 1)
-    return SymbolicReal(Fraction(1), 2 * t - 1) * gammas * dpow * l_neg
-
-
-def euler_factor(disc: int, p: int, s: int) -> Fraction:
-    """1 - chi_disc(p) p^(-s), the local Euler factor of chi_disc at p."""
-    return 1 - Fraction(kronecker(disc, p), p**s)
+    # L(t) = pi^(t - 1/2) G f^(1/2 - t) L(1-t), L(1-t) = -B_{t,chi}/t, where G
+    # is the Gamma ratio of the functional equation: for disc > 0
+    #   pi^{-s/2} Gamma(s/2) D^s L(s) = pi^{-(1-s)/2} Gamma((1-s)/2) D^{1/2} L(1-s)
+    # gives G = Gamma(1/2 - m)/Gamma(m), t = 2m; for disc < 0 the completed form
+    # (|D|/pi)^{(s+1)/2} Gamma((s+1)/2) L(s), invariant under s -> 1-s, gives
+    # G = Gamma(1/2 - m)/Gamma(m+1), t = 2m+1.  With Gamma(1/2 - m) =
+    # (-4)^m m! sqrt(pi) / (2m)!, G = (-4)^m c sqrt(pi) / (2m)!, c = m or 1.
+    m = t // 2
+    num = -((-4) ** m) * (m if disc > 0 else 1) * root * b.numerator
+    den = math.factorial(2 * m) * f**t * t * b.denominator
+    return _normal(Fraction(num, den), 2 * t, core)

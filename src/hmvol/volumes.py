@@ -22,8 +22,8 @@ All pi powers and square roots cancel in the final volume; this is asserted,
 not assumed.  Volumes of the subgroup variants (plus, determinant-1, stable)
 follow by multiplying with the projective index, and the leading coefficient
 of cusp-form dimension growth for signature (2, n) is (2/n!) vol_HM(Gamma).
-Every entry point (`vol_hm`, `euler_alpha_product`, `siegel_identities`,
-`group_volume`, `cusp_dim_leading`) reads its value off `build_report`.
+Every entry point (`vol_hm`, `euler_alpha_product`, `group_volume`,
+`cusp_dim_leading`) reads its value off `build_report`.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .arith import squarefree_split
+from .arith import kronecker, squarefree_split
 from .density import (
     LocalDensity,
+    _p_series_num,
     bad_primes,
     density_from_decomposition,
     oracle_stabilized,
-    p_series,
 )
 from .discforms import GROUP_TAGS, STABLE_TAGS, index_and_minus_id, stable_invariants
 from .errors import InternalCheckError, PreconditionError
@@ -47,7 +47,6 @@ from .lattices import Lattice
 from .special_values import (
     SymbolicReal,
     _normal,
-    euler_factor,
     field_discriminant,
     gamma_factor,
     l_closed,
@@ -76,18 +75,20 @@ def euler_alpha_product(lattice: Lattice) -> SymbolicReal:
 
 def _euler_product(lattice: Lattice, densities: list[LocalDensity]) -> SymbolicReal:
     """euler_alpha_product from the densities at the bad primes: the
-    alpha_p^(-1) and the bad-prime corrections make one rational, which
-    multiplies the zeta (and L) values."""
-    bad = [d.p for d in densities]
-    rational = Fraction(1)
+    alpha_p^(-1) and the bad-prime corrections make one integer numerator
+    and denominator, reduced once, which multiply the zeta (and L) values."""
+    num = den = 1
     for d in densities:
-        rational /= d.value
+        num *= d.value.denominator
+        den *= d.value.numerator
     rho = lattice.rank
     if rho % 2:
         t = (rho - 1) // 2
-        for p in bad:
-            rational *= p_series(p, t)
-        return zeta_product(t) * rational
+        for d in densities:
+            # P_p(t) = _p_series_num(p, t) / p^(t(t+1))
+            num *= _p_series_num(d.p, t)
+            den *= d.p ** (t * (t + 1))
+        return zeta_product(t) * Fraction(num, den)
     t = rho // 2
     if lattice.det < 0:
         # chi_D(-1) != (-1)^t here; L(t, chi_D) has no elementary closed form
@@ -98,9 +99,11 @@ def _euler_product(lattice: Lattice, densities: list[LocalDensity]) -> SymbolicR
     # at p not dividing 2 det the one unimodular Jordan block has
     # chi = kronecker(disc, p), so the good primes give L(t, chi_disc)
     disc = genus_discriminant(lattice)
-    for p in bad:
-        rational *= p_series(p, t - 1) * euler_factor(disc, p, t)
-    return zeta_product(t - 1) * l_closed(t, disc) * rational
+    for d in densities:
+        # P_p(t-1) (1 - chi(p) p^(-t)) = _p_series_num(p, t-1) (p^t - chi(p)) / p^(t^2)
+        num *= _p_series_num(d.p, t - 1) * (d.p**t - kronecker(disc, d.p))
+        den *= d.p ** (t * t)
+    return zeta_product(t - 1) * l_closed(t, disc) * Fraction(num, den)
 
 
 def _det_power(lattice: Lattice) -> SymbolicReal:
@@ -117,41 +120,6 @@ def _det_power(lattice: Lattice) -> SymbolicReal:
 def vol_hm(lattice: Lattice, g_sp_plus: int = 1) -> SymbolicReal:
     """Hirzebruch-Mumford volume of O(L); always collapses to a rational."""
     return SymbolicReal(build_report(lattice, ("O",), g_sp_plus).volumes["O"])
-
-
-@dataclass(frozen=True)
-class SiegelIdentities:
-    gamma_r: SymbolicReal
-    gamma_s: SymbolicReal
-    gamma_rs: SymbolicReal
-    vol_s_group: SymbolicReal
-    vol_s_dual: SymbolicReal
-    ratio: SymbolicReal
-
-
-def siegel_gamma(m: int) -> SymbolicReal:
-    """gamma_m = prod_{k=1}^m pi^(k/2) / Gamma(k/2)."""
-    return gamma_factor(m).inverse()
-
-
-def vol_s_so(m: int) -> SymbolicReal:
-    """Siegel volume of the compact group SO(m): 2^(m-1) gamma_m."""
-    return SymbolicReal(Fraction(2) ** (m - 1)) * siegel_gamma(m)
-
-
-def siegel_identities(lattice: Lattice, g_sp_plus: int = 1) -> SiegelIdentities:
-    """Siegel volume of O(L)\\D, of the compact dual, and their ratio; the
-    ratio must agree exactly with vol_hm (cross-identity check)."""
-    report = build_report(lattice, ("O",), g_sp_plus)
-    r, s = lattice.signature
-    g_r, g_s, g_rs = siegel_gamma(r), siegel_gamma(s), siegel_gamma(r + s)
-    alpha_inf = SymbolicReal(Fraction(2, g_sp_plus)) * report.euler_product
-    vol_group = SymbolicReal(Fraction(2)) * alpha_inf * _det_power(lattice) / (g_r * g_s)
-    vol_dual = SymbolicReal(Fraction(2)) * g_rs / (g_r * g_s)
-    ratio = vol_group / vol_dual
-    if ratio != SymbolicReal(report.volumes["O"]):
-        raise InternalCheckError("Siegel-volume ratio disagrees with the direct formula")
-    return SiegelIdentities(g_r, g_s, g_rs, vol_group, vol_dual, ratio)
 
 
 def group_volume(lattice: Lattice, tag: str, g_sp_plus: int = 1) -> Fraction:

@@ -58,3 +58,32 @@ def signature_2n_corpus():
 def num_prime_divisors(d: int) -> int:
     """rho(d): number of distinct prime divisors of d >= 1; rho(1) = 0."""
     return len(factorize(d))
+
+
+def catalog_default_lattices():
+    """(label, lattice) for every lattice the default `hmvol catalog` rows
+    build, read off the CLI's default ranges."""
+    from hmvol import families
+    from hmvol.cli import _CATALOG_DEFAULTS
+
+    builders = {
+        "II": (families.unimodular_ii,),
+        "T": (families.t_lattice, families.unimodular_ii),
+        "L": (families.l_lattice,),
+        "K": (families.k_lattice,),
+        "N": (families.n_lattice,),
+    }
+    out = []
+    for family, ranges in _CATALOG_DEFAULTS.items():
+        for m in ranges["m"]:
+            for d in ranges["d"]:
+                args = (m,) if d is None else (m, d)
+                out.extend((f"{b.__name__}{args}", b(*args)) for b in builders[family])
+    return out
+
+
+def integer_route_corpus():
+    """The lattices on which the integer assembly of alpha_p and of the Euler
+    product must equal the Fraction routes in `fraction_routes`."""
+    texts = ORACLE_CORPUS + SIGNATURE_2N_EXPRESSIONS
+    return [(t, lattice_from_text(t)) for t in texts] + catalog_default_lattices()

@@ -30,9 +30,10 @@ from hmvol.families import (
     unimodular_ii,
 )
 from hmvol.lattices import direct_sum, e8, from_gram, hyperbolic_plane, rank_one, rescale
-from hmvol.volumes import cusp_dim_leading, group_volume, siegel_identities, vol_hm
+from hmvol.volumes import cusp_dim_leading, group_volume, vol_hm
 
 from conftest import ORACLE_CORPUS, SIGNATURE_2N_EXPRESSIONS, num_prime_divisors
+from siegel import siegel_identities
 
 
 @contextmanager

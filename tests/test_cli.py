@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hmvol
-from hmvol.cli import _print_report, main
+from hmvol.cli import _json_text, _print_report, _report_json, main
 from hmvol.expr import lattice_from_text
 from hmvol.volumes import build_report
 
@@ -245,3 +246,49 @@ def test_closed_stdout_exits_quietly():
     assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err and err == ""
 
+
+
+def test_json_writer_matches_stdlib_on_signature_2n_reports(signature_2n_corpus):
+    for text, lat in signature_2n_corpus:
+        report = build_report(lat)
+        for precision in (None, 30):
+            doc = _report_json(report, precision)
+            assert _json_text(doc) == json.dumps(doc, indent=2), (text, precision)
+
+
+def test_json_writer_matches_stdlib_on_oracle_check_reports(oracle_corpus):
+    # each corpus lattice made rank 3 and indefinite; the checks carry booleans
+    for text, lat in oracle_corpus:
+        expr = f"U + {text}" if lat.rank == 1 else f"{text} + <-1>"
+        report = build_report(lattice_from_text(expr), oracle_check=True)
+        doc = _report_json(report, None)
+        assert all(isinstance(c["stable"], bool) for c in doc["oracle_checks"]), expr
+        assert _json_text(doc) == json.dumps(doc, indent=2), expr
+
+
+def test_json_writer_matches_stdlib_on_edge_documents():
+    docs = [
+        {}, [], (), "", 0, -1, 2**64 + 1, -(2**64) - 1, 3**200, True, False, None,
+        {"a": {}}, {"a": [[], {}, [{}], ({},)]}, [[[]]], [{}],
+        "caf\u00e9 \u2028 \U0001f600 \x00\x1f\x7f \"q\" \\ / \t\n\r",
+        {"cl\u00e9\n\"": "\u5024", "": ""},
+        [True, False, None], {"t": True, "f": False, "n": None},
+        [1, -2, 2**70, 0], (5, -6), [1, True], [0, None], [[1, 2], [3, -4]],
+        {"gram": [[0, 1], [1, 0]], "nested": {"deep": {"deeper": [1, "x", {"k": [False]}]}}},
+    ]
+    for doc in docs:
+        assert _json_text(doc) == json.dumps(doc, indent=2), doc
+
+
+@pytest.mark.parametrize("doc", [Fraction(1, 2), 1.5, {"x": Fraction(1, 3)}, [0.0], [1, 2.0],
+                                 {1: "int key"}])
+def test_json_writer_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        _json_text(doc)
+
+
+def test_analyze_json_is_stdlib_indented_json(capsys):
+    code, out, _ = run(capsys, "analyze", "2*U + 3*E8(-1)", "--json", "--precision", "30")
+    assert code == 0
+    assert json.loads(out)["lattice"]["rank"] == 28
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out

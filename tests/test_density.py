@@ -33,6 +33,9 @@ from hmvol.families import (
 from hmvol.jordan import jordan_decompose
 from hmvol.lattices import Lattice
 
+from conftest import integer_route_corpus
+from fraction_routes import density_odd, density_two
+
 
 def test_p_series_values():
     assert p_series(3, 1) == Fraction(8, 9)
@@ -493,3 +496,21 @@ def test_oracle_agreement_random_grams():
             assert Fraction(count, 2 * p**r) == local_density(lat, p).value, (a, b, c, p)
             tested += 1
     assert tested > 200
+
+
+def test_integer_density_matches_fraction_route():
+    # every bad prime of the oracle, signature-(2, n) and default catalog lattices
+    checked = 0
+    for label, lat in integer_route_corpus():
+        for p in bad_primes(lat):
+            decomp = jordan_decompose(lat, p)
+            new = density.density_from_decomposition(decomp)
+            old = (density_two if p == 2 else density_odd)(decomp)
+            assert new.value == old.value, (label, p)
+            for key in ("s", "w", "q", "lead", "P"):
+                assert new.breakdown[key] == old.breakdown[key], (label, p, key)
+            assert new.breakdown["E"].keys() == old.breakdown["E"].keys(), (label, p)
+            for j, e in old.breakdown["E"].items():
+                assert new.breakdown["E"][j] == e, (label, p, j)
+            checked += 1
+    assert checked >= 100

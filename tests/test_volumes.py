@@ -4,7 +4,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ORACLE_CORPUS, SIGNATURE_2N_EXPRESSIONS, num_prime_divisors
+from conftest import (
+    ORACLE_CORPUS,
+    SIGNATURE_2N_EXPRESSIONS,
+    integer_route_corpus,
+    num_prime_divisors,
+)
+from fraction_routes import euler_product as fraction_euler_product
+from siegel import siegel_gamma, siegel_identities, vol_s_so
 from hmvol.arith import is_prime, kronecker
 from hmvol.discforms import finite_isometry_order, discriminant_form
 from hmvol.errors import PreconditionError
@@ -28,10 +35,7 @@ from hmvol.volumes import (
     euler_alpha_product,
     genus_discriminant,
     group_volume,
-    siegel_gamma,
-    siegel_identities,
     vol_hm,
-    vol_s_so,
 )
 
 
@@ -53,7 +57,8 @@ def test_euler_product_l_family_closed_form():
 def test_euler_product_k_family_closed_form():
     # two-adic case constant * d^-1 * zeta(2)...zeta(8m+2) * L(4m+2, (4d|.))
     # for m = 0 and small d
-    from hmvol.special_values import euler_factor, fundamental_discriminant
+    from fraction_routes import euler_factor
+    from hmvol.special_values import fundamental_discriminant
 
     m = 0
     for d in (1, 2, 3, 5):
@@ -369,3 +374,25 @@ def test_good_prime_block_chi_random_lattices(gram):
     except PreconditionError:  # singular
         assume(False)
     _assert_good_prime_chi(lat)
+
+
+def test_integer_euler_product_matches_fraction_route():
+    # identical SymbolicReal parts, or the same refusal (negative det at even
+    # rank), on the oracle, signature-(2, n) and default catalog lattices
+    from hmvol import volumes
+    from hmvol.density import bad_primes, density_from_decomposition
+
+    compared = 0
+    for label, lat in integer_route_corpus():
+        densities = [density_from_decomposition(jordan_decompose(lat, p)) for p in bad_primes(lat)]
+        try:
+            old = fraction_euler_product(lat, densities)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                volumes._euler_product(lat, densities)
+            continue
+        new = volumes._euler_product(lat, densities)
+        assert (new.coefficient, new.pi_half_exponent, new.radicand) == (
+            old.coefficient, old.pi_half_exponent, old.radicand), label
+        compared += 1
+    assert compared > 60
