@@ -10,6 +10,7 @@ from .density import (
     oracle_stabilized,
     p_series,
     siegel_count_oracle,
+    siegel_counts_oracle,
 )
 from .discforms import (
     FiniteQuadraticForm,

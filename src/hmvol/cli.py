@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .density import local_density, siegel_count_oracle
+from .density import local_density, siegel_counts_oracle
 from .discforms import GROUP_TAGS
 from .errors import (
     ExpressionError,
@@ -258,8 +258,7 @@ def _cmd_oracle(args) -> int:
     lattice = lattice_from_text(args.expr)
     p, r = args.p, args.r
     formula = local_density(lattice, p).value
-    v1 = siegel_count_oracle(lattice, p, r)
-    v2 = siegel_count_oracle(lattice, p, r + 1)
+    v1, v2 = siegel_counts_oracle(lattice, p, r, r + 1)
     stable = v1 == v2
     print(f"formula alpha_{p} = {formula}")
     print(f"oracle r={r}: {v1}")

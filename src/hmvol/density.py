@@ -26,11 +26,16 @@ Two independent routes:
   directly (p-adically lifted column candidates, the last column bucketed on
   S c), independently of the decomposition code.  At p = 2 every entry is
   taken plainly mod 2^r; the variant with quadratic conditions mod 2^(r+1)
-  does not reproduce the closed forms and is rejected (see tests).
+  does not reproduce the closed forms and is rejected (see tests).  One
+  counter, `_siegel_counts`, walks the depths r, r+1, ...: a depth's
+  candidates are the next depth's candidates reduced, so each walk (the
+  `oracle` command's r and r+1, `oracle_stabilized`) lifts them once, one
+  digit per depth, from S reduced once mod p^(deepest depth).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -167,47 +172,80 @@ def bad_primes(lattice: Lattice) -> tuple[int, ...]:
     return tuple(sorted({2, *lattice.det_factors}))
 
 
-def _siegel_count(gram, p: int, r: int) -> int:
-    """#{X in Mat_n(Z/q) : X^t S X = S mod q}, q = p^r; callers guard it.
+def _lift(cand, m: int, p: int, s, target: int, digits):
+    """The solutions mod m p of c^t S c = target among the lifts c + m t,
+    t a row of `digits`, of the solutions `cand` mod m.  With S read mod
+    p^deepest and S c reduced mod m p before the dot product, no entry passes
+    n p^(2 deepest), inside int64 under the guard."""
+    import numpy as np
+
+    lifts = (cand[:, None, :] + m * digits).reshape(-1, cand.shape[1])
+    m *= p
+    return lifts[np.einsum("ij,ij->i", lifts, lifts @ s % m) % m == target % m]
+
+
+def _siegel_counts(gram, p: int, r: int, deepest: int) -> Iterator[int]:
+    """Yield #{X in Mat_n(Z/q) : X^t S X = S mod q} for q = p^k, k = r, r+1,
+    ..., deepest; callers guard deepest.
 
     Column i solves c^t S c = S_ii; its solutions mod p^(k+1) are among the
     lifts c + p^k t, t in [0, p)^n, of those mod p^k (each reduces to one).
-    At rank 1, a x^2 = a mod q iff x^2 = 1 mod q/g, g = gcd(a, q), and
-    x -> x mod q/g is g-to-1.  The last column c meets the cross conditions
-    only through u = S c mod q, so it counts as buckets u of multiplicity
-    m_u: rank 2 sums m_u over the (c0, u) with c0.u = S_01; rank 3 sums
-    m_u [c1.u = S_12] over (c0, c1) with c0^t S c1 = S_01 joined to (c0, u)
-    with c0.u = S_02.  A block of rows of c0 or c1 holds <= _PAIR_CHUNK pairs.
+    A lift mod p^k reads S and S_ii only mod p^k, so S is reduced once, mod
+    p^deepest, and each distinct S_ii keeps its solutions from one depth to
+    the next, lifted by one digit per depth (columns with equal S_ii share
+    them).  At rank 1, a x^2 = a mod q iff x^2 = 1 mod q/g, g = gcd(a, q),
+    and x -> x mod q/g is g-to-1; the square roots of 1 are kept the same
+    way.  The last column c meets the cross conditions only through
+    u = S c mod q, so it counts as buckets u of multiplicity m_u: rank 2 sums
+    m_u over the (c0, u) with c0.u = S_01; rank 3 sums m_u [c1.u = S_12] over
+    (c0, c1) with c0^t S c1 = S_01 joined to (c0, u) with c0.u = S_02.  A
+    block of rows of c0 or c1 holds <= _PAIR_CHUNK pairs.  The buckets and
+    pairs are formed anew at each depth.
     """
     import numpy as np
-
-    def lifted(s, depth, target):
-        # S c is reduced before the dot product, so no entry passes n m^2
-        digits = np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T
-        cand, m = np.zeros((1, n), dtype=np.int64), 1
-        for _ in range(depth):
-            lifts = (cand[:, None, :] + m * digits).reshape(-1, n)
-            m *= p
-            cand = lifts[np.einsum("ij,ij->i", lifts, lifts @ s % m) % m == target % m]
-        return cand
 
     n = len(gram)
     if n > 3:
         raise PreconditionError("oracle counting implemented for rank <= 3 only")
-    q = p**r
+    top = p**deepest
+    digits = np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T
+    zero = np.zeros((1, n), dtype=np.int64)
     if n == 1:
-        v = valuation(gram[0][0] % q or q, p)
-        return p**v * len(lifted(np.ones((1, 1), dtype=np.int64), r - v, 1))
-    s = np.array([[x % q for x in row] for row in gram], dtype=np.int64)
-    cand = [lifted(s, r, int(s[i, i])) for i in range(n)]
+        # g = p^min(v, k) at depth k, v = v_p(a) capped at deepest
+        v = valuation(gram[0][0] % top or top, p)
+        one = np.ones((1, 1), dtype=np.int64)
+        roots, m = zero, 1
+        for k in range(1, deepest + 1):
+            if k > v:
+                roots = _lift(roots, m, p, one, 1, digits)
+                m *= p
+            if k >= r:
+                yield p ** min(v, k) * len(roots)
+        return
+    s_top = np.array([[x % top for x in row] for row in gram], dtype=np.int64)
+    diag = [int(s_top[i, i]) for i in range(n)]
+    cand = dict.fromkeys(diag, zero)
+    for k in range(1, deepest + 1):
+        q = p**k
+        cand = {t: _lift(c, q // p, p, s_top, t, digits) for t, c in cand.items()}
+        if k >= r:
+            yield _pair_count(s_top % q, q, [cand[t] for t in diag])
+
+
+def _pair_count(s, q: int, cand) -> int:
+    """#{X : X^t S X = S mod q} from each column's solutions `cand` mod q of
+    c^t S c = S_ii, S reduced mod q (see `_siegel_counts`)."""
+    import numpy as np
+
+    n = len(cand)
     keys, mult = np.unique(cand[-1] @ s % q @ q ** np.arange(n), return_counts=True)
     u = keys[:, None] // q ** np.arange(n) % q
     rows = max(1, _PAIR_CHUNK // max(len(keys), len(cand[1]) if n == 3 else 0))
-    blocks = np.split(cand[0], range(rows, len(cand[0]), rows))
+    blocks = [cand[0][i:i + rows] for i in range(0, len(cand[0]), rows)]
     if n == 2:
         return sum(int((c0 @ u.T % q == s[0, 1]).sum(axis=0) @ mult) for c0 in blocks)
-    b = np.vstack([c1 @ u.T % q == s[1, 2]
-                   for c1 in np.split(cand[1], range(rows, len(cand[1]), rows))])
+    b = np.vstack([cand[1][i:i + rows] @ u.T % q == s[1, 2]
+                   for i in range(0, len(cand[1]), rows)])
     total = 0
     for c0 in blocks:
         pr, pc = np.nonzero(c0 @ s % q @ cand[1].T % q == s[0, 1])
@@ -222,7 +260,9 @@ def _siegel_count(gram, p: int, r: int) -> int:
 
 def _guard_depth(p: int, n: int) -> int:
     """Deepest r the oracle guard allows: rank n <= 3, p^(r n^2) <= ORACLE_CANDIDATE_CAP.
-    That naive count bounds the lifted work: no counter array exceeds it."""
+    That naive count bounds the lifted work: no counter array exceeds it.  It
+    also keeps S mod p^deepest, the one reduction `_siegel_counts` makes, and
+    every product of the counter inside int64 (p^deepest <= 2^30 at rank 1)."""
     if n > 3:
         raise FeasibilityError(f"oracle guard: rank {n} > 3")
     r = 0
@@ -231,36 +271,48 @@ def _guard_depth(p: int, n: int) -> int:
     return r
 
 
-def siegel_count_oracle(lattice: Lattice, p: int, r: int) -> Fraction:
-    """Siegel count at depth r: (1/2) p^(-r n(n-1)/2) #{X : X^t S X = S mod p^r}.
-
-    Convention at p = 2: all entries of the congruence are taken mod 2^r.
-    """
+def siegel_counts_oracle(lattice: Lattice, p: int, r: int, last: int) -> Iterator[Fraction]:
+    """Siegel counts at depths r, r+1, ..., last, as `siegel_count_oracle`
+    values, from one `_siegel_counts` walk: each depth lifts the column
+    candidates of the one before by one digit.  The guard is checked here,
+    before any counting; a depth beyond it names the first such depth."""
     n = lattice.rank
     deepest = _guard_depth(p, n)
     if r < 1:
         raise PreconditionError("depth r must be >= 1")
-    if r > deepest:
+    if last > deepest:
+        k = max(r, deepest + 1)
         raise FeasibilityError(
-            f"oracle guard: p^(r*rank^2) = {p}^{r * n * n} = {p ** (r * n * n)} "
+            f"oracle guard: p^(r*rank^2) = {p}^{k * n * n} = {p ** (k * n * n)} "
             "exceeds 2^30 naive candidates"
         )
-    count = _siegel_count(lattice.gram, p, r)
-    return Fraction(count, 2 * p ** (r * n * (n - 1) // 2))
+    counts = _siegel_counts(lattice.gram, p, r, last)
+    return (Fraction(c, 2 * p ** (k * n * (n - 1) // 2)) for k, c in enumerate(counts, r))
+
+
+def siegel_count_oracle(lattice: Lattice, p: int, r: int) -> Fraction:
+    """Siegel count at depth r: (1/2) p^(-r n(n-1)/2) #{X : X^t S X = S mod p^r},
+    the first value of `siegel_counts_oracle`.
+
+    Convention at p = 2: all entries of the congruence are taken mod 2^r.
+    """
+    return next(siegel_counts_oracle(lattice, p, r, r))
 
 
 def oracle_stabilized(lattice: Lattice, p: int) -> tuple[int, Fraction, bool] | None:
     """(r, value, True) at the smallest r >= v_p(2 det)+1 whose oracle value
-    equals that at r+1, counting each depth once.  If the guard stops the walk
-    first, (r, value, False) at the deepest depth r >= 1 the guard allows (below
-    v_p(2 det)+1 when that is beyond the guard); None if even r = 1 is."""
+    equals that at r+1.  If the guard stops the walk first, (r, value, False)
+    at the deepest depth r >= 1 the guard allows (below v_p(2 det)+1 when that
+    is beyond the guard); None if even r = 1 is.  One `siegel_counts_oracle`
+    walk counts each depth once, lifting the column candidates one digit per
+    depth, and is advanced no further than the first agreement."""
     deepest = _guard_depth(p, lattice.rank)
     r = min(valuation(2 * abs(lattice.det), p) + 1, deepest)
     if r == 0:
         return None
-    current = siegel_count_oracle(lattice, p, r)
-    while r < deepest:
-        nxt = siegel_count_oracle(lattice, p, r + 1)
+    values = siegel_counts_oracle(lattice, p, r, deepest)
+    current = next(values)
+    for nxt in values:
         if nxt == current:
             return r, current, True
         r += 1

@@ -15,15 +15,12 @@ p | det (Nikulin 1979), and it is held only as those parts, {p: (A_p, q_p)}
 in increasing p, from the Jordan blocks to the count of N.  Each part is
 read off the p-adic Jordan blocks of level >= 1 at its own p, with
 generators of order p^level, by level, and q and b as integer tables at the
-scale of the part's exponent; only the readers `q_of` and `b_of` return
-`Fraction`s.
+scale of the part's exponent; no `Fraction` is built.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -39,8 +36,8 @@ class FiniteQuadraticForm:
     """One p-primary part (A_p, q_p), A_p = prod Z/d_i, as integer tables at
     the scale n = lcm(orders), the exponent of A_p: the orders d_i of the
     generators g_i (powers of p, by level), q[i] = n q(g_i) mod 2n and
-    b[i][j] = n b(g_i, g_j) mod n.  `q_of` and `b_of` read values in Q/2Z and
-    Q/Z off the tables."""
+    b[i][j] = n b(g_i, g_j) mod n, so q(g_i) = q[i] / n in Q/2Z and
+    b(g_i, g_j) = b[i][j] / n in Q/Z."""
 
     orders: tuple[int, ...]
     q: tuple[int, ...]
@@ -62,24 +59,6 @@ class FiniteQuadraticForm:
     def is_two_elementary(self) -> bool:
         """Exponent <= 2: every generator order divides 2."""
         return all(d <= 2 for d in self.orders)
-
-    def element_order(self, x: tuple[int, ...]) -> int:
-        return lcm(*(d // gcd(d, xi) for xi, d in zip(x, self.orders)))
-
-    def q_of(self, x: tuple[int, ...]) -> Fraction:
-        n = self.exponent
-        total = 0
-        for i, xi in enumerate(x):
-            total += xi * (xi * self.q[i] + 2 * sum(map(mul, x[i + 1:], self.b[i][i + 1:])))
-        return Fraction(total % (2 * n), n)
-
-    def b_of(self, x: tuple[int, ...], y: tuple[int, ...]) -> Fraction:
-        n = self.exponent
-        total = sum(xi * sum(map(mul, y, row)) for xi, row in zip(x, self.b))
-        return Fraction(total % n, n)
-
-    def elements(self):
-        return itertools.product(*(range(d) for d in self.orders))
 
 
 def _part_from_jordan(decomp: JordanDecomposition) -> FiniteQuadraticForm:

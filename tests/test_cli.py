@@ -75,6 +75,24 @@ def test_oracle_guard_exit_4(capsys):
     assert code == 4
 
 
+def test_oracle_depth_beyond_guard_exits_before_counting(capsys, monkeypatch):
+    # r = 7 is the deepest rank-2 depth at p = 2, so r + 1 = 8 trips the guard
+    # before any count; r = 0 is a precondition error
+    from hmvol import density
+
+    def no_counting(*args):
+        raise AssertionError("counted before the guard")
+
+    monkeypatch.setattr(density, "_siegel_counts", no_counting)
+    code, out, err = run(capsys, "oracle", "<2> + <-8>", "2", "7")
+    assert (code, out) == (4, "")
+    assert err == ("feasibility guard: oracle guard: p^(r*rank^2) = 2^32 = 4294967296 "
+                   "exceeds 2^30 naive candidates\n")
+    code, out, err = run(capsys, "oracle", "<2> + <-8>", "2", "0")
+    assert (code, out) == (3, "")
+    assert err == "precondition violated: depth r must be >= 1\n"
+
+
 def test_isometry_guard_exit_4(capsys):
     # a 2-part with more than 10^5 elements is still over the cap
     code, _, err = run(capsys, "analyze", "2*U + <-131072>", "--group", "O~+")

@@ -1,4 +1,4 @@
-import itertools
+import functools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +8,7 @@ import pytest
 
 import hmvol.density as density
 from hmvol.density import (
-    _siegel_count,
+    _siegel_counts,
     bad_primes,
     cross_rank_weight,
     local_density,
@@ -152,10 +152,20 @@ def test_good_prime_closed_form():
 
 # ------------------------------------------------------------- the oracle
 
+@functools.cache
+def _columns(q: int, n: int):
+    """All q^n vectors in [0, q)^n in lexicographic order, one read-only table
+    per (q, n) shared by the two references and `_blocks`."""
+    cols = np.ascontiguousarray(np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T)
+    cols.flags.writeable = False
+    return cols
+
+
 # The counter before columns were lifted and bucketed, kept verbatim (its
-# rank-1 residue scan included) as the reference for `_siegel_count`: each
-# column's candidates are filtered from a table of all q^n vectors, and rank-3
-# pairs are counted once per candidate c0.
+# rank-1 residue scan included, its table of all q^n vectors now `_columns`)
+# as the reference for `_siegel_counts`: each column's candidates are filtered
+# from a table of all q^n vectors, and rank-3 pairs are counted once per
+# candidate c0.
 TABLE_PAIR_CHUNK = 2**16
 
 
@@ -185,7 +195,7 @@ def table_siegel_count(gram, p: int, r: int) -> int:
             x = np.arange(lo, min(lo + (1 << 16), q), dtype=np.int64)
             total += int(np.count_nonzero(x * x % q * s[0, 0] % q == s[0, 0]))
         return total
-    cols = np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
+    cols = _columns(q, n)
     scols = cols @ s % q
     diag = np.einsum("ij,ij->i", cols, scols) % q
     masks = [diag == s[i, i] for i in range(n)]
@@ -212,9 +222,10 @@ def table_siegel_count(gram, p: int, r: int) -> int:
     return total
 
 
-# The counter before rank-2 pairs were counted in blocks, kept verbatim as the
-# reference for `_siegel_count`; only its rank-2 and rank-3 branches are used
-# (its rank-1 products wrap int64 once q^2 |a| > 2^63).
+# The counter before rank-2 pairs were counted in blocks, kept verbatim (its
+# table of all q^n vectors, built from itertools.product, now `_columns`) as
+# the reference for `_siegel_counts`; only its rank-2 and rank-3 branches are
+# used (its rank-1 products wrap int64 once q^2 |a| > 2^63).
 def loop_siegel_count(gram, p: int, r: int) -> int:
     """#{X in Mat_n(Z/p^r) : X^t S X = S mod p^r}, column-by-column with
     pruning on partial congruences.  No guard; callers enforce feasibility."""
@@ -229,7 +240,7 @@ def loop_siegel_count(gram, p: int, r: int) -> int:
             x = np.arange(lo, min(lo + (1 << 22), q), dtype=np.int64)
             total += int(np.count_nonzero((x * x * s[0, 0] - s[0, 0]) % q == 0))
         return total
-    cols = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int64)
+    cols = _columns(q, n)
     scols = cols @ s % q
     diag = np.einsum("ij,ij->i", cols, scols) % q
     cand = [cols[diag == s[i, i]] for i in range(n)]
@@ -255,6 +266,9 @@ def loop_siegel_count(gram, p: int, r: int) -> int:
     raise PreconditionError("oracle counting implemented for rank <= 3 only")
 
 
+RANK3_TEXTS = ("<1> + <1> + <1>", "<1> + <1> + <-1>", "U + <1>", "U + <2>")
+
+
 def _guarded_depths(p, n):
     """Every depth r whose naive candidate count p^(r n^2) is inside the
     public oracle guard."""
@@ -277,29 +291,40 @@ def _random_gram(rng, n, bound):
         return g
 
 
+def siegel_count(gram, p, r):
+    """The counter's count at the one depth r."""
+    return next(_siegel_counts(gram, p, r, r))
+
+
 def _blocks(gram, p, r):
     """(#c0, block width) of the counter's rows of c0, from a table of all
     q^n columns: the width is the number of buckets S c mod q of the last
     column's candidates, and at rank 3 at least the number of c1 candidates."""
     n, q = len(gram), p**r
     s = np.array(gram, dtype=np.int64) % q
-    cols = np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
+    cols = _columns(q, n)
     value = np.einsum("ij,ij->i", cols, cols @ s) % q
     cand = [cols[value == s[i, i]] for i in range(n)]
-    buckets = len(np.unique(cand[-1] @ s % q, axis=0))
+    buckets = len(np.unique(cand[-1] @ s % q @ q ** np.arange(n)))
     return len(cand[0]), buckets if n == 2 else max(buckets, len(cand[1]))
 
 
-def _tiny_blocks_agree(monkeypatch, g, p, r, expected):
-    """The counter with blocks of 1, 2 and 7 rows of c0 gives `expected`;
-    returns how many of those runs end on a partial block."""
-    n0, width = _blocks(g, p, r)
+def _walk_agrees(monkeypatch, g, p, expected):
+    """The counter's walk over depths 1, 2, ... gives `expected`, with the
+    default block and with blocks of 1, 2 and 7 rows of c0 at every depth;
+    returns how many of the tiny-block counts end on a partial block."""
+    deepest = len(expected)
+    assert list(_siegel_counts(g, p, 1, deepest)) == expected, (g, p)
+    shapes = [_blocks(g, p, r) for r in range(1, deepest + 1)]
     partial = 0
     for rows in (1, 2, 7):
-        # rows * width + width - 1 entries hold exactly `rows` rows
-        monkeypatch.setattr(density, "_PAIR_CHUNK", rows * width + width - 1)
-        assert _siegel_count(g, p, r) == expected, (g, p, r, rows)
-        partial += n0 % rows != 0
+        walk = _siegel_counts(g, p, 1, deepest)
+        for r, ((n0, width), want) in enumerate(zip(shapes, expected), 1):
+            # the walk reads the chunk at each depth: rows * width + width - 1
+            # entries hold exactly `rows` rows
+            monkeypatch.setattr(density, "_PAIR_CHUNK", rows * width + width - 1)
+            assert next(walk) == want, (g, p, r, rows)
+            partial += n0 % rows != 0
     monkeypatch.undo()
     return partial
 
@@ -307,53 +332,79 @@ def _tiny_blocks_agree(monkeypatch, g, p, r, expected):
 def test_counter_matches_loop_oracle(oracle_corpus, monkeypatch):
     # the lifted, bucketed counter against the per-column loop: rank 2 on the
     # corpus and on seeded random Grams, and rank 3 on seeded random Grams, at
-    # every guarded depth, with the default block and with blocks of 1, 2 and
-    # 7 rows of c0 (the last block partial in many cases)
+    # every guarded depth of one walk per (Gram, p), with the default block
+    # and with blocks of 1, 2 and 7 rows of c0 (the last block partial in many
+    # cases)
     rng = random.Random(8)
     rank2 = [lat.gram for _, lat in oracle_corpus if lat.rank == 2]
     primes = (2, 3, 5, 7, 11, 13)
-    cases = [(g, p, r) for g in rank2 for p in (2, 3, 5, 7) for r in _guarded_depths(p, 2)]
+    walks = [(g, p) for g in rank2 for p in (2, 3, 5, 7)]
     for i in range(200):
-        g = _random_gram(rng, 2, 40)
-        p = primes[i % len(primes)]
-        cases += [(g, p, r) for r in _guarded_depths(p, 2)]
+        walks.append((_random_gram(rng, 2, 40), primes[i % len(primes)]))
     partial = {2: 0, 3: 0}
-    for g, p, r in cases:
-        expected = loop_siegel_count(g, p, r)
-        assert _siegel_count(g, p, r) == expected, (g, p, r)
-        partial[2] += _tiny_blocks_agree(monkeypatch, g, p, r, expected)
-    assert len(cases) >= 200 * 2
+    cases = 0
+    for g, p in walks:
+        expected = [loop_siegel_count(g, p, r) for r in _guarded_depths(p, 2)]
+        partial[2] += _walk_agrees(monkeypatch, g, p, expected)
+        cases += len(expected)
+    assert cases >= 200 * 2
     for i in range(40):
         g = _random_gram(rng, 3, 12)
         p = (2, 3, 5, 7)[i % 4]
-        for r in _guarded_depths(p, 3):
-            expected = loop_siegel_count(g, p, r)
-            assert _siegel_count(g, p, r) == expected, (g, p, r)
-            partial[3] += _tiny_blocks_agree(monkeypatch, g, p, r, expected)
+        expected = [loop_siegel_count(g, p, r) for r in _guarded_depths(p, 3)]
+        partial[3] += _walk_agrees(monkeypatch, g, p, expected)
     assert partial[2] > 100 and partial[3] > 20, partial
 
 
 def test_counter_matches_table_oracle(oracle_corpus):
     # the lifted, bucketed counter against the table counter it replaced, at
-    # every guarded depth: the corpus, seeded random rank-2 and rank-3 Grams,
-    # and Grams whose last-column candidates share few buckets S c mod q
+    # every guarded depth of one walk per (Gram, p): the corpus, seeded random
+    # rank-2 and rank-3 Grams, and Grams whose last-column candidates share
+    # few buckets S c mod q
     rng = random.Random(15)
     primes = (2, 3, 5, 7, 11, 13)
     grams = [lat.gram for _, lat in oracle_corpus if lat.rank > 1]
-    grams += [lattice_from_text(t).gram for t in ("<1> + <1> + <1>", "<1> + <1> + <-1>",
-                                                   "U + <1>", "U + <2>")]
+    grams += [lattice_from_text(t).gram for t in RANK3_TEXTS]
     grams += [_random_gram(rng, 2, 40) for _ in range(200)]
     grams += [_random_gram(rng, 3, 12) for _ in range(40)]
-    cases = [(g, p, r) for g in grams for p in primes for r in _guarded_depths(p, len(g))]
+    walks = [(g, p, density._guard_depth(p, len(g))) for g in grams for p in primes]
     # S = 4 (3, -5) and 4 (1, -3): 1,024 columns in a few hundred buckets
-    cases += [(g, 2, r) for g in ([[12, 0], [0, -20]], [[4, 0], [0, -12]]) for r in range(1, 8)]
-    for g, p, r in cases:
-        assert _siegel_count(g, p, r) == table_siegel_count(g, p, r), (g, p, r)
-    assert sum(len(g) == 3 for g, _, _ in cases) > 40
-    for r in (1, 2, 3):
-        # S = 0 mod q: every column is a candidate, all in one bucket
-        assert _siegel_count([[8, 0], [0, 8]], 2, r) == table_siegel_count([[8, 0], [0, 8]], 2, r)
-        assert _siegel_count([[8, 0], [0, 8]], 2, r) == 2 ** (4 * r)
+    walks += [(g, 2, 7) for g in ([[12, 0], [0, -20]], [[4, 0], [0, -12]])]
+    rank3 = 0
+    for g, p, deepest in walks:
+        if deepest == 0:
+            continue
+        expected = [table_siegel_count(g, p, r) for r in range(1, deepest + 1)]
+        assert list(_siegel_counts(g, p, 1, deepest)) == expected, (g, p)
+        rank3 += deepest if len(g) == 3 else 0
+    assert rank3 > 40
+    # S = 0 mod q: every column is a candidate, all in one bucket
+    expected = [table_siegel_count([[8, 0], [0, 8]], 2, r) for r in (1, 2, 3)]
+    assert list(_siegel_counts([[8, 0], [0, 8]], 2, 1, 3)) == expected
+    assert expected == [2 ** (4 * r) for r in (1, 2, 3)]
+
+
+def test_counter_walk_matches_table_oracle_at_every_depth(oracle_corpus):
+    # one walk from depth 1 gives the table counter's count at every depth:
+    # the lifted candidates of each depth carry over to the next, so a
+    # target or S taken mod the wrong power of p shows at the second depth.
+    # Rank 1 includes p^v | a below, at and beyond the deepest depth; S = 8 I
+    # is 0 mod q to depth 3, and 4 diag(3, -5) has degenerate 2-adic buckets
+    grams = [lat.gram for _, lat in oracle_corpus]
+    grams += [lattice_from_text(t).gram for t in RANK3_TEXTS]
+    grams += [[[a]] for a in (12, -40, 7 * 2**5, 2**16, 2**20, 45, -162, 250, -3 * 5**4)]
+    grams += [[[8, 0], [0, 8]], [[12, 0], [0, -20]]]
+    walked = 0
+    for g in grams:
+        for p in (2, 3, 5, 7):
+            deepest = density._guard_depth(p, len(g))
+            if len(g) == 1:
+                # the residue scan of the table counter reads all p^r residues
+                deepest = max(k for k in range(1, 20) if p**k <= 2**16)
+            expected = [table_siegel_count(g, p, r) for r in range(1, deepest + 1)]
+            assert list(_siegel_counts(g, p, 1, deepest)) == expected, (g, p)
+            walked += 1
+    assert walked == 4 * len(grams)
 
 
 def test_rank_one_counter_matches_residue_scan():
@@ -364,13 +415,13 @@ def test_rank_one_counter_matches_residue_scan():
         p = rng.choice((2, 3, 5, 7, 11, 13))
         r = rng.randint(1, int(20 * math.log(2) / math.log(p)))
         a = rng.choice((rng.randint(-50, 50) or 1, rng.randint(-10**6, 10**6) or 1, p**r * 7))
-        assert _siegel_count([[a]], p, r) == table_siegel_count([[a]], p, r), (a, p, r)
+        assert siegel_count([[a]], p, r) == table_siegel_count([[a]], p, r), (a, p, r)
 
 
 def test_oracle_hyperbolic_plane():
     lat = lattice_from_text("U")
     # |O(hyperbolic plane over F_3)| = 4 congruence solutions at r = 1
-    assert _siegel_count(lat.gram, 3, 1) == 4
+    assert siegel_count(lat.gram, 3, 1) == 4
     assert siegel_count_oracle(lat, 3, 1) == Fraction(2, 3)
     assert siegel_count_oracle(lat, 3, 2) == Fraction(2, 3)
     assert siegel_count_oracle(lat, 3, 1) == local_density(lat, 3).value
@@ -397,12 +448,12 @@ def test_oracle_rank_one_large_modulus():
                     (1000003, 5, 10), (1000003, 2, 22)):
         q = p**r
         g = math.gcd(a, q)
-        assert _siegel_count([[a]], p, r) == g * _square_roots_of_one(q // g, p), (a, p, r)
+        assert siegel_count([[a]], p, r) == g * _square_roots_of_one(q // g, p), (a, p, r)
 
 
 def test_oracle_rank_checked_before_table():
     with pytest.raises(PreconditionError, match="rank <= 3"):
-        _siegel_count([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]], 2, 20)
+        siegel_count([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]], 2, 20)
 
 
 def test_oracle_guards():
@@ -412,6 +463,13 @@ def test_oracle_guards():
     small = lattice_from_text("<1> + <1> + <1>")
     with pytest.raises(FeasibilityError, match="2\\^30"):
         siegel_count_oracle(small, 2, 4)  # 2^(4*9) naive candidates
+    # a walk past the guard names its first depth beyond it, before counting
+    with pytest.raises(FeasibilityError, match="= 2\\^36 = 68719476736 exceeds"):
+        density.siegel_counts_oracle(small, 2, 3, 4)
+    with pytest.raises(FeasibilityError, match="= 2\\^45 = 35184372088832 exceeds"):
+        density.siegel_counts_oracle(small, 2, 5, 6)
+    with pytest.raises(PreconditionError, match="depth r must be >= 1"):
+        density.siegel_counts_oracle(small, 2, 0, 1)
 
 
 def test_oracle_agreement_corpus(oracle_corpus):
@@ -426,8 +484,8 @@ def test_oracle_agreement_corpus(oracle_corpus):
 
 def test_oracle_rank3_beyond_public_guard():
     # rank-3 validation of the odd-unit compression: the public oracle guard
-    # stops at depth 3 for rank 3, so drive the internal counter directly at
-    # the stabilized depth 4
+    # stops at depth 3 for rank 3, so walk the internal counter directly
+    # through the stabilized depths 4 and 5
     cases = {
         "<1> + <1> + <1>": Fraction(6),
         "<1> + <1> + <-1>": Fraction(2),
@@ -436,8 +494,7 @@ def test_oracle_rank3_beyond_public_guard():
     }
     for text, expected in cases.items():
         lat = lattice_from_text(text)
-        for r in (4, 5):
-            count = _siegel_count(lat.gram, 2, r)
+        for r, count in enumerate(_siegel_counts(lat.gram, 2, 4, 5), 4):
             value = Fraction(count, 2 * 2 ** (3 * r))
             assert value == expected, (text, r)
         assert local_density(lat, 2).value == expected
@@ -492,7 +549,7 @@ def test_oracle_agreement_random_grams():
             r = v + 3 if p == 2 else v + 2
             if p ** (4 * r) > density.ORACLE_CANDIDATE_CAP:  # the public guard
                 continue
-            count = _siegel_count(lat.gram, p, r)
+            count = siegel_count(lat.gram, p, r)
             assert Fraction(count, 2 * p**r) == local_density(lat, p).value, (a, b, c, p)
             tested += 1
     assert tested > 200

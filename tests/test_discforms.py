@@ -27,6 +27,7 @@ from hmvol.jordan import jordan_decompose
 from hmvol.lattices import direct_sum, from_gram, rank_one
 
 from conftest import SIGNATURE_2N_EXPRESSIONS, num_prime_divisors
+from discform_readers import b_of, element_order, elements, q_of
 
 
 def _form(orders, q_values, bilinear) -> FiniteQuadraticForm:
@@ -82,7 +83,7 @@ def test_discriminant_form_rank_one():
         for p, e in prime_powers:
             c = 2 * d // p**e
             assert parts[p].orders == (p**e,)
-            assert parts[p].q_of((1,)) == Fraction(-c * c, 2 * d) % 2
+            assert q_of(parts[p], (1,)) == Fraction(-c * c, 2 * d) % 2
 
 
 def test_discriminant_form_n_binary():
@@ -109,12 +110,12 @@ def test_quadratic_identity_on_generators():
     # q(x + y) - q(x) - q(y) = 2 b(x, y) mod 2Z
     for text in ("<-6> + <2>", "U(2)", "U(2) + <-4>", "gram[2,1;1,-4]"):
         for form in discriminant_form(lattice_from_text(text)).values():
-            elems = list(form.elements())
+            elems = list(elements(form))
             for x in elems[: min(len(elems), 12)]:
                 for y in elems[: min(len(elems), 12)]:
                     xy = tuple((a + b) % d for a, b, d in zip(x, y, form.orders))
-                    lhs = (form.q_of(xy) - form.q_of(x) - form.q_of(y)) % 2
-                    assert lhs == (2 * form.b_of(x, y)) % 2
+                    lhs = (q_of(form, xy) - q_of(form, x) - q_of(form, y)) % 2
+                    assert lhs == (2 * b_of(form, x, y)) % 2
 
 
 def test_isometry_order_rank_one_sweep():
@@ -207,11 +208,11 @@ def _brute_force_isometry_order(form) -> int:
     """|O(A, q)| with no pruning: every tuple of generator images defines a
     homomorphism when image i has order dividing d_i; count those that are
     bijective on A and preserve q on every element."""
-    elems = list(form.elements())
+    elems = list(elements(form))
     k = len(form.orders)
     count = 0
     for images in itertools.product(elems, repeat=k):
-        if any(form.orders[i] % form.element_order(images[i]) for i in range(k)):
+        if any(form.orders[i] % element_order(form, images[i]) for i in range(k)):
             continue
         mapped = {
             x: tuple(
@@ -221,7 +222,7 @@ def _brute_force_isometry_order(form) -> int:
         }
         if len(set(mapped.values())) != len(elems):
             continue
-        if all(form.q_of(mapped[x]) == form.q_of(x) for x in elems):
+        if all(q_of(form, mapped[x]) == q_of(form, x) for x in elems):
             count += 1
     return count
 
@@ -271,9 +272,9 @@ def _count_isometries(form: FiniteQuadraticForm) -> int:
     k = len(form.orders)
     units = [_unit(k, i) for i in range(k)]
     buckets: dict[tuple[int, Fraction], list[tuple[int, ...]]] = {}
-    for x in form.elements():
-        buckets.setdefault((form.element_order(x), form.q_of(x)), []).append(x)
-    candidates = [buckets.get((form.orders[i], form.q_of(units[i])), []) for i in range(k)]
+    for x in elements(form):
+        buckets.setdefault((element_order(form, x), q_of(form, x)), []).append(x)
+    candidates = [buckets.get((form.orders[i], q_of(form, units[i])), []) for i in range(k)]
 
     chosen: list[tuple[int, ...]] = []
 
@@ -282,7 +283,7 @@ def _count_isometries(form: FiniteQuadraticForm) -> int:
             return 1
         count = 0
         for cand in candidates[i]:
-            if all(form.b_of(cand, chosen[j]) == form.b_of(units[i], units[j]) for j in range(i)):
+            if all(b_of(form, cand, chosen[j]) == b_of(form, units[i], units[j]) for j in range(i)):
                 chosen.append(cand)
                 count += extend(i + 1)
                 chosen.pop()
@@ -372,8 +373,8 @@ def _random_basis(form: FiniteQuadraticForm, rng: random.Random) -> FiniteQuadra
             break
     return _form(
         form.orders,
-        [form.q_of(r) for r in rows],
-        [[form.b_of(r, c) for c in rows] for r in rows],
+        [q_of(form, r) for r in rows],
+        [[b_of(form, r, c) for c in rows] for r in rows],
     )
 
 
@@ -611,7 +612,7 @@ def _fraction_form_from_jordan(decomps) -> tuple[list[int], list[Fraction], list
 
 
 def _order_and_q_multiset(form: FiniteQuadraticForm) -> Counter:
-    return Counter((form.element_order(x), form.q_of(x)) for x in form.elements())
+    return Counter((element_order(form, x), q_of(form, x)) for x in elements(form))
 
 
 def _smith_corpus() -> dict:
@@ -661,8 +662,8 @@ def test_integer_form_matches_fraction_jordan_route():
             form = parts[p]
             assert list(form.orders) == orders, (name, p)
             units = [_unit(len(orders), i) for i in range(len(orders))]
-            assert [form.q_of(x) for x in units] == q_vals, (name, p)
-            assert [[form.b_of(x, y) for y in units] for x in units] == bil, (name, p)
+            assert [q_of(form, x) for x in units] == q_vals, (name, p)
+            assert [[b_of(form, x, y) for y in units] for x in units] == bil, (name, p)
             assert all(isinstance(v, int) for v in form.q + sum(form.b, ())), (name, p)
 
 
@@ -682,7 +683,7 @@ def test_p_parts_rescale_smith_forms():
             assert part.orders == tuple(pe for pe, _, _ in gens), (name, p)
             k = len(gens)
             for a, (_, c, i) in enumerate(gens):
-                assert part.q_of(_unit(k, a)) == c * c * q_vals[i] % 2, (name, p)
+                assert q_of(part, _unit(k, a)) == c * c * q_vals[i] % 2, (name, p)
                 for a2, (_, c2, j) in enumerate(gens):
-                    assert part.b_of(_unit(k, a), _unit(k, a2)) == c * c2 * bil[i][j] % 1, (name, p)
+                    assert b_of(part, _unit(k, a), _unit(k, a2)) == c * c2 * bil[i][j] % 1, (name, p)
     assert mixed > 50

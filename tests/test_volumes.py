@@ -309,22 +309,57 @@ def test_build_report_runs_each_stage_once(monkeypatch):
 
 def test_oracle_check_counts_each_depth_once(monkeypatch):
     # the oracle walk counts each depth at most once per prime, also when the
-    # guard stops it before two consecutive depths agree
+    # guard stops it before two consecutive depths agree: the depths the
+    # counter yields for a prime run once each up to the reported depth
     from hmvol import density
 
     counted = []
-    count = density._siegel_count
+    counts = density._siegel_counts
 
-    def recording(gram, p, r):
-        counted.append((p, r))
-        return count(gram, p, r)
+    def recording(gram, p, r, deepest):
+        for k, count in enumerate(counts(gram, p, r, deepest), r):
+            counted.append((p, k))
+            yield count
 
-    monkeypatch.setattr(density, "_siegel_count", recording)
+    monkeypatch.setattr(density, "_siegel_counts", recording)
     for text in ("<1> + <1> + <-1>", "U + <-22>"):
         counted.clear()
         rep = build_report(lattice_from_text(text), oracle_check=True)
         assert rep.oracle_checks and not rep.oracle_checks[0]["stable"], text
         assert len(counted) == len(set(counted)), (text, counted)
+        for check in rep.oracle_checks:
+            depths = [k for p, k in counted if p == check["p"]]
+            assert depths and depths == list(range(depths[0], check["r"] + 1)), (text, counted)
+
+
+def test_oracle_walk_lifts_each_target_one_digit_per_depth(monkeypatch):
+    # one walk lifts each distinct diagonal target S_ii mod p^deepest by one
+    # digit per depth, from the zero column up to the deepest depth walked:
+    # <1> + <1> + <-1> has the equal targets 1, 1 and U + <-22> the equal
+    # targets 0, 0; the rank-1 square roots of 1 of <12> are lifted once per
+    # depth beyond v_2(12) = 2
+    from hmvol import density
+
+    lifted = []
+    lift = density._lift
+
+    def recording(cand, m, p, s, target, digits):
+        lifted.append((target, m))
+        return lift(cand, m, p, s, target, digits)
+
+    monkeypatch.setattr(density, "_lift", recording)
+    for text in ("<1> + <1> + <-1>", "U + <-22>"):
+        lat = lattice_from_text(text)
+        lifted.clear()
+        r, _, stable = density.oracle_stabilized(lat, 2)
+        assert r == density._guard_depth(2, 3) == 3 and not stable, text
+        targets = {lat.gram[i][i] % 2**r for i in range(3)}
+        assert len(targets) == 2, text
+        assert sorted(lifted) == sorted((t, 2**k) for t in targets for k in range(r)), text
+    lifted.clear()
+    # 4 #{x mod 2^(k-2) : x^2 = 1} at depth k >= 2
+    assert list(density._siegel_counts([[12]], 2, 1, 12)) == [2, 4, 4, 8] + [16] * 8
+    assert lifted == [(1, 2**k) for k in range(10)]
 
 
 def _assert_good_prime_chi(lattice, count=5):
