@@ -219,7 +219,7 @@ def _catalog_row(family: str, m: int, d: int | None):
 
     if family == "II":
         lat = families.unimodular_ii(m)
-        engine = 2 * vol_hm(lat).rational()
+        engine = 2 * vol_hm(lat)
         return f"II m={m} vol(O+)", engine, families.fixture_vol_ii_oplus(m)
     if family == "T":
         t_vol = group_volume(families.t_lattice(m), "O~+")

@@ -58,13 +58,6 @@ class LocalDensity:
     value: Fraction
     breakdown: dict
 
-    def recombined(self) -> Fraction:
-        b = self.breakdown
-        out = b["lead"] * b["P"]
-        for e in b["E"].values():
-            out /= e
-        return out
-
 
 def _p_series_num(p: int, n: int) -> int:
     """prod_{i=1}^{n} (p^(2i) - 1), the numerator of P_p(n) over p^(n(n+1))."""

@@ -321,13 +321,3 @@ def index_and_minus_id(
         return (2 * n_iso, True) if two_elementary else (n_iso, False)
     # SO~+
     return (4 * n_iso, True) if (two_elementary and even_rank) else (2 * n_iso, False)
-
-
-def projective_index(lattice: Lattice, tag: str) -> int:
-    """[PO(L) : P(Gamma_tag)] for the group diagram of a signature-(2,n)
-    lattice; the stable tags need an even lattice with a hyperbolic-plane
-    direct summand (see `index_and_minus_id`)."""
-    stable = None
-    if tag in STABLE_TAGS:
-        stable = stable_invariants(lattice, [jordan_decompose(lattice, p) for p in lattice.det_factors])
-    return index_and_minus_id(lattice, tag, stable)[0]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ExpressionError, PreconditionError
-from .lattices import Lattice, direct_sum, e8, from_gram, hyperbolic_plane, rank_one
+from .lattices import Lattice, _check_rank, direct_sum, e8, from_gram, hyperbolic_plane, rank_one
 
 _PUNCT = ("+", "*", "(", ")", "<", ">", "[", "]", ",", ";")
 
@@ -44,9 +44,9 @@ def _tokenize(text: str) -> list[Token]:
             tokens.append(Token(c, c, i))
             i += 1
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", text[i:j], i))
             i = j
@@ -115,6 +115,14 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def take_int(self) -> int:
+        tok = self.take("INT")
+        try:
+            return int(tok.text)
+        except ValueError:  # over the interpreter's limit on digits
+            raise ExpressionError(f"integer literal of {len(tok.text)} characters is too long",
+                                  tok.offset) from None
+
     def parse(self) -> LatticeExpr:
         terms = list(self.expr())
         tok = self.peek()
@@ -136,12 +144,11 @@ class _Parser:
     def term(self):
         tok = self.peek()
         if tok.kind == "INT":
-            count_tok = self.take("INT")
+            count = self.take_int()
             self.take("*")
             atom = self.atom()
-            count = int(count_tok.text)
             if count < 1:
-                raise ExpressionError(f"multiplier must be >= 1, got {count}", count_tok.offset)
+                raise ExpressionError(f"multiplier must be >= 1, got {count}", tok.offset)
             if isinstance(atom, list):
                 return [Term(count * t.count, t.atom, t.offset) for t in atom]
             return Term(count, atom, tok.offset)
@@ -157,7 +164,7 @@ class _Parser:
             scale = 1
             if self.peek().kind == "(" and name.text in ("U", "E8"):
                 self.take("(")
-                scale = int(self.take("INT").text)
+                scale = self.take_int()
                 self.take(")")
             if name.text == "U":
                 return UAtom(scale, name.offset)
@@ -176,7 +183,7 @@ class _Parser:
             )
         if tok.kind == "<":
             self.take("<")
-            entry = int(self.take("INT").text)
+            entry = self.take_int()
             self.take(">")
             return RankOneAtom(entry, tok.offset)
         if tok.kind == "(":
@@ -189,10 +196,10 @@ class _Parser:
         )
 
     def row(self) -> tuple[int, ...]:
-        entries = [int(self.take("INT").text)]
+        entries = [self.take_int()]
         while self.peek().kind == ",":
             self.take(",")
-            entries.append(int(self.take("INT").text))
+            entries.append(self.take_int())
         return tuple(entries)
 
 
@@ -220,34 +227,12 @@ def _atom_lattice(atom) -> Lattice:
 
 
 def evaluate(expr: LatticeExpr) -> Lattice:
-    parts: list[Lattice] = []
-    for term in expr.terms:
-        piece = _atom_lattice(term.atom)
-        parts.extend([piece] * term.count)
-    if not parts:
+    pieces = [(_atom_lattice(term.atom), term.count) for term in expr.terms]
+    if not pieces:
         raise ExpressionError("empty expression", 0)
-    return direct_sum(*parts)
-
-
-def _render_atom(atom) -> str:
-    if isinstance(atom, UAtom):
-        return "U" if atom.scale == 1 else f"U({atom.scale})"
-    if isinstance(atom, E8Atom):
-        return "E8" if atom.scale == 1 else f"E8({atom.scale})"
-    if isinstance(atom, RankOneAtom):
-        return f"<{atom.entry}>"
-    if isinstance(atom, GramAtom):
-        body = ";".join(",".join(str(x) for x in row) for row in atom.rows)
-        return f"gram[{body}]"
-    raise ValueError(f"cannot render {atom!r}")  # pragma: no cover
-
-
-def render(expr: LatticeExpr) -> str:
-    parts = []
-    for term in expr.terms:
-        prefix = f"{term.count}*" if term.count != 1 else ""
-        parts.append(prefix + _render_atom(term.atom))
-    return " + ".join(parts)
+    # the rank cap is checked on the counts, before any copies are listed
+    _check_rank(sum(piece.rank * count for piece, count in pieces))
+    return direct_sum(*(piece for piece, count in pieces for _ in range(count)))
 
 
 def lattice_from_text(text: str) -> Lattice:

@@ -1,16 +1,16 @@
 """Exact special values: Bernoulli numbers, quadratic characters, zeta and
-Dirichlet L values at integers, and the symbolic exact-real type that carries
-them through volume computations.
+Dirichlet L values at integers, and the record type that carries them through
+the volume product.
 
-A `SymbolicReal` is a value of the form
+A `SymbolicReal` is the record (coefficient, pi_half_exponent, radicand) of
 
     coefficient * pi**(pi_half_exponent/2) * sqrt(radicand)
 
-with an exact rational coefficient and a squarefree positive radicand.  The
-volume pipeline only ever multiplies and divides such values, and every final
+with an exact rational coefficient and a squarefree radicand >= 1, which the
+caller passes (the constructor factors nothing).  The volume pipeline only
+multiplies such values, two radicands through their gcd, and every final
 volume collapses to a plain rational (the pi powers and surds cancel), which
-is asserted downstream.  Only a radicand given to the constructor is
-factored; two squarefree radicands multiply through their gcd.
+`build_report` checks.
 
 Bernoulli numbers are read off the integer tangent numbers, and the
 generalized Bernoulli number B_{k,chi} of a character of conductor f comes
@@ -40,20 +40,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress
 
-from .arith import factorize, kronecker, squarefree_decompose
+from .arith import factorize, squarefree_decompose
 from .errors import FeasibilityError, PreconditionError
 
-__all__ = [
-    "SymbolicReal",
-    "bernoulli",
-    "kronecker",
-    "fundamental_discriminant",
-    "generalized_bernoulli",
-    "zeta_closed",
-    "zeta_product",
-    "l_closed",
-    "gamma_factor",
-]
+__all__ = ["SymbolicReal"]
 
 _POWER_SUM_BLOCK = 256
 # products priced for the power sums of one B_{k,chi} (the chi table, f,
@@ -63,73 +53,24 @@ _GENBERN_WORK_CAP = 2 * 10**7
 
 @dataclass(frozen=True)
 class SymbolicReal:
-    """Exact value coefficient * pi^(pi_half_exponent/2) * sqrt(radicand)."""
+    """Exact value coefficient * pi^(pi_half_exponent/2) * sqrt(radicand);
+    the caller passes a squarefree radicand >= 1."""
 
     coefficient: Fraction
     pi_half_exponent: int = 0
     radicand: int = 1
 
-    def __post_init__(self):
-        coeff = self.coefficient
-        if not isinstance(coeff, Fraction):
-            coeff = Fraction(coeff)
-        rad = self.radicand
-        if rad < 1:
-            raise ValueError("radicand must be a positive integer")
-        if rad > 1:
-            rad, t = squarefree_decompose(rad)
-            coeff *= t
-        _set_parts(self, coeff, self.pi_half_exponent, rad)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.pi_half_exponent == 0 and self.radicand == 1
-
-    def rational(self) -> Fraction:
-        if not self.is_rational:
-            raise PreconditionError(f"{self} is not rational")
-        return self.coefficient
-
     def __mul__(self, other) -> "SymbolicReal":
+        """Product with another SymbolicReal or with a rational."""
         if isinstance(other, SymbolicReal):
             # r1 r2 = (r1/g)(r2/g) g^2, and (r1/g)(r2/g) is squarefree
             g = math.gcd(self.radicand, other.radicand)
-            return _normal(
+            return SymbolicReal(
                 self.coefficient * other.coefficient * g,
                 self.pi_half_exponent + other.pi_half_exponent,
                 (self.radicand // g) * (other.radicand // g),
             )
-        return _normal(self.coefficient * _rational(other), self.pi_half_exponent, self.radicand)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "SymbolicReal":
-        if self.coefficient == 0:
-            raise ZeroDivisionError("inverse of zero")
-        # 1/sqrt(r) = sqrt(r)/r
-        return _normal(
-            1 / (self.coefficient * self.radicand), -self.pi_half_exponent, self.radicand
-        )
-
-    def __truediv__(self, other) -> "SymbolicReal":
-        if isinstance(other, SymbolicReal):
-            return self * other.inverse()
-        return _normal(self.coefficient / _rational(other), self.pi_half_exponent, self.radicand)
-
-    def __rtruediv__(self, other) -> "SymbolicReal":
-        return self.inverse() * other
-
-    def __pow__(self, n: int) -> "SymbolicReal":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = SymbolicReal(Fraction(1))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return SymbolicReal(self.coefficient * other, self.pi_half_exponent, self.radicand)
 
     def evalf(self, dps: int = 50):
         """Numeric value as an mpmath mpf at the given working precision."""
@@ -148,26 +89,6 @@ class SymbolicReal:
         if self.radicand != 1:
             parts.append(f"sqrt({self.radicand})")
         return " * ".join(parts)
-
-
-def _set_parts(x: SymbolicReal, coefficient: Fraction, pi_half_exponent: int, radicand: int) -> None:
-    if coefficient == 0:
-        pi_half_exponent, radicand = 0, 1
-    object.__setattr__(x, "coefficient", coefficient)
-    object.__setattr__(x, "pi_half_exponent", pi_half_exponent)
-    object.__setattr__(x, "radicand", radicand)
-
-
-def _normal(coefficient: Fraction, pi_half_exponent: int, radicand: int) -> SymbolicReal:
-    """A SymbolicReal from parts already in normal form (a Fraction
-    coefficient, a squarefree radicand), without factoring the radicand."""
-    x = object.__new__(SymbolicReal)
-    _set_parts(x, coefficient, pi_half_exponent, radicand)
-    return x
-
-
-def _rational(x) -> Fraction | int:
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 def _tangent_numbers(count: int) -> list[int]:
@@ -348,7 +269,7 @@ def zeta_product(t: int) -> SymbolicReal:
             odd_factorial *= (2 * i - 2) * (2 * i - 1)
         num *= tangents[i]
         den *= 2 * (4**i - 1) * odd_factorial
-    return _normal(Fraction(num, den), 2 * t * (t + 1), 1)
+    return SymbolicReal(Fraction(num, den), 2 * t * (t + 1))
 
 
 def zeta_closed(k2: int) -> SymbolicReal:
@@ -414,4 +335,4 @@ def l_closed(t_arg: int, disc: int) -> SymbolicReal:
     m = t // 2
     num = -((-4) ** m) * (m if disc > 0 else 1) * root * b.numerator
     den = math.factorial(2 * m) * f**t * t * b.denominator
-    return _normal(Fraction(num, den), 2 * t, core)
+    return SymbolicReal(Fraction(num, den), 2 * t, core)

@@ -18,12 +18,14 @@ the bad primes are decomposed.  The corrections and the alpha_p^(-1) at the
 bad primes make one rational.  The bad primes, the surd of |det L|^((rho+1)/2)
 and D all come from one factorization of det, `Lattice.det_factors`.
 
-All pi powers and square roots cancel in the final volume; this is asserted,
-not assumed.  Volumes of the subgroup variants (plus, determinant-1, stable)
-follow by multiplying with the projective index, and the leading coefficient
-of cusp-form dimension growth for signature (2, n) is (2/n!) vol_HM(Gamma).
-Every entry point (`vol_hm`, `euler_alpha_product`, `group_volume`,
-`cusp_dim_leading`) reads its value off `build_report`.
+The volume is one product of `SymbolicReal` records (det power, gamma
+factor, Euler product); all pi powers and square roots cancel in it, and this
+is checked, not assumed.  Volumes of the subgroup variants (plus,
+determinant-1, stable) follow by multiplying with the projective index, and
+the leading coefficient of cusp-form dimension growth for signature (2, n) is
+(2/n!) vol_HM(Gamma).  Every entry point reads its value off `build_report`:
+`vol_hm`, `group_volume` and `cusp_dim_leading` return a `Fraction`, and
+`euler_alpha_product` the `SymbolicReal` record of the Euler product.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .jordan import jordan_decompose
 from .lattices import Lattice
 from .special_values import (
     SymbolicReal,
-    _normal,
     field_discriminant,
     gamma_factor,
     l_closed,
@@ -114,12 +115,13 @@ def _det_power(lattice: Lattice) -> SymbolicReal:
     if rho % 2:
         return SymbolicReal(Fraction(adet) ** ((rho + 1) // 2))
     c, t = squarefree_split(lattice.det_factors)
-    return _normal(Fraction(adet ** (rho // 2) * t), 0, c)
+    return SymbolicReal(Fraction(adet ** (rho // 2) * t), 0, c)
 
 
-def vol_hm(lattice: Lattice, g_sp_plus: int = 1) -> SymbolicReal:
-    """Hirzebruch-Mumford volume of O(L); always collapses to a rational."""
-    return SymbolicReal(build_report(lattice, ("O",), g_sp_plus).volumes["O"])
+def vol_hm(lattice: Lattice, g_sp_plus: int = 1) -> Fraction:
+    """Hirzebruch-Mumford volume of O(L), an exact rational, read off the
+    one-tag report."""
+    return build_report(lattice, ("O",), g_sp_plus).volumes["O"]
 
 
 def group_volume(lattice: Lattice, tag: str, g_sp_plus: int = 1) -> Fraction:
@@ -193,9 +195,9 @@ def build_report(
         * gamma_factor(lattice.rank)
         * euler
     )
-    if not exact.is_rational:
+    if exact.pi_half_exponent or exact.radicand != 1:
         raise InternalCheckError(f"pi/surd cancellation failed in vol_HM: got {exact!r}")
-    vol = exact.rational()
+    vol = exact.coefficient
     assumptions = []
     g_justified = lattice.has_hyperbolic_summand
     if g_justified:

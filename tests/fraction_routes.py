@@ -4,7 +4,8 @@ test oracles: alpha_p at odd p and at p = 2 from reduced `Fraction` products
 corrections as `Fraction` factors (`euler_product`), L(t, chi_D) through
 `SymbolicReal` products of Gamma(j/2) values (`l_closed`), and the two
 helpers only these routes use (`gamma_half`, `euler_factor`).  The bodies
-are unchanged apart from the names."""
+are unchanged apart from the names, and in `l_closed` the division by a
+Gamma value, which is a product with its inverse."""
 
 import math
 from fractions import Fraction
@@ -16,7 +17,6 @@ from hmvol.jordan import JordanDecomposition
 from hmvol.lattices import Lattice
 from hmvol.special_values import (
     SymbolicReal,
-    _normal,
     generalized_bernoulli,
     zeta_closed,
     zeta_product,
@@ -163,11 +163,12 @@ def l_closed(t_arg: int, disc: int) -> SymbolicReal:
     f = abs(disc)
     # sqrt(f) = 2 sqrt(f/4) when 4 | f; f/4 and an odd f are squarefree
     root, core = (1, f) if f % 2 else (2, f // 4)
-    dpow = _normal(Fraction(root, f**t), 0, core)  # |disc|^(1/2 - t)
+    dpow = SymbolicReal(Fraction(root, f**t), 0, core)  # |disc|^(1/2 - t)
+    # Gamma(t/2) at even t and Gamma((t+1)/2) at odd t are integers
     if disc > 0:
         # pi^{-s/2} Gamma(s/2) D^s L(s) = pi^{-(1-s)/2} Gamma((1-s)/2) D^{1/2} L(1-s)
-        gammas = gamma_half(1 - t) / gamma_half(t)
+        gammas = gamma_half(1 - t) * (1 / gamma_half(t).coefficient)
     else:
         # completed form (|D|/pi)^{(s+1)/2} Gamma((s+1)/2) L(s) invariant under s -> 1-s
-        gammas = gamma_half(2 - t) / gamma_half(t + 1)
+        gammas = gamma_half(2 - t) * (1 / gamma_half(t + 1).coefficient)
     return SymbolicReal(Fraction(1), 2 * t - 1) * gammas * dpow * l_neg

@@ -21,9 +21,15 @@ class SiegelIdentities:
     ratio: SymbolicReal
 
 
+def _inverse(x: SymbolicReal) -> SymbolicReal:
+    """1/x for a value without a surd, as every gamma_m and their products are."""
+    assert x.radicand == 1, x
+    return SymbolicReal(1 / x.coefficient, -x.pi_half_exponent)
+
+
 def siegel_gamma(m: int) -> SymbolicReal:
     """gamma_m = prod_{k=1}^m pi^(k/2) / Gamma(k/2)."""
-    return gamma_factor(m).inverse()
+    return _inverse(gamma_factor(m))
 
 
 def vol_s_so(m: int) -> SymbolicReal:
@@ -37,6 +43,6 @@ def siegel_identities(lattice: Lattice, g_sp_plus: int = 1) -> SiegelIdentities:
     r, s = lattice.signature
     g_r, g_s, g_rs = siegel_gamma(r), siegel_gamma(s), siegel_gamma(r + s)
     alpha_inf = SymbolicReal(Fraction(2, g_sp_plus)) * report.euler_product
-    vol_group = SymbolicReal(Fraction(2)) * alpha_inf * _det_power(lattice) / (g_r * g_s)
-    vol_dual = SymbolicReal(Fraction(2)) * g_rs / (g_r * g_s)
-    return SiegelIdentities(g_r, g_s, g_rs, vol_group, vol_dual, vol_group / vol_dual)
+    vol_group = SymbolicReal(Fraction(2)) * alpha_inf * _det_power(lattice) * _inverse(g_r * g_s)
+    vol_dual = SymbolicReal(Fraction(2)) * g_rs * _inverse(g_r * g_s)
+    return SiegelIdentities(g_r, g_s, g_rs, vol_group, vol_dual, vol_group * _inverse(vol_dual))

@@ -30,6 +30,7 @@ from hmvol.families import (
     unimodular_ii,
 )
 from hmvol.lattices import direct_sum, e8, from_gram, hyperbolic_plane, rank_one, rescale
+from hmvol.special_values import SymbolicReal
 from hmvol.volumes import cusp_dim_leading, group_volume, vol_hm
 
 from conftest import ORACLE_CORPUS, SIGNATURE_2N_EXPRESSIONS, num_prime_divisors
@@ -139,9 +140,9 @@ def test_criterion_9_structural_invariants():
         corpus = [lattice_from_text(t) for t in SIGNATURE_2N_EXPRESSIONS]
         for lat in corpus:
             v = vol_hm(lat)
-            assert v.is_rational and v.coefficient > 0
-            assert group_volume(lat, "O+") == 2 * v.rational()
-            assert siegel_identities(lat).ratio == v
+            assert isinstance(v, Fraction) and v > 0
+            assert group_volume(lat, "O+") == 2 * v
+            assert siegel_identities(lat).ratio == SymbolicReal(v)
         # Jordan rank/valuation conservation over randomized compositions
         from hmvol.arith import valuation
         from hmvol.jordan import jordan_decompose

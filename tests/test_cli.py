@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -58,6 +59,16 @@ def test_analyze_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "analyze", "2*U +")
     assert code == 2
     assert "offset" in err
+
+
+@pytest.mark.parametrize("expr", [
+    pytest.param("U + <\u00b2>", id="superscript-two"),
+    pytest.param("<1" + "0" * 5000 + ">", id="long-literal"),
+])
+def test_analyze_literal_int_refuses_exit_2(capsys, expr):
+    code, _, err = run(capsys, "analyze", expr)
+    assert code == 2
+    assert err.startswith("expression error:") and "Traceback" not in err
 
 
 def test_analyze_precondition_exit_3(capsys):
@@ -310,3 +321,15 @@ def test_analyze_json_is_stdlib_indented_json(capsys):
     assert code == 0
     assert json.loads(out)["lattice"]["rank"] == 28
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def test_package_exports_exactly_the_readme_api():
+    # the names at the head of each bullet of README's "What it computes"
+    # (before its dash); a dotted name such as hmvol.arith.factorize is a
+    # module's, not a package export
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## What it computes\n")[1].split("\n## ")[0]
+    heads = [" ".join(b.split()).split(" — ")[0] for b in re.split(r"^\* ", section, flags=re.M)[1:]]
+    documented = [name for head in heads for name in re.findall(r"`(\w+)[`(]", head)]
+    assert sorted(hmvol.__all__) == sorted(documented)
+    assert all(hasattr(hmvol, name) for name in hmvol.__all__)

@@ -131,7 +131,11 @@ def test_positivity_and_breakdown():
         for p in bad_primes(lat):
             dens = local_density(lat, p)
             assert dens.value > 0
-            assert dens.recombined() == dens.value
+            b = dens.breakdown
+            recombined = b["lead"] * b["P"]
+            for e in b["E"].values():
+                recombined /= e
+            assert recombined == dens.value
 
 
 def test_good_prime_closed_form():

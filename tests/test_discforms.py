@@ -17,7 +17,6 @@ from hmvol.discforms import (
     discriminant_form,
     finite_isometry_order,
     index_and_minus_id,
-    projective_index,
     stable_invariants,
 )
 from hmvol.errors import FeasibilityError, PreconditionError
@@ -25,6 +24,7 @@ from hmvol.expr import lattice_from_text
 from hmvol.families import k_lattice, l_lattice, n_lattice, t_lattice, unimodular_ii
 from hmvol.jordan import jordan_decompose
 from hmvol.lattices import direct_sum, from_gram, rank_one
+from hmvol.volumes import build_report
 
 from conftest import SIGNATURE_2N_EXPRESSIONS, num_prime_divisors
 from discform_readers import b_of, element_order, elements, q_of
@@ -152,6 +152,11 @@ def test_minus_id_criterion():
     # A = Z/4 is a 2-group but has exponent 4, so -id acts nontrivially;
     # the L-family volume fixtures at d = 2 force this reading
     assert not two_elementary(l_lattice(0, 2))
+
+
+def projective_index(lattice, tag: str) -> int:
+    """[PO(L) : P Gamma_tag], read off the one-tag report."""
+    return build_report(lattice, (tag,)).indices[tag]
 
 
 def test_projective_index_l_family():

@@ -1,8 +1,24 @@
+import tracemalloc
+
 import pytest
 
-from hmvol.errors import ExpressionError
-from hmvol.expr import lattice_from_text, parse_expr, render
+from hmvol.errors import ExpressionError, PreconditionError
+from hmvol.expr import GramAtom, RankOneAtom, UAtom, lattice_from_text, parse_expr
 from hmvol.lattices import Signature
+
+
+def render(expr) -> str:
+    """Surface syntax of a parsed expression, one term per repetition count."""
+
+    def atom(a) -> str:
+        if isinstance(a, GramAtom):
+            return "gram[" + ";".join(",".join(map(str, row)) for row in a.rows) + "]"
+        if isinstance(a, RankOneAtom):
+            return f"<{a.entry}>"
+        name = "U" if isinstance(a, UAtom) else "E8"
+        return name if a.scale == 1 else f"{name}({a.scale})"
+
+    return " + ".join(("" if t.count == 1 else f"{t.count}*") + atom(t.atom) for t in expr.terms)
 
 
 def test_l50_expression():
@@ -67,6 +83,31 @@ def test_syntax_error_offset_and_expected():
     with pytest.raises(ExpressionError) as err:
         parse_expr("U + % U")
     assert err.value.offset == 4
+
+
+@pytest.mark.parametrize("text, offset", [
+    pytest.param("U + <\u00b2>", 5, id="superscript-two"),  # a digit, not decimal
+    # literals with more digits than int() converts
+    pytest.param("<1" + "0" * 5000 + ">", 1, id="long-entry"),
+    pytest.param("U(" + "7" * 5000 + ")", 2, id="long-scale"),
+    pytest.param("gram[1," + "3" * 5000 + ";1,1]", 7, id="long-gram-entry"),
+    pytest.param("9" * 5000 + "*U", 0, id="long-multiplier"),
+])
+def test_integer_literals_int_refuses_are_expression_errors(text, offset):
+    with pytest.raises(ExpressionError) as err:
+        parse_expr(text)
+    assert err.value.offset == offset
+
+
+def test_multiplier_over_rank_cap_builds_no_copies():
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="rank 20000000 exceeds cap 64"):
+            lattice_from_text("10000000*U")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_trailing_garbage():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import hmvol
 from hmvol.errors import FeasibilityError, PreconditionError
 from hmvol import special_values
-from hmvol.arith import squarefree_decompose
+from hmvol.arith import kronecker, squarefree_decompose
 from fraction_routes import euler_factor, gamma_half
 from fraction_routes import l_closed as fraction_l_closed
 from hmvol.special_values import (
@@ -24,7 +24,6 @@ from hmvol.special_values import (
     fundamental_discriminant,
     gamma_factor,
     generalized_bernoulli,
-    kronecker,
     l_closed,
     zeta_closed,
     zeta_product,
@@ -376,47 +375,30 @@ def test_l_at_negative_integers_matches_bernoulli():
 
 # ----------------------------------------------------------- SymbolicReal
 
-def test_symbolic_real_normalization():
-    x = SymbolicReal(Fraction(1, 3), 0, 12)  # sqrt(12) = 2 sqrt(3)
-    assert x.coefficient == Fraction(2, 3)
-    assert x.radicand == 3
+def squarefree_radicands(hi: int):
+    """Squarefree radicands, the squarefree parts of 1..hi (the record's
+    contract: callers pass squarefree radicands)."""
+    return st.integers(1, hi).map(lambda r: squarefree_decompose(r)[0])
 
 
 def test_symbolic_real_surd_arithmetic_exhaustive():
-    # sqrt(a) * sqrt(b) extracts the common square exactly, a,b <= 100
-    from hmvol.arith import squarefree_decompose
-
-    for a in range(1, 101):
-        for b in range(1, 101):
+    # sqrt(a) * sqrt(b) extracts the common square exactly, squarefree a,b <= 100
+    radicands = [r for r in range(1, 101) if squarefree_decompose(r)[1] == 1]
+    for a in radicands:
+        for b in radicands:
             prod = SymbolicReal(Fraction(1), 0, a) * SymbolicReal(Fraction(1), 0, b)
             s, t = squarefree_decompose(a * b)
             assert prod.radicand == s
             assert prod.coefficient == t
 
 
-def test_symbolic_real_division_and_powers():
-    x = SymbolicReal(Fraction(3, 4), 2, 5)
-    assert x / x == SymbolicReal(Fraction(1))
-    assert x * x.inverse() == SymbolicReal(Fraction(1))
-    assert (x**3) / (x**2) == x
-    assert x**-2 == (x * x).inverse()
-
-
-def test_symbolic_real_rationality():
-    assert SymbolicReal(Fraction(7, 2)).is_rational
-    assert not SymbolicReal(Fraction(1), 1).is_rational
-    assert not SymbolicReal(Fraction(1), 0, 2).is_rational
-    with pytest.raises(PreconditionError):
-        SymbolicReal(Fraction(1), 1).rational()
-
-
 @given(
     st.fractions(min_value=-9, max_value=9).filter(lambda f: f != 0),
     st.integers(-6, 6),
-    st.integers(1, 30),
+    squarefree_radicands(30),
     st.fractions(min_value=-9, max_value=9).filter(lambda f: f != 0),
     st.integers(-6, 6),
-    st.integers(1, 30),
+    squarefree_radicands(30),
 )
 @settings(max_examples=100, deadline=None)
 def test_symbolic_real_mul_commutes_and_associates(c1, e1, r1, c2, e2, r2):
@@ -430,10 +412,10 @@ def test_symbolic_real_mul_commutes_and_associates(c1, e1, r1, c2, e2, r2):
 @given(
     st.fractions(min_value=-50, max_value=50),
     st.integers(-12, 12),
-    st.integers(1, 10**6),
+    squarefree_radicands(10**6),
     st.fractions(min_value=-50, max_value=50),
     st.integers(-12, 12),
-    st.integers(1, 10**6),
+    squarefree_radicands(10**6),
 )
 @settings(max_examples=200, deadline=None)
 def test_symbolic_real_gcd_product_matches_factored_product(c1, e1, r1, c2, e2, r2):
@@ -441,20 +423,29 @@ def test_symbolic_real_gcd_product_matches_factored_product(c1, e1, r1, c2, e2, 
     # reference factors the raw product of the radicands given
     x = SymbolicReal(c1, e1, r1)
     y = SymbolicReal(c2, e2, r2)
-    prod = x * y
-    assert prod == SymbolicReal(c1 * c2, e1 + e2, r1 * r2)
-    assert squarefree_decompose(prod.radicand) == (prod.radicand, 1)
-    if c1 == 0 or c2 == 0:
-        assert (prod.coefficient, prod.pi_half_exponent, prod.radicand) == (0, 0, 1)
-    assert x * 0 == SymbolicReal(Fraction(0)) == x * Fraction(0)
-    assert (x * 0).pi_half_exponent == 0 and (x * 0).radicand == 1
+    core, root = squarefree_decompose(r1 * r2)
+    assert x * y == SymbolicReal(c1 * c2 * root, e1 + e2, core)
+    assert x * Fraction(3, 2) == SymbolicReal(c1 * Fraction(3, 2), e1, r1)
 
 
-def test_symbolic_real_keeps_fraction_and_converts_int_coefficient():
+def test_symbolic_real_stores_its_parts_as_given():
+    # the record factors nothing: a squarefree radicand is the caller's contract
     c = Fraction(3, 4)
     assert SymbolicReal(c, 1).coefficient is c
-    x = SymbolicReal(5, 2, 12)
-    assert type(x.coefficient) is Fraction and x.coefficient == 10 and x.radicand == 3
+    x = SymbolicReal(Fraction(5), 2, 12)
+    assert (x.coefficient, x.pi_half_exponent, x.radicand) == (5, 2, 12)
+
+
+def test_l_closed_radicand_is_squarefree():
+    # l_closed hands the squarefree core of |D| to the record, at both parities
+    checked = 0
+    for disc in range(-2000, 2001):
+        if not _is_fundamental_discriminant(disc):
+            continue
+        value = l_closed(2 if disc > 0 else 1, disc)
+        assert squarefree_decompose(value.radicand) == (value.radicand, 1), disc
+        checked += 1
+    assert checked > 1000
 
 
 # ----------------------------------------------------------- zeta values

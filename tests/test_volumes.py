@@ -12,7 +12,7 @@ from conftest import (
 )
 from fraction_routes import euler_product as fraction_euler_product
 from siegel import siegel_gamma, siegel_identities, vol_s_so
-from hmvol.arith import is_prime, kronecker
+from hmvol.arith import is_prime, kronecker, squarefree_decompose
 from hmvol.discforms import finite_isometry_order, discriminant_form
 from hmvol.errors import PreconditionError
 from hmvol.expr import lattice_from_text
@@ -28,8 +28,9 @@ from hmvol.families import (
 )
 from hmvol.jordan import jordan_decompose
 from hmvol.lattices import from_gram
-from hmvol.special_values import SymbolicReal, l_closed, zeta_closed
+from hmvol.special_values import SymbolicReal, gamma_factor, l_closed, zeta_closed
 from hmvol.volumes import (
+    _det_power,
     build_report,
     cusp_dim_leading,
     euler_alpha_product,
@@ -88,7 +89,7 @@ def test_euler_product_unimodular():
 
 def test_vol_hm_unimodular_family():
     for m in (0, 1, 2):
-        assert 2 * vol_hm(unimodular_ii(m)).rational() == fixture_vol_ii_oplus(m)
+        assert 2 * vol_hm(unimodular_ii(m)) == fixture_vol_ii_oplus(m)
 
 
 def test_vol_hm_rejects_small_or_definite():
@@ -108,7 +109,7 @@ def test_vol_hm_rejects_odd_parity_even_rank():
 def test_vol_hm_odd_lattice_signature_2n():
     # odd lattices are fine as long as the parity constraint holds
     lat = lattice_from_text("<1> + <1> + <-1> + <-3>")  # det 3 > 0, rank 4
-    assert vol_hm(lat).is_rational
+    assert isinstance(vol_hm(lat), Fraction)
 
 
 def test_spinor_genus_parameter_threads_through():
@@ -159,14 +160,37 @@ def test_ratio_t_over_ii():
 
 def test_doubling_o_plus(signature_2n_corpus):
     for text, lat in signature_2n_corpus:
-        assert group_volume(lat, "O+") == 2 * vol_hm(lat).rational(), text
+        assert group_volume(lat, "O+") == 2 * vol_hm(lat), text
 
 
 def test_pi_cancellation(signature_2n_corpus):
     for text, lat in signature_2n_corpus:
         v = vol_hm(lat)
-        assert v.is_rational, text
-        assert v.coefficient > 0, text
+        assert isinstance(v, Fraction), text
+        assert v > 0, text
+
+
+def test_volume_product_records_keep_squarefree_radicands():
+    # the records' contract on the golden and acceptance corpora: the det
+    # power carries a squarefree radicand, and the volume product reaches
+    # radicand 1 with no pi left
+    corpus = integer_route_corpus() + [
+        (f"L({m},{d})", l_lattice(m, d)) for m in (0, 2) for d in range(11, 21)
+    ] + [(f"K(0,{d})", k_lattice(0, d)) for d in (4, 16, 20, 36)]
+    checked = 0
+    for label, lat in corpus:
+        det_power = _det_power(lat)
+        assert squarefree_decompose(det_power.radicand) == (det_power.radicand, 1), label
+        if lat.rank < 3:
+            continue
+        try:
+            euler = build_report(lat, ("O",)).euler_product
+        except PreconditionError:  # negative det at even rank
+            continue
+        product = det_power * gamma_factor(lat.rank) * euler
+        assert (product.pi_half_exponent, product.radicand) == (0, 1), label
+        checked += 1
+    assert checked > 60
 
 
 def test_siegel_identities_gamma_values():
@@ -177,17 +201,17 @@ def test_siegel_identities_gamma_values():
 def test_siegel_ratio_identity(signature_2n_corpus):
     for text, lat in signature_2n_corpus:
         ids = siegel_identities(lat)
-        assert ids.ratio == vol_hm(lat), text
+        assert ids.ratio == SymbolicReal(vol_hm(lat)), text
         # the compact-dual volume is 2 gamma_{r+s} / (gamma_r gamma_s)
         r, s = lat.signature
-        assert ids.vol_s_dual == SymbolicReal(Fraction(2)) * siegel_gamma(r + s) / (
-            siegel_gamma(r) * siegel_gamma(s)
+        assert ids.vol_s_dual * siegel_gamma(r) * siegel_gamma(s) == (
+            SymbolicReal(Fraction(2)) * siegel_gamma(r + s)
         )
 
 
 def test_siegel_ratio_on_ii_2_10():
     ids = siegel_identities(unimodular_ii(1))
-    assert ids.ratio == vol_hm(unimodular_ii(1))
+    assert ids.ratio == SymbolicReal(vol_hm(unimodular_ii(1)))
 
 
 def test_stable_vs_plus_factor():
