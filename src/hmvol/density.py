@@ -36,8 +36,8 @@ Two independent routes:
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import valuation
 from .errors import FeasibilityError, PreconditionError
@@ -52,8 +52,7 @@ _EMPTY_BLOCK = JordanBlock(0, 0, (), 1, ())
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class LocalDensity:
+class LocalDensity(NamedTuple):
     p: int
     value: Fraction
     breakdown: dict

@@ -20,9 +20,9 @@ scale of the part's exponent; no `Fraction` is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from .errors import FeasibilityError, PreconditionError
 from .jordan import JordanDecomposition, jordan_decompose
@@ -31,8 +31,7 @@ from .lattices import Lattice
 ISOMETRY_ENUM_CAP = 10**5
 
 
-@dataclass(frozen=True)
-class FiniteQuadraticForm:
+class FiniteQuadraticForm(NamedTuple):
     """One p-primary part (A_p, q_p), A_p = prod Z/d_i, as integer tables at
     the scale n = lcm(orders), the exponent of A_p: the orders d_i of the
     generators g_i (powers of p, by level), q[i] = n q(g_i) mod 2n and

@@ -12,20 +12,25 @@ Grammar (whitespace insignificant, INT a signed decimal integer):
 U(k) and E8(k) scale every Gram entry by k; <k> is the rank-1 lattice [k].
 Syntax errors carry the byte offset and the expected-token set; semantic
 errors (zero scale, non-symmetric Gram literal) carry the node offset.
+Parentheses nest at most MAX_NESTING deep; the first "(" past it is an
+error at its offset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ExpressionError, PreconditionError
 from .lattices import Lattice, _check_rank, direct_sum, e8, from_gram, hyperbolic_plane, rank_one
+from .records import Record
 
 _PUNCT = ("+", "*", "(", ")", "<", ">", "[", "]", ",", ";")
+# parentheses nested deeper than this are refused: each level is three
+# frames of the recursive-descent parser
+MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # INT, NAME, one of _PUNCT, EOF
     text: str
     offset: int
@@ -63,40 +68,46 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class UAtom:
-    scale: int = 1
-    offset: int = 0
+# The atoms are Records, not tuples, so that atoms of different types are
+# unequal: as tuples, UAtom(1, 0) would equal E8Atom(1, 0).
 
 
-@dataclass(frozen=True)
-class E8Atom:
-    scale: int = 1
-    offset: int = 0
+class UAtom(Record):
+    __slots__ = ("scale", "offset")
+
+    def __init__(self, scale: int = 1, offset: int = 0):
+        self._init(scale, offset)
 
 
-@dataclass(frozen=True)
-class RankOneAtom:
-    entry: int = 0
-    offset: int = 0
+class E8Atom(Record):
+    __slots__ = ("scale", "offset")
+
+    def __init__(self, scale: int = 1, offset: int = 0):
+        self._init(scale, offset)
 
 
-@dataclass(frozen=True)
-class GramAtom:
-    rows: tuple[tuple[int, ...], ...] = ()
-    offset: int = 0
+class RankOneAtom(Record):
+    __slots__ = ("entry", "offset")
+
+    def __init__(self, entry: int = 0, offset: int = 0):
+        self._init(entry, offset)
 
 
-@dataclass(frozen=True)
-class Term:
+class GramAtom(Record):
+    __slots__ = ("rows", "offset")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...] = (), offset: int = 0):
+        self._init(rows, offset)
+
+
+class Term(NamedTuple):
     count: int
     atom: object
     offset: int = 0
 
 
-@dataclass(frozen=True)
-class LatticeExpr:
-    terms: tuple[Term, ...] = field(default_factory=tuple)
+class LatticeExpr(NamedTuple):
+    terms: tuple[Term, ...] = ()
 
 
 class _Parser:
@@ -104,6 +115,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses open around the current position
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -187,9 +199,13 @@ class _Parser:
             self.take(">")
             return RankOneAtom(entry, tok.offset)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ExpressionError(f"parentheses nested deeper than {MAX_NESTING}", tok.offset)
             self.take("(")
+            self.depth += 1
             inner = self.expr()
             self.take(")")
+            self.depth -= 1
             return inner
         raise ExpressionError(
             f"unexpected token {tok.text or 'end of input'!r}", tok.offset, ("INT", "NAME", "<", "(")

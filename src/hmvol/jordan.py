@@ -46,8 +46,8 @@ raw split, which the discriminant form reads; a level-0 block carries none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .arith import is_prime, kronecker, valuation
 from .errors import InternalCheckError, PreconditionError
@@ -56,8 +56,7 @@ from .lattices import Lattice
 _MIN_UNIT_PRECISION = 4
 
 
-@dataclass(frozen=True)
-class JordanBlock:
+class JordanBlock(NamedTuple):
     """One constituent p^level U of the decomposition.
 
     unit_gram is U as split (diagonal at odd p; at p = 2 a block sum of
@@ -77,8 +76,7 @@ class JordanBlock:
     odd_units: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class JordanDecomposition:
+class JordanDecomposition(NamedTuple):
     p: int
     blocks: tuple[JordanBlock, ...]
 

@@ -17,9 +17,8 @@ one-class-per-genus assumption for index computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arith import factorize
 from .errors import PreconditionError
@@ -30,13 +29,9 @@ ENTRY_CAP = 2**63
 Gram = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     positive: int
     negative: int
-
-    def __iter__(self):
-        return iter((self.positive, self.negative))
 
     def __repr__(self) -> str:
         return f"({self.positive},{self.negative})"

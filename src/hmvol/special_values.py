@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress
 
 from .arith import factorize, squarefree_decompose
 from .errors import FeasibilityError, PreconditionError
+from .records import Record
 
 __all__ = ["SymbolicReal"]
 
@@ -51,14 +51,15 @@ _POWER_SUM_BLOCK = 256
 _GENBERN_WORK_CAP = 2 * 10**7
 
 
-@dataclass(frozen=True)
-class SymbolicReal:
+class SymbolicReal(Record):
     """Exact value coefficient * pi^(pi_half_exponent/2) * sqrt(radicand);
-    the caller passes a squarefree radicand >= 1."""
+    the caller passes a squarefree radicand >= 1.  A Record, not a tuple, so
+    that 2 * x and x + y raise TypeError instead of repeating or joining."""
 
-    coefficient: Fraction
-    pi_half_exponent: int = 0
-    radicand: int = 1
+    __slots__ = ("coefficient", "pi_half_exponent", "radicand")
+
+    def __init__(self, coefficient: Fraction, pi_half_exponent: int = 0, radicand: int = 1):
+        self._init(coefficient, pi_half_exponent, radicand)
 
     def __mul__(self, other) -> "SymbolicReal":
         """Product with another SymbolicReal or with a rational."""

@@ -30,9 +30,9 @@ the leading coefficient of cusp-form dimension growth for signature (2, n) is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .arith import kronecker, squarefree_split
 from .density import (
@@ -139,9 +139,9 @@ def cusp_dim_leading(lattice: Lattice, tag: str, g_sp_plus: int = 1) -> Fraction
     return build_report(lattice, (tag,), g_sp_plus).cusp_leading[tag]
 
 
-@dataclass
-class VolumeReport:
-    """Everything computed for one lattice/group-set pair."""
+class VolumeReport(NamedTuple):
+    """Everything computed for one lattice/group-set pair; each report has
+    its own `assumptions` and `oracle_checks` lists."""
 
     lattice: Lattice
     g_sp_plus: int
@@ -152,8 +152,8 @@ class VolumeReport:
     volumes: dict[str, Fraction]
     indices: dict[str, int]
     cusp_leading: dict[str, Fraction]
-    assumptions: list[str] = field(default_factory=list)
-    oracle_checks: list[dict] = field(default_factory=list)
+    assumptions: list[str]
+    oracle_checks: list[dict]
 
 
 def build_report(
@@ -226,7 +226,30 @@ def build_report(
                     f"{tag}: -id lies in the group; the dimension formula counts weights k "
                     f"with (-1)^k = chi(-id) only"
                 )
-    report = VolumeReport(
+    oracle_checks = []
+    if oracle_check:
+        if lattice.rank <= 3:
+            for density in densities:
+                p = density.p
+                walk = oracle_stabilized(lattice, p)
+                if walk is None:
+                    assumptions.append(
+                        f"oracle check at p={p} skipped: even depth r=1 needs "
+                        f"{p}^{lattice.rank**2} > 2^30 naive candidates"
+                    )
+                    continue
+                r, value, stabilized = walk
+                matches = value == density.value
+                oracle_checks.append(
+                    {"p": p, "r": r, "oracle": value, "stable": stabilized, "matches_formula": matches}
+                )
+                if stabilized and not matches:
+                    raise InternalCheckError(
+                        f"oracle disagrees with the density formula at p={p}"
+                    )
+        else:
+            assumptions.append("oracle check skipped: rank exceeds the oracle bound 3")
+    return VolumeReport(
         lattice=lattice,
         g_sp_plus=g_sp_plus,
         g_justified=g_justified,
@@ -237,27 +260,5 @@ def build_report(
         indices=indices,
         cusp_leading=cusp,
         assumptions=assumptions,
+        oracle_checks=oracle_checks,
     )
-    if oracle_check:
-        if lattice.rank <= 3:
-            for density in densities:
-                p = density.p
-                walk = oracle_stabilized(lattice, p)
-                if walk is None:
-                    report.assumptions.append(
-                        f"oracle check at p={p} skipped: even depth r=1 needs "
-                        f"{p}^{lattice.rank**2} > 2^30 naive candidates"
-                    )
-                    continue
-                r, value, stabilized = walk
-                matches = value == density.value
-                report.oracle_checks.append(
-                    {"p": p, "r": r, "oracle": value, "stable": stabilized, "matches_formula": matches}
-                )
-                if stabilized and not matches:
-                    raise InternalCheckError(
-                        f"oracle disagrees with the density formula at p={p}"
-                    )
-        else:
-            report.assumptions.append("oracle check skipped: rank exceeds the oracle bound 3")
-    return report

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import os
@@ -69,6 +68,12 @@ def test_analyze_literal_int_refuses_exit_2(capsys, expr):
     code, _, err = run(capsys, "analyze", expr)
     assert code == 2
     assert err.startswith("expression error:") and "Traceback" not in err
+
+
+def test_analyze_nesting_past_the_limit_exit_2(capsys):
+    code, _, err = run(capsys, "analyze", "(" * 400 + "U + <-2> + U" + ")" * 400)
+    assert code == 2
+    assert err == "expression error: parentheses nested deeper than 100 at offset 100\n"
 
 
 def test_analyze_precondition_exit_3(capsys):
@@ -196,7 +201,7 @@ def test_stabilized_oracle_check_prints_verdict(capsys):
     report = build_report(lattice_from_text("<1> + <1> + <-1>"), tags=("O",), oracle_check=True)
     for matches, verdict in ((True, "(match)"), (False, "(MISMATCH)")):
         check = dict(report.oracle_checks[0], stable=True, matches_formula=matches)
-        _print_report(dataclasses.replace(report, oracle_checks=[check]), None)
+        _print_report(report._replace(oracle_checks=[check]), None)
         assert f"oracle check p=2: stabilized at r=3, value 2 {verdict}" in capsys.readouterr().out
 
 
@@ -275,6 +280,18 @@ def test_closed_stdout_exits_quietly():
     assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err and err == ""
 
+
+
+def test_import_loads_no_dataclasses_numpy_or_mpmath():
+    # start-up cost: numpy loads on the first oracle count and mpmath only for
+    # --precision; the modules present before the import (a site hook's) are
+    # not counted
+    code = ("import sys; before = set(sys.modules); import hmvol.cli; "
+            "print(sorted({'dataclasses', 'numpy', 'mpmath'} & (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(hmvol.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_json_writer_matches_stdlib_on_signature_2n_reports(signature_2n_corpus):

@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from hmvol.errors import ExpressionError, PreconditionError
-from hmvol.expr import GramAtom, RankOneAtom, UAtom, lattice_from_text, parse_expr
+from hmvol.expr import MAX_NESTING, GramAtom, RankOneAtom, UAtom, lattice_from_text, parse_expr
 from hmvol.lattices import Signature
 
 
@@ -108,6 +108,24 @@ def test_multiplier_over_rank_cap_builds_no_copies():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_nesting_past_the_limit_is_an_expression_error():
+    # 400 levels once ended in RecursionError; the first "(" past the limit
+    # is refused at its offset
+    with pytest.raises(ExpressionError, match=f"nested deeper than {MAX_NESTING}") as err:
+        parse_expr("(" * 400 + "U + <-2> + U" + ")" * 400)
+    assert err.value.offset == MAX_NESTING
+    with pytest.raises(ExpressionError) as err:
+        parse_expr("U + " + "2*(" * (MAX_NESTING + 1) + "U" + ")" * (MAX_NESTING + 1))
+    assert err.value.offset == 4 + 3 * MAX_NESTING + 2
+
+
+def test_nesting_at_the_limit_parses():
+    text = "(" * MAX_NESTING + "U + <-2> + U" + ")" * MAX_NESTING
+    assert lattice_from_text(text) == lattice_from_text("U + <-2> + U")
+    nested = "U + " + "2*(" * MAX_NESTING + "<-2>" + ")" * MAX_NESTING
+    assert [t.count for t in parse_expr(nested).terms] == [1, 2**MAX_NESTING]
 
 
 def test_trailing_garbage():

@@ -1,0 +1,100 @@
+"""The records keep the behaviour of the frozen dataclasses they replaced:
+immutable, equal only within their own type where a tuple would blur it,
+no tuple arithmetic on a number, and no list shared between reports."""
+
+from fractions import Fraction
+
+import pytest
+
+from hmvol.density import local_density
+from hmvol.discforms import discriminant_form
+from hmvol.expr import E8Atom, UAtom, _tokenize, lattice_from_text, parse_expr
+from hmvol.jordan import jordan_decompose
+from hmvol.special_values import SymbolicReal
+from hmvol.volumes import build_report, euler_alpha_product
+
+
+def one_of_each_record():
+    lat = lattice_from_text("U + <2> + <-6>")
+    expr = parse_expr("2*U + E8(-1) + <-2> + gram[2]")
+    decomp = jordan_decompose(lat, 2)
+    return {
+        "Token": _tokenize("U")[0],
+        "UAtom": expr.terms[0].atom,
+        "E8Atom": expr.terms[1].atom,
+        "RankOneAtom": expr.terms[2].atom,
+        "GramAtom": expr.terms[3].atom,
+        "Term": expr.terms[0],
+        "LatticeExpr": expr,
+        "Signature": lat.signature,
+        "JordanBlock": decomp.blocks[0],
+        "JordanDecomposition": decomp,
+        "LocalDensity": local_density(lat, 3),
+        "FiniteQuadraticForm": discriminant_form(lat)[3],
+        "SymbolicReal": euler_alpha_product(lat),
+        "VolumeReport": build_report(lat),
+    }
+
+
+FIRST_FIELD = {
+    "Token": "kind", "UAtom": "scale", "E8Atom": "scale", "RankOneAtom": "entry",
+    "GramAtom": "rows", "Term": "count", "LatticeExpr": "terms", "Signature": "positive",
+    "JordanBlock": "level", "JordanDecomposition": "p", "LocalDensity": "p",
+    "FiniteQuadraticForm": "orders", "SymbolicReal": "coefficient", "VolumeReport": "lattice",
+}
+
+
+def test_one_of_each_record_is_its_named_type():
+    records = one_of_each_record()
+    assert sorted(records) == sorted(FIRST_FIELD)
+    for name, record in records.items():
+        assert type(record).__name__ == name
+
+
+@pytest.mark.parametrize("name, field", FIRST_FIELD.items())
+def test_setting_an_attribute_raises(name, field):
+    record = one_of_each_record()[name]
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        record.unknown_field = 0
+
+
+def test_atoms_of_different_types_are_unequal():
+    assert parse_expr("U") != parse_expr("E8")
+    assert parse_expr("2*U(3)") != parse_expr("2*E8(3)")
+    assert UAtom(1, 0) != E8Atom(1, 0)
+    assert UAtom(1, 0) != (1, 0)
+    assert parse_expr("U + E8(-1)") == parse_expr("U + E8(-1)")
+    assert UAtom(2, 5) == UAtom(scale=2, offset=5)
+    assert hash(UAtom(2, 5)) == hash(UAtom(2, 5))
+    assert repr(E8Atom(-1, 4)) == "E8Atom(scale=-1, offset=4)"
+
+
+def test_symbolic_real_has_no_tuple_arithmetic():
+    x = SymbolicReal(Fraction(1, 3), 2, 5)
+    y = SymbolicReal(Fraction(2), 0, 3)
+    with pytest.raises(TypeError):
+        2 * x
+    with pytest.raises(TypeError):
+        x + y
+    assert x * 2 == SymbolicReal(Fraction(2, 3), 2, 5)
+    assert x * y == SymbolicReal(Fraction(2, 3), 2, 15)
+    assert x != (Fraction(1, 3), 2, 5)
+    assert repr(x) == "1/3 * pi^(2/2) * sqrt(5)"
+
+
+def test_reports_share_no_list():
+    lat = lattice_from_text("U + <2> + <-6>")
+    first, second = build_report(lat), build_report(lat)
+    assumptions, checks = list(second.assumptions), list(second.oracle_checks)
+    first.assumptions.append("appended")
+    first.oracle_checks.append({"p": 2})
+    assert second.assumptions == assumptions
+    assert second.oracle_checks == checks
+
+
+def test_signature_prints_as_a_pair():
+    sig = lattice_from_text("U + <2> + <-6>").signature
+    assert repr(sig) == str(sig) == f"{sig}" == "(2,2)"
+    assert tuple(sig) == (2, 2)
