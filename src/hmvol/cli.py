@@ -93,7 +93,7 @@ def _report_json(report: VolumeReport, precision: int | None) -> dict:
         ]
     if precision is not None:
         doc["numeric_echo"] = {
-            "euler_product": str(report.euler_product.evalf(precision)),
+            "euler_product": _decimal(report.euler_product, precision),
             "volumes": {tag: _decimal(v, precision) for tag, v in report.volumes.items()},
         }
     return doc
@@ -131,10 +131,13 @@ def _json_text(x, newline: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
-def _decimal(x: Fraction, digits: int) -> str:
+def _decimal(x: Fraction | SymbolicReal, digits: int) -> str:
+    """x printed to `digits` significant digits."""
     import mpmath
 
     with mpmath.workdps(digits):
+        if isinstance(x, SymbolicReal):
+            return str(x.evalf(digits))
         return str(mpmath.mpf(x.numerator) / x.denominator)
 
 

@@ -1,16 +1,15 @@
 """Exact special values: Bernoulli numbers, quadratic characters, zeta and
-Dirichlet L values at integers, and the record type that carries them through
-the volume product.
+Dirichlet L values at integers, and the record type of the Euler product.
 
 A `SymbolicReal` is the record (coefficient, pi_half_exponent, radicand) of
 
     coefficient * pi**(pi_half_exponent/2) * sqrt(radicand)
 
 with an exact rational coefficient and a squarefree radicand >= 1, which the
-caller passes (the constructor factors nothing).  The volume pipeline only
-multiplies such values, two radicands through their gcd, and every final
-volume collapses to a plain rational (the pi powers and surds cancel), which
-`build_report` checks.
+caller passes (the constructor factors nothing).  The volume pipeline builds
+one, the Euler product; `gamma_factor`, `zeta_product` and `l_closed` return
+only the rational coefficient of their value, and each docstring names the
+pi power or surd that it stands for, so `build_report` multiplies rationals.
 
 Bernoulli numbers are read off the integer tangent numbers, and the
 generalized Bernoulli number B_{k,chi} of a character of conductor f comes
@@ -25,10 +24,11 @@ products raises FeasibilityError before the table is built.  The product
 zeta(2)...zeta(2t) is one fraction from one tangent-number triangle.
 
 L-values at positive integers are obtained from generalized Bernoulli numbers
-through the completed functional equation; the even-character case follows
-the classical display, the odd-character case uses the standard completed-L
-normalization with the gamma shift s -> (s+1)/2 and is pinned by the numeric
-consistency tests rather than trusted.
+through the completed functional equation, zeta(t) as the trivial character
+D = 1; the even-character case follows the classical display, the
+odd-character case uses the standard completed-L normalization with the
+gamma shift s -> (s+1)/2 and is pinned by the numeric consistency tests
+rather than trusted.
 """
 
 from __future__ import annotations
@@ -256,8 +256,8 @@ def generalized_bernoulli(k: int, disc: int) -> Fraction:
     return Fraction(2 * num, den * f)
 
 
-def zeta_product(t: int) -> SymbolicReal:
-    """zeta(2) zeta(4) ... zeta(2t) as one exact multiple of pi^(t(t+1)).
+def zeta_product(t: int) -> Fraction:
+    """zeta(2) zeta(4) ... zeta(2t) is this rational times pi^(t(t+1)).
 
     zeta(2i) = T_i pi^(2i) / (2 (4^i - 1) (2i-1)!) with the tangent number
     T_i, all T_i from one triangle, so the product is one fraction reduced
@@ -270,24 +270,15 @@ def zeta_product(t: int) -> SymbolicReal:
             odd_factorial *= (2 * i - 2) * (2 * i - 1)
         num *= tangents[i]
         den *= 2 * (4**i - 1) * odd_factorial
-    return SymbolicReal(Fraction(num, den), 2 * t * (t + 1))
+    return Fraction(num, den)
 
 
-def zeta_closed(k2: int) -> SymbolicReal:
-    """zeta(k2) for even k2 >= 2 as an exact multiple of pi^k2."""
-    if k2 < 2 or k2 % 2:
-        raise PreconditionError("closed zeta values exist at positive even integers only")
-    k = k2 // 2
-    coeff = Fraction((-1) ** (k + 1)) * bernoulli(k2) * 2 ** (k2 - 1) / math.factorial(k2)
-    return SymbolicReal(coeff, 2 * k2)
-
-
-def gamma_factor(rank: int) -> SymbolicReal:
-    """prod_{k=1}^{rank} pi^(-k/2) Gamma(k/2), exact, in closed form.
+def gamma_factor(rank: int) -> Fraction:
+    """prod_{k=1}^{rank} pi^(-k/2) Gamma(k/2) is this rational times
+    pi^((#odd k - rank(rank+1)/2)/2), in closed form.
 
     Gamma(j) = (j-1)! for k = 2j and Gamma(j+1/2) = (2j)!/(4^j j!) sqrt(pi)
-    for k = 2j+1, so the value is one rational times pi to the half
-    exponent #odd k - rank(rank+1)/2.
+    for k = 2j+1.
     """
     if rank < 1:
         raise PreconditionError("rank must be >= 1")
@@ -299,24 +290,19 @@ def gamma_factor(rank: int) -> SymbolicReal:
             den *= 4**j * math.factorial(j)
         else:
             num *= math.factorial(j - 1)
-    return SymbolicReal(Fraction(num, den), (rank + 1) // 2 - rank * (rank + 1) // 2)
+    return Fraction(num, den)
 
 
-def l_closed(t_arg: int, disc: int) -> SymbolicReal:
-    """L(t_arg, chi_disc) for a fundamental discriminant, in closed form.
+def l_closed(t_arg: int, disc: int) -> Fraction:
+    """L(t_arg, chi_disc) for a fundamental discriminant (disc = 1: zeta) is
+    this rational times pi^t_arg sqrt(c), c the squarefree part of |disc|.
 
     Requires the parity match chi_disc(-1) = (-1)^t_arg, i.e. disc > 0 for
-    even t_arg and disc < 0 for odd t_arg; the value is then
-
-        rational * pi^t_arg / sqrt(|disc|)
-
-    obtained from B_{t_arg, chi} via the functional equation.  disc = 1
-    delegates to the zeta closed form.
+    even t_arg and disc < 0 for odd t_arg; the value comes from
+    B_{t_arg, chi} via the functional equation.
     """
     if t_arg < 1:
         raise PreconditionError("argument must be a positive integer")
-    if disc == 1:
-        return zeta_closed(t_arg)
     if (disc > 0) != (t_arg % 2 == 0):
         raise PreconditionError(
             f"parity mismatch: chi_{disc}(-1) != (-1)^{t_arg}, no closed form here"
@@ -324,8 +310,8 @@ def l_closed(t_arg: int, disc: int) -> SymbolicReal:
     t = t_arg
     b = generalized_bernoulli(t, disc)
     f = abs(disc)
-    # sqrt(f) = 2 sqrt(f/4) when 4 | f; f/4 and an odd f are squarefree
-    root, core = (1, f) if f % 2 else (2, f // 4)
+    # sqrt(f) = root sqrt(c): f = c when odd, else f = 4c
+    root = 1 if f % 2 else 2
     # L(t) = pi^(t - 1/2) G f^(1/2 - t) L(1-t), L(1-t) = -B_{t,chi}/t, where G
     # is the Gamma ratio of the functional equation: for disc > 0
     #   pi^{-s/2} Gamma(s/2) D^s L(s) = pi^{-(1-s)/2} Gamma((1-s)/2) D^{1/2} L(1-s)
@@ -336,4 +322,4 @@ def l_closed(t_arg: int, disc: int) -> SymbolicReal:
     m = t // 2
     num = -((-4) ** m) * (m if disc > 0 else 1) * root * b.numerator
     den = math.factorial(2 * m) * f**t * t * b.denominator
-    return SymbolicReal(Fraction(num, den), 2 * t, core)
+    return Fraction(num, den)

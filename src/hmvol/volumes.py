@@ -18,11 +18,15 @@ the bad primes are decomposed.  The corrections and the alpha_p^(-1) at the
 bad primes make one rational.  The bad primes, the surd of |det L|^((rho+1)/2)
 and D all come from one factorization of det, `Lattice.det_factors`.
 
-The volume is one product of `SymbolicReal` records (det power, gamma
-factor, Euler product); all pi powers and square roots cancel in it, and this
-is checked, not assumed.  Volumes of the subgroup variants (plus,
-determinant-1, stable) follow by multiplying with the projective index, and
-the leading coefficient of cusp-form dimension growth for signature (2, n) is
+The pi powers and square roots cancel by construction.  The Euler product
+is the one `SymbolicReal` record: a rational times pi^((rho^2-1)/4) (odd
+rho) or pi^(rho^2/4) sqrt(c) (even rho, c the squarefree part of |det L|).
+The gamma factor is a rational times the inverse pi power, and
+|det L|^((rho+1)/2) is an integer times the same sqrt(c), so vol_HM(O(L)) is
+one product of rationals; the tests check the cancellation on the record
+route.  Volumes of the subgroup variants (plus, determinant-1, stable)
+follow by multiplying with the projective index, and the leading
+coefficient of cusp-form dimension growth for signature (2, n) is
 (2/n!) vol_HM(Gamma).  Every entry point reads its value off `build_report`:
 `vol_hm`, `group_volume` and `cusp_dim_leading` return a `Fraction`, and
 `euler_alpha_product` the `SymbolicReal` record of the Euler product.
@@ -89,7 +93,7 @@ def _euler_product(lattice: Lattice, densities: list[LocalDensity]) -> SymbolicR
             # P_p(t) = _p_series_num(p, t) / p^(t(t+1))
             num *= _p_series_num(d.p, t)
             den *= d.p ** (t * (t + 1))
-        return zeta_product(t) * Fraction(num, den)
+        return SymbolicReal(zeta_product(t) * Fraction(num, den), 2 * t * (t + 1))
     t = rho // 2
     if lattice.det < 0:
         # chi_D(-1) != (-1)^t here; L(t, chi_D) has no elementary closed form
@@ -104,18 +108,9 @@ def _euler_product(lattice: Lattice, densities: list[LocalDensity]) -> SymbolicR
         # P_p(t-1) (1 - chi(p) p^(-t)) = _p_series_num(p, t-1) (p^t - chi(p)) / p^(t^2)
         num *= _p_series_num(d.p, t - 1) * (d.p**t - kronecker(disc, d.p))
         den *= d.p ** (t * t)
-    return zeta_product(t - 1) * l_closed(t, disc) * Fraction(num, den)
-
-
-def _det_power(lattice: Lattice) -> SymbolicReal:
-    """|det L|^((rho+1)/2); for even rank the square root of |det| = c t^2
-    is t sqrt(c), with c squarefree."""
-    rho = lattice.rank
-    adet = abs(lattice.det)
-    if rho % 2:
-        return SymbolicReal(Fraction(adet) ** ((rho + 1) // 2))
-    c, t = squarefree_split(lattice.det_factors)
-    return SymbolicReal(Fraction(adet ** (rho // 2) * t), 0, c)
+    # the squarefree part c of |det| is that of |D| = c or 4c, the surd of L(t, chi_D)
+    coefficient = zeta_product(t - 1) * l_closed(t, disc) * Fraction(num, den)
+    return SymbolicReal(coefficient, 2 * t * t, squarefree_split(lattice.det_factors)[0])
 
 
 def vol_hm(lattice: Lattice, g_sp_plus: int = 1) -> Fraction:
@@ -189,15 +184,15 @@ def build_report(
     decomps = [jordan_decompose(lattice, p) for p in bad]
     densities = [density_from_decomposition(d) for d in decomps]
     euler = _euler_product(lattice, densities)
-    exact = (
-        SymbolicReal(Fraction(2, g_sp_plus))
-        * _det_power(lattice)
-        * gamma_factor(lattice.rank)
-        * euler
-    )
-    if exact.pi_half_exponent or exact.radicand != 1:
-        raise InternalCheckError(f"pi/surd cancellation failed in vol_HM: got {exact!r}")
-    vol = exact.coefficient
+    rho, adet = lattice.rank, abs(lattice.det)
+    if rho % 2:
+        det_power = adet ** ((rho + 1) // 2)
+    else:
+        # |det|^((rho+1)/2) = |det|^(rho/2) s sqrt(c), |det| = c s^2, and the
+        # Euler product's sqrt(c) makes sqrt(c)^2 = c
+        c, s = squarefree_split(lattice.det_factors)
+        det_power = adet ** (rho // 2) * s * c
+    vol = Fraction(2 * det_power, g_sp_plus) * gamma_factor(rho) * euler.coefficient
     assumptions = []
     g_justified = lattice.has_hyperbolic_summand
     if g_justified:

@@ -1,26 +1,25 @@
-"""The Fraction-product routes that the integer assembly replaced, kept as
-test oracles: alpha_p at odd p and at p = 2 from reduced `Fraction` products
-(`density_odd`, `density_two`), the Euler product with the bad-prime
-corrections as `Fraction` factors (`euler_product`), L(t, chi_D) through
-`SymbolicReal` products of Gamma(j/2) values (`l_closed`), and the two
-helpers only these routes use (`gamma_half`, `euler_factor`).  The bodies
-are unchanged apart from the names, and in `l_closed` the division by a
-Gamma value, which is a product with its inverse."""
+"""The Fraction-product and `SymbolicReal` routes that the integer assembly
+replaced, kept as test oracles: alpha_p at odd p and at p = 2 from reduced
+`Fraction` products (`density_odd`, `density_two`), the Euler product with
+the bad-prime corrections as `Fraction` factors (`euler_product`), L(t, chi_D)
+through `SymbolicReal` products of Gamma(j/2) values (`l_closed`), the
+records of zeta(2m) (`zeta_closed`), of the gamma factor (`gamma_factor`) and
+of |det L|^((rho+1)/2) (`det_power`), which the volume was once the product
+of, and the two helpers only these routes use (`gamma_half`,
+`euler_factor`).  The bodies are unchanged apart from the names, in
+`l_closed` the division by a Gamma value, which is a product with its
+inverse, and `zeta_product`, which `euler_product` now takes as the product
+of `zeta_closed` records."""
 
 import math
 from fractions import Fraction
 
-from hmvol.arith import kronecker
+from hmvol.arith import kronecker, squarefree_split
 from hmvol.density import _EMPTY_BLOCK, LocalDensity, cross_rank_weight, p_series
 from hmvol.errors import PreconditionError
 from hmvol.jordan import JordanDecomposition
 from hmvol.lattices import Lattice
-from hmvol.special_values import (
-    SymbolicReal,
-    generalized_bernoulli,
-    zeta_closed,
-    zeta_product,
-)
+from hmvol.special_values import SymbolicReal, bernoulli, generalized_bernoulli
 from hmvol.volumes import genus_discriminant
 
 
@@ -45,6 +44,54 @@ def gamma_half(j: int) -> SymbolicReal:
         coeff /= x
         x += 1
     return SymbolicReal(coeff, 1)
+
+
+def zeta_closed(k2: int) -> SymbolicReal:
+    """zeta(k2) for even k2 >= 2 as an exact multiple of pi^k2."""
+    if k2 < 2 or k2 % 2:
+        raise PreconditionError("closed zeta values exist at positive even integers only")
+    k = k2 // 2
+    coeff = Fraction((-1) ** (k + 1)) * bernoulli(k2) * 2 ** (k2 - 1) / math.factorial(k2)
+    return SymbolicReal(coeff, 2 * k2)
+
+
+def zeta_product(t: int) -> SymbolicReal:
+    """zeta(2) zeta(4) ... zeta(2t), a product of `zeta_closed` records."""
+    out = SymbolicReal(Fraction(1))
+    for i in range(1, t + 1):
+        out = out * zeta_closed(2 * i)
+    return out
+
+
+def gamma_factor(rank: int) -> SymbolicReal:
+    """prod_{k=1}^{rank} pi^(-k/2) Gamma(k/2), exact, in closed form.
+
+    Gamma(j) = (j-1)! for k = 2j and Gamma(j+1/2) = (2j)!/(4^j j!) sqrt(pi)
+    for k = 2j+1, so the value is one rational times pi to the half
+    exponent #odd k - rank(rank+1)/2.
+    """
+    if rank < 1:
+        raise PreconditionError("rank must be >= 1")
+    num = den = 1
+    for k in range(1, rank + 1):
+        j = k // 2
+        if k % 2:
+            num *= math.factorial(2 * j)
+            den *= 4**j * math.factorial(j)
+        else:
+            num *= math.factorial(j - 1)
+    return SymbolicReal(Fraction(num, den), (rank + 1) // 2 - rank * (rank + 1) // 2)
+
+
+def det_power(lattice: Lattice) -> SymbolicReal:
+    """|det L|^((rho+1)/2); for even rank the square root of |det| = c t^2
+    is t sqrt(c), with c squarefree."""
+    rho = lattice.rank
+    adet = abs(lattice.det)
+    if rho % 2:
+        return SymbolicReal(Fraction(adet) ** ((rho + 1) // 2))
+    c, t = squarefree_split(lattice.det_factors)
+    return SymbolicReal(Fraction(adet ** (rho // 2) * t), 0, c)
 
 
 def euler_factor(disc: int, p: int, s: int) -> Fraction:

@@ -1,14 +1,16 @@
 """Siegel volumes of O(L)\\D and of its compact dual, for the cross-identity
 tests: their ratio must equal vol_HM(O(L)).  Built from `build_report`'s own
-Euler product and det power, so the identity checks the gamma factor and the
-assembly of the volume, not the densities."""
+Euler product and the record routes of the det power and the gamma factor in
+`fraction_routes`, so the identity checks the gamma factor and the assembly
+of the volume, not the densities."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from fraction_routes import det_power, gamma_factor
 from hmvol.lattices import Lattice
-from hmvol.special_values import SymbolicReal, gamma_factor
-from hmvol.volumes import _det_power, build_report
+from hmvol.special_values import SymbolicReal
+from hmvol.volumes import build_report
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,6 @@ def siegel_identities(lattice: Lattice, g_sp_plus: int = 1) -> SiegelIdentities:
     r, s = lattice.signature
     g_r, g_s, g_rs = siegel_gamma(r), siegel_gamma(s), siegel_gamma(r + s)
     alpha_inf = SymbolicReal(Fraction(2, g_sp_plus)) * report.euler_product
-    vol_group = SymbolicReal(Fraction(2)) * alpha_inf * _det_power(lattice) * _inverse(g_r * g_s)
+    vol_group = SymbolicReal(Fraction(2)) * alpha_inf * det_power(lattice) * _inverse(g_r * g_s)
     vol_dual = SymbolicReal(Fraction(2)) * g_rs * _inverse(g_r * g_s)
     return SiegelIdentities(g_r, g_s, g_rs, vol_group, vol_dual, vol_group * _inverse(vol_dual))

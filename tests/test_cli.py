@@ -46,6 +46,21 @@ def test_analyze_json_schema(capsys):
     assert isinstance(doc["volumes"]["O"]["num"], str)
 
 
+@pytest.mark.parametrize("digits", [5, 40])
+def test_numeric_echo_of_euler_product_has_the_requested_digits(capsys, digits):
+    # the Euler product of 2U + <-2> is pi^6/34560; its echo is printed at
+    # --precision digits, as the volumes are
+    import mpmath
+
+    code, out, _ = run(capsys, "analyze", "2*U + <-2>", "--json", "--precision", str(digits))
+    assert code == 0
+    with mpmath.workdps(digits + 20):
+        value = mpmath.pi**6 / 34560
+    with mpmath.workdps(digits):
+        expected = str(value)
+    assert json.loads(out)["numeric_echo"]["euler_product"] == expected
+
+
 def test_analyze_all_tags_for_ii(capsys):
     code, out, _ = run(capsys, "analyze", "2*U + 2*E8(-1)", "--json")
     assert code == 0

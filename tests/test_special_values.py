@@ -16,7 +16,8 @@ import hmvol
 from hmvol.errors import FeasibilityError, PreconditionError
 from hmvol import special_values
 from hmvol.arith import kronecker, squarefree_decompose
-from fraction_routes import euler_factor, gamma_half
+from fraction_routes import euler_factor, gamma_half, zeta_closed
+from fraction_routes import gamma_factor as fraction_gamma_factor
 from fraction_routes import l_closed as fraction_l_closed
 from hmvol.special_values import (
     SymbolicReal,
@@ -25,9 +26,18 @@ from hmvol.special_values import (
     gamma_factor,
     generalized_bernoulli,
     l_closed,
-    zeta_closed,
     zeta_product,
 )
+
+
+def gamma_record(rank: int) -> SymbolicReal:
+    """gamma_factor(rank) with the pi power its docstring names."""
+    return SymbolicReal(gamma_factor(rank), (rank + 1) // 2 - rank * (rank + 1) // 2)
+
+
+def l_record(t: int, disc: int) -> SymbolicReal:
+    """l_closed(t, disc) with the pi power and surd its docstring names."""
+    return SymbolicReal(l_closed(t, disc), 2 * t, abs(disc) // (1 if disc % 2 else 4))
 
 
 def bernoulli_polynomial(k: int, x: Fraction) -> Fraction:
@@ -437,13 +447,16 @@ def test_symbolic_real_stores_its_parts_as_given():
 
 
 def test_l_closed_radicand_is_squarefree():
-    # l_closed hands the squarefree core of |D| to the record, at both parities
+    # the record route of L(t, chi_D) carries the squarefree part of |D|, the
+    # surd that l_closed's docstring names and the Euler product record takes,
+    # at both parities
     checked = 0
     for disc in range(-2000, 2001):
         if not _is_fundamental_discriminant(disc):
             continue
-        value = l_closed(2 if disc > 0 else 1, disc)
+        value = fraction_l_closed(2 if disc > 0 else 1, disc)
         assert squarefree_decompose(value.radicand) == (value.radicand, 1), disc
+        assert value.radicand == squarefree_decompose(abs(disc))[0], disc
         checked += 1
     assert checked > 1000
 
@@ -462,12 +475,12 @@ def test_zeta_negative():
 
 
 def test_zeta_product_matches_product_of_zeta_closed():
-    # t <= 32 covers rank 64
+    # t <= 32 covers rank 64; zeta_product is the rational of pi^(t(t+1))
     expected = SymbolicReal(Fraction(1))
-    assert zeta_product(0) == expected
+    assert zeta_product(0) == 1
     for t in range(1, 33):
         expected = expected * zeta_closed(2 * t)
-        assert zeta_product(t) == expected, t
+        assert SymbolicReal(zeta_product(t), 2 * t * (t + 1)) == expected, t
 
 
 def test_zeta_closed_rejects_odd():
@@ -486,10 +499,10 @@ def test_gamma_half_values():
 
 
 def test_gamma_factor_small_ranks():
-    assert gamma_factor(1) == SymbolicReal(Fraction(1))
-    assert gamma_factor(2) == SymbolicReal(Fraction(1), -2)
-    # gamma_factor(4) = 1/(2 pi^4)
-    assert gamma_factor(4) == SymbolicReal(Fraction(1, 2), -8)
+    assert gamma_record(1) == SymbolicReal(Fraction(1))
+    assert gamma_record(2) == SymbolicReal(Fraction(1), -2)
+    # the product at rank 4 is 1/(2 pi^4)
+    assert gamma_record(4) == SymbolicReal(Fraction(1, 2), -8)
 
 
 def gamma_factor_product(rank: int) -> SymbolicReal:
@@ -502,8 +515,9 @@ def gamma_factor_product(rank: int) -> SymbolicReal:
 
 
 def test_gamma_factor_matches_product():
+    # the closed form, with the pi power of its docstring, and its record route
     for rank in range(1, 65):
-        assert gamma_factor(rank) == gamma_factor_product(rank)
+        assert gamma_record(rank) == fraction_gamma_factor(rank) == gamma_factor_product(rank)
 
 
 def test_gamma_factor_numeric():
@@ -512,25 +526,26 @@ def test_gamma_factor_numeric():
             direct = mpmath.mpf(1)
             for k in range(1, rank + 1):
                 direct *= mpmath.pi ** (-mpmath.mpf(k) / 2) * mpmath.gamma(mpmath.mpf(k) / 2)
-            ours = gamma_factor(rank).evalf(40)
+            ours = gamma_record(rank).evalf(40)
             assert abs(ours - direct) / abs(direct) < mpmath.mpf(10) ** -30
 
 
 # -------------------------------------------------------------- L values
 
-def test_l_closed_delegates_to_zeta():
-    assert l_closed(4, 1) == zeta_closed(4)
+def test_l_closed_at_trivial_character_is_zeta():
+    # D = 1 takes the general functional-equation route: L(2m, chi_1) = zeta(2m)
+    for m in range(1, 33):
+        assert l_record(2 * m, 1) == zeta_closed(2 * m), m
 
 
 def test_l_closed_chi5():
-    # L(2, chi_5) = 4 pi^2 / (25 sqrt 5)
-    val = l_closed(2, 5)
-    assert val == SymbolicReal(Fraction(4, 125), 4, 5)
+    # L(2, chi_5) = 4 pi^2 / (25 sqrt 5) = (4/125) pi^2 sqrt 5
+    assert l_closed(2, 5) == Fraction(4, 125)
 
 
 def test_l_closed_odd_character():
     # L(1, chi_-4) = pi/4
-    assert l_closed(1, -4) == SymbolicReal(Fraction(1, 4), 2)
+    assert l_record(1, -4) == SymbolicReal(Fraction(1, 4), 2)
 
 
 def test_l_closed_parity_rejection():
@@ -547,7 +562,7 @@ def test_l_closed_gamma_transform_identity():
         SymbolicReal(Fraction(1), -4)  # pi^-2
         * SymbolicReal(Fraction(math.factorial(1)))
         * SymbolicReal(Fraction(5), 0, 5)  # 5^(3/2)
-        * l_closed(2, 5)
+        * l_record(2, 5)
     )
     rhs = SymbolicReal(Fraction(2) * generalized_bernoulli(2, 5) / 2)
     assert lhs == rhs
@@ -571,13 +586,14 @@ def test_l_closed_numeric_consistency():
                         direct -= chi * mpmath.digamma(mpmath.mpf(a) / f) / f
                     else:
                         direct += chi * mpmath.zeta(t, mpmath.mpf(a) / f) / mpmath.mpf(f) ** t
-                ours = l_closed(t, disc).evalf(55)
+                ours = l_record(t, disc).evalf(55)
                 assert abs(ours - direct) / abs(direct) < mpmath.mpf(10) ** -40
 
 
 def test_l_closed_matches_fraction_route():
     # the Gamma ratio and the powers of |disc| as integers give the parts of
-    # the SymbolicReal product, on every fundamental discriminant |D| <= 300
+    # the SymbolicReal product, with the pi power and surd of l_closed's
+    # docstring, on every fundamental discriminant |D| <= 300 and D = 1
     compared = 0
     for disc in range(-300, 301):
         if disc != 1 and not _is_fundamental_discriminant(disc):
@@ -585,7 +601,7 @@ def test_l_closed_matches_fraction_route():
         for t in range(1, 13):
             if (disc > 0) != (t % 2 == 0):  # chi(-1) = (-1)^t; zeta at even t
                 continue
-            new, old = l_closed(t, disc), fraction_l_closed(t, disc)
+            new, old = l_record(t, disc), fraction_l_closed(t, disc)
             assert (new.coefficient, new.pi_half_exponent, new.radicand) == (
                 old.coefficient, old.pi_half_exponent, old.radicand), (t, disc)
             compared += 1
@@ -600,7 +616,7 @@ def test_imprimitive_euler_factor_stripping():
     strip = Fraction(1)
     for p in {2} | {q for q in (2, 3, 5) if t % q == 0}:
         strip *= euler_factor(disc, p, s)
-    closed = l_closed(s, disc) * strip
+    closed = l_record(s, disc) * strip
     with mpmath.workdps(40):
         modulus = 4 * d
         direct = mpmath.mpf(0)
@@ -613,11 +629,12 @@ def test_imprimitive_euler_factor_stripping():
 
 
 def test_zeta_numeric_consistency():
+    # l_closed at D = 1, and its oracle zeta_closed
     with mpmath.workdps(60):
         for k2 in range(2, 17, 2):
-            ours = zeta_closed(k2).evalf(55)
             direct = mpmath.zeta(k2)
-            assert abs(ours - direct) / direct < mpmath.mpf(10) ** -40
+            for ours in (l_record(k2, 1).evalf(55), zeta_closed(k2).evalf(55)):
+                assert abs(ours - direct) / direct < mpmath.mpf(10) ** -40
 
 
 def test_bernoulli_polynomial_values():

@@ -10,6 +10,7 @@ from conftest import (
     integer_route_corpus,
     num_prime_divisors,
 )
+from fraction_routes import det_power, gamma_factor, l_closed, zeta_closed
 from fraction_routes import euler_product as fraction_euler_product
 from siegel import siegel_gamma, siegel_identities, vol_s_so
 from hmvol.arith import is_prime, kronecker, squarefree_decompose
@@ -28,9 +29,8 @@ from hmvol.families import (
 )
 from hmvol.jordan import jordan_decompose
 from hmvol.lattices import from_gram
-from hmvol.special_values import SymbolicReal, gamma_factor, l_closed, zeta_closed
+from hmvol.special_values import SymbolicReal
 from hmvol.volumes import (
-    _det_power,
     build_report,
     cusp_dim_leading,
     euler_alpha_product,
@@ -170,27 +170,35 @@ def test_pi_cancellation(signature_2n_corpus):
         assert v > 0, text
 
 
-def test_volume_product_records_keep_squarefree_radicands():
-    # the records' contract on the golden and acceptance corpora: the det
-    # power carries a squarefree radicand, and the volume product reaches
-    # radicand 1 with no pi left
+def test_volume_cancels_by_construction():
+    # build_report multiplies rationals only; on the record routes the volume
+    # (2/g) |det|^((rho+1)/2) gamma_rho Euler has no pi and no surd left, and
+    # its coefficient is vol_hm, on the golden and acceptance corpora and on
+    # family members with odd and even D, II(m) up to rank 52
+    from hmvol.density import bad_primes, density_from_decomposition
+    from hmvol.families import n_lattice
+
     corpus = integer_route_corpus() + [
-        (f"L({m},{d})", l_lattice(m, d)) for m in (0, 2) for d in range(11, 21)
-    ] + [(f"K(0,{d})", k_lattice(0, d)) for d in (4, 16, 20, 36)]
+        (f"L({m},{d})", l_lattice(m, d)) for m in (0, 1, 2) for d in range(1, 41)
+    ] + [(f"K(0,{d})", k_lattice(0, d)) for d in (4, 16, 20, 36)] + [
+        (f"N(0,{d})", n_lattice(0, d)) for d in range(1, 102, 4)
+    ] + [(f"II({m})", unimodular_ii(m)) for m in range(7)]
     checked = 0
     for label, lat in corpus:
-        det_power = _det_power(lat)
-        assert squarefree_decompose(det_power.radicand) == (det_power.radicand, 1), label
-        if lat.rank < 3:
+        power = det_power(lat)
+        assert squarefree_decompose(power.radicand) == (power.radicand, 1), label
+        if lat.rank < 3 or lat.is_definite:
             continue
+        densities = [density_from_decomposition(jordan_decompose(lat, p)) for p in bad_primes(lat)]
         try:
-            euler = build_report(lat, ("O",)).euler_product
+            euler = fraction_euler_product(lat, densities)
         except PreconditionError:  # negative det at even rank
             continue
-        product = det_power * gamma_factor(lat.rank) * euler
+        product = SymbolicReal(Fraction(2)) * power * gamma_factor(lat.rank) * euler
         assert (product.pi_half_exponent, product.radicand) == (0, 1), label
+        assert product.coefficient == vol_hm(lat), label
         checked += 1
-    assert checked > 60
+    assert checked > 200
 
 
 def test_siegel_identities_gamma_values():
