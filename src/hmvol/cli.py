@@ -234,16 +234,16 @@ def _catalog_row(family: str, m: int, d: int | None):
     if family == "K":
         lat = families.k_lattice(m, d)
         return f"K m={m} d={d} vol(O~+)", group_volume(lat, "O~+"), families.fixture_vol_k_tilde(m, d)
-    if family == "N":
-        lat = families.n_lattice(m, d)
-        return f"N m={m} d={d} vol(O~+)", group_volume(lat, "O~+"), families.fixture_vol_n_tilde(m, d)
-    raise PreconditionError(f"unknown family {family!r}")
+    lat = families.n_lattice(m, d)
+    return f"N m={m} d={d} vol(O~+)", group_volume(lat, "O~+"), families.fixture_vol_n_tilde(m, d)
 
 
 def _cmd_catalog(args) -> int:
     family = args.family
     if family not in _CATALOG_DEFAULTS:
         raise PreconditionError(f"unknown family {family!r}; choose from II, T, L, K, N")
+    if args.d and family in ("II", "T"):
+        raise PreconditionError(f"family {family} has no d; drop --d")
     ms = args.m or _CATALOG_DEFAULTS[family]["m"]
     ds = args.d or _CATALOG_DEFAULTS[family]["d"]
     mismatches = 0

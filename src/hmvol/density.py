@@ -273,10 +273,11 @@ def siegel_counts_oracle(lattice: Lattice, p: int, r: int, last: int) -> Iterato
     if r < 1:
         raise PreconditionError("depth r must be >= 1")
     if last > deepest:
-        k = max(r, deepest + 1)
+        e = max(r, deepest + 1) * n * n
+        # p^e is spelled out only below 2^128: at a deep r it has millions of digits
+        value = f" = {p ** e}" if e * p.bit_length() <= 128 else ""
         raise FeasibilityError(
-            f"oracle guard: p^(r*rank^2) = {p}^{k * n * n} = {p ** (k * n * n)} "
-            "exceeds 2^30 naive candidates"
+            f"oracle guard: p^(r*rank^2) = {p}^{e}{value} exceeds 2^30 naive candidates"
         )
     counts = _siegel_counts(lattice.gram, p, r, last)
     return (Fraction(c, 2 * p ** (k * n * (n - 1) // 2)) for k, c in enumerate(counts, r))

@@ -10,19 +10,23 @@ Grammar (whitespace insignificant, INT a signed decimal integer):
     row  := INT { "," INT }
 
 U(k) and E8(k) scale every Gram entry by k; <k> is the rank-1 lattice [k].
-Syntax errors carry the byte offset and the expected-token set; semantic
-errors (zero scale, non-symmetric Gram literal) carry the node offset.
+An atom parses straight to its constructor call: a `Term` holds the
+constructor (`hyperbolic_plane`, `e8`, `rank_one` or `from_gram`), its
+argument, the repetition count and the atom's offset.  `evaluate` makes the
+calls only once the whole text has parsed, so a syntax error anywhere is
+reported before a constructor's rejection.  Syntax errors carry the byte
+offset and the expected-token set; semantic errors (zero scale,
+non-symmetric Gram literal) carry the atom's offset.
 Parentheses nest at most MAX_NESTING deep; the first "(" past it is an
 error at its offset.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ExpressionError, PreconditionError
-from .lattices import Lattice, _check_rank, direct_sum, e8, from_gram, hyperbolic_plane, rank_one
-from .records import Record
+from .lattices import Lattice, direct_sum_of_copies, e8, from_gram, hyperbolic_plane, rank_one
 
 _PUNCT = ("+", "*", "(", ")", "<", ">", "[", "]", ",", ";")
 # parentheses nested deeper than this are refused: each level is three
@@ -68,51 +72,19 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# The atoms are Records, not tuples, so that atoms of different types are
-# unequal: as tuples, UAtom(1, 0) would equal E8Atom(1, 0).
-
-
-class UAtom(Record):
-    __slots__ = ("scale", "offset")
-
-    def __init__(self, scale: int = 1, offset: int = 0):
-        self._init(scale, offset)
-
-
-class E8Atom(Record):
-    __slots__ = ("scale", "offset")
-
-    def __init__(self, scale: int = 1, offset: int = 0):
-        self._init(scale, offset)
-
-
-class RankOneAtom(Record):
-    __slots__ = ("entry", "offset")
-
-    def __init__(self, entry: int = 0, offset: int = 0):
-        self._init(entry, offset)
-
-
-class GramAtom(Record):
-    __slots__ = ("rows", "offset")
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...] = (), offset: int = 0):
-        self._init(rows, offset)
-
-
 class Term(NamedTuple):
+    """`count` copies of the lattice `build(arg)`: `build` is the constructor
+    the atom names (`hyperbolic_plane`, `e8`, `rank_one` or `from_gram`),
+    `arg` its scale, entry or rows, and `offset` the atom's byte offset."""
+
     count: int
-    atom: object
-    offset: int = 0
-
-
-class LatticeExpr(NamedTuple):
-    terms: tuple[Term, ...] = ()
+    build: Callable[..., Lattice]
+    arg: object
+    offset: int
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0  # parentheses open around the current position
@@ -135,69 +107,61 @@ class _Parser:
             raise ExpressionError(f"integer literal of {len(tok.text)} characters is too long",
                                   tok.offset) from None
 
-    def parse(self) -> LatticeExpr:
-        terms = list(self.expr())
+    def parse(self) -> tuple[Term, ...]:
+        terms = self.expr()
         tok = self.peek()
         if tok.kind != "EOF":
             raise ExpressionError(f"trailing input {tok.text!r}", tok.offset, ("+", "EOF"))
-        return LatticeExpr(tuple(terms))
+        return tuple(terms)
 
-    def expr(self):
-        terms = self.terms_of(self.term())
+    def expr(self) -> list[Term]:
+        terms = self.term()
         while self.peek().kind == "+":
             self.take("+")
-            terms.extend(self.terms_of(self.term()))
+            terms += self.term()
         return terms
 
-    @staticmethod
-    def terms_of(item):
-        return list(item) if isinstance(item, list) else [item]
-
-    def term(self):
+    def term(self) -> list[Term]:
         tok = self.peek()
-        if tok.kind == "INT":
-            count = self.take_int()
-            self.take("*")
-            atom = self.atom()
-            if count < 1:
-                raise ExpressionError(f"multiplier must be >= 1, got {count}", tok.offset)
-            if isinstance(atom, list):
-                return [Term(count * t.count, t.atom, t.offset) for t in atom]
-            return Term(count, atom, tok.offset)
-        atom = self.atom()
-        if isinstance(atom, list):
-            return atom
-        return Term(1, atom, tok.offset)
+        if tok.kind != "INT":
+            return self.atom()
+        count = self.take_int()
+        self.take("*")
+        terms = self.atom()
+        if count < 1:
+            raise ExpressionError(f"multiplier must be >= 1, got {count}", tok.offset)
+        return [t._replace(count=count * t.count) for t in terms]
 
-    def atom(self):
+    def atom(self) -> list[Term]:
+        # the constructors are read from the module's globals at each call,
+        # not from a table built at import, so a rebinding of them (as
+        # hmbench's tracer makes) is seen
         tok = self.peek()
         if tok.kind == "NAME":
-            name = self.take("NAME")
-            scale = 1
-            if self.peek().kind == "(" and name.text in ("U", "E8"):
-                self.take("(")
-                scale = self.take_int()
-                self.take(")")
-            if name.text == "U":
-                return UAtom(scale, name.offset)
-            if name.text == "E8":
-                return E8Atom(scale, name.offset)
-            if name.text == "gram":
+            self.take("NAME")
+            if tok.text in ("U", "E8"):
+                scale = 1
+                if self.peek().kind == "(":
+                    self.take("(")
+                    scale = self.take_int()
+                    self.take(")")
+                return [Term(1, hyperbolic_plane if tok.text == "U" else e8, scale, tok.offset)]
+            if tok.text == "gram":
                 self.take("[")
                 rows = [self.row()]
                 while self.peek().kind == ";":
                     self.take(";")
                     rows.append(self.row())
                 self.take("]")
-                return GramAtom(tuple(rows), name.offset)
+                return [Term(1, from_gram, tuple(rows), tok.offset)]
             raise ExpressionError(
-                f"unknown constructor {name.text!r}", name.offset, ("U", "E8", "gram")
+                f"unknown constructor {tok.text!r}", tok.offset, ("U", "E8", "gram")
             )
         if tok.kind == "<":
             self.take("<")
             entry = self.take_int()
             self.take(">")
-            return RankOneAtom(entry, tok.offset)
+            return [Term(1, rank_one, entry, tok.offset)]
         if tok.kind == "(":
             if self.depth == MAX_NESTING:
                 raise ExpressionError(f"parentheses nested deeper than {MAX_NESTING}", tok.offset)
@@ -219,36 +183,23 @@ class _Parser:
         return tuple(entries)
 
 
-def parse_expr(text: str) -> LatticeExpr:
+def parse_expr(text: str) -> tuple[Term, ...]:
     return _Parser(text).parse()
 
 
-def _atom_lattice(atom) -> Lattice:
-    """The lattice of one atom; a constructor's rejection (zero scale or
+def evaluate(terms: tuple[Term, ...]) -> Lattice:
+    """The direct sum of the terms.  A constructor's rejection (zero scale or
     entry, a non-square, non-symmetric or singular Gram literal, a cap)
-    becomes an `ExpressionError` at the atom's offset."""
-    prefix = "bad gram literal: " if isinstance(atom, GramAtom) else ""
-    try:
-        if isinstance(atom, UAtom):
-            return hyperbolic_plane(atom.scale)
-        if isinstance(atom, E8Atom):
-            return e8(atom.scale)
-        if isinstance(atom, RankOneAtom):
-            return rank_one(atom.entry)
-        if isinstance(atom, GramAtom):
-            return from_gram(atom.rows)
-    except PreconditionError as exc:
-        raise ExpressionError(f"{prefix}{exc}", atom.offset) from None
-    raise ExpressionError(f"unknown atom {atom!r}", 0)  # pragma: no cover
-
-
-def evaluate(expr: LatticeExpr) -> Lattice:
-    pieces = [(_atom_lattice(term.atom), term.count) for term in expr.terms]
-    if not pieces:
-        raise ExpressionError("empty expression", 0)
-    # the rank cap is checked on the counts, before any copies are listed
-    _check_rank(sum(piece.rank * count for piece, count in pieces))
-    return direct_sum(*(piece for piece, count in pieces for _ in range(count)))
+    becomes an `ExpressionError` at the atom's offset; the rank cap is
+    checked on the counts, before any copy is made."""
+    pieces = []
+    for t in terms:
+        try:
+            pieces.append((t.build(t.arg), t.count))
+        except PreconditionError as exc:
+            prefix = "bad gram literal: " if t.build is from_gram else ""
+            raise ExpressionError(f"{prefix}{exc}", t.offset) from None
+    return direct_sum_of_copies(*pieces)
 
 
 def lattice_from_text(text: str) -> Lattice:

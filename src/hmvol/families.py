@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .arith import factorize, kronecker, valuation
 from .errors import PreconditionError
-from .lattices import Lattice, direct_sum, e8, from_gram, hyperbolic_plane, rank_one
+from .lattices import Lattice, direct_sum_of_copies, e8, from_gram, hyperbolic_plane, rank_one
 from .special_values import (
     _even_bernoulli,
     _tangent_numbers,
@@ -45,37 +45,33 @@ from .special_values import (
 def unimodular_ii(m: int) -> Lattice:
     if m < 0:
         raise PreconditionError("m must be >= 0")
-    parts = [hyperbolic_plane(), hyperbolic_plane()] + [e8(-1)] * m
-    return direct_sum(*parts)
+    return direct_sum_of_copies((hyperbolic_plane(), 2), (e8(-1), m))
 
 
 def t_lattice(m: int) -> Lattice:
     if m < 0:
         raise PreconditionError("m must be >= 0")
-    parts = [hyperbolic_plane(), hyperbolic_plane(2)] + [e8(-1)] * m
-    return direct_sum(*parts)
+    return direct_sum_of_copies((hyperbolic_plane(), 1), (hyperbolic_plane(2), 1), (e8(-1), m))
 
 
 def l_lattice(m: int, d: int) -> Lattice:
     if m < 0 or d < 1:
         raise PreconditionError("need m >= 0 and d >= 1")
-    parts = [hyperbolic_plane(), hyperbolic_plane()] + [e8(-1)] * m + [rank_one(-2 * d)]
-    return direct_sum(*parts)
+    return direct_sum_of_copies((hyperbolic_plane(), 2), (e8(-1), m), (rank_one(-2 * d), 1))
 
 
 def k_lattice(m: int, d: int) -> Lattice:
     if m < 0 or d < 1:
         raise PreconditionError("need m >= 0 and d >= 1")
-    parts = [hyperbolic_plane()] + [e8(-1)] * m + [rank_one(2), rank_one(-2 * d)]
-    return direct_sum(*parts)
+    return direct_sum_of_copies(
+        (hyperbolic_plane(), 1), (e8(-1), m), (rank_one(2), 1), (rank_one(-2 * d), 1))
 
 
 def n_lattice(m: int, d: int) -> Lattice:
     if m < 0 or d < 1 or d % 4 != 1:
         raise PreconditionError("need m >= 0 and d = 1 mod 4")
     binary = from_gram([[2, 1], [1, (1 - d) // 2]])
-    parts = [hyperbolic_plane()] + [e8(-1)] * m + [binary]
-    return direct_sum(*parts)
+    return direct_sum_of_copies((hyperbolic_plane(), 1), (e8(-1), m), (binary, 1))
 
 
 # ------------------------------------------------------------ small helpers

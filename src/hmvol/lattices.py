@@ -258,3 +258,11 @@ def direct_sum(*lattices: Lattice) -> Lattice:
         any(l.has_hyperbolic_summand for l in lattices),
         tuple(atom for l in lattices for atom in (l.summands or (l,))),
     )
+
+
+def direct_sum_of_copies(*pairs: tuple[Lattice, int]) -> Lattice:
+    """direct_sum of `count` copies of each lattice of the (lattice, count)
+    pairs, in order; the rank cap is checked on the counts, before any copy
+    is listed."""
+    _check_rank(sum(lattice.rank * count for lattice, count in pairs))
+    return direct_sum(*(lattice for lattice, count in pairs for _ in range(count)))

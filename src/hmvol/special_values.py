@@ -41,7 +41,6 @@ from itertools import compress
 
 from .arith import factorize, squarefree_decompose
 from .errors import FeasibilityError, PreconditionError
-from .records import Record
 
 __all__ = ["SymbolicReal"]
 
@@ -51,15 +50,35 @@ _POWER_SUM_BLOCK = 256
 _GENBERN_WORK_CAP = 2 * 10**7
 
 
-class SymbolicReal(Record):
+class SymbolicReal:
     """Exact value coefficient * pi^(pi_half_exponent/2) * sqrt(radicand);
-    the caller passes a squarefree radicand >= 1.  A Record, not a tuple, so
-    that 2 * x and x + y raise TypeError instead of repeating or joining."""
+    the caller passes a squarefree radicand >= 1.  Not a tuple, so that
+    2 * x and x + y raise TypeError instead of repeating or joining, and x
+    equals only a SymbolicReal; like a NamedTuple, it is immutable."""
 
     __slots__ = ("coefficient", "pi_half_exponent", "radicand")
 
     def __init__(self, coefficient: Fraction, pi_half_exponent: int = 0, radicand: int = 1):
-        self._init(coefficient, pi_half_exponent, radicand)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "pi_half_exponent", pi_half_exponent)
+        object.__setattr__(self, "radicand", radicand)
+
+    def _values(self) -> tuple:
+        return self.coefficient, self.pi_half_exponent, self.radicand
+
+    def __eq__(self, other):
+        if type(other) is not SymbolicReal:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __mul__(self, other) -> "SymbolicReal":
         """Product with another SymbolicReal or with a rational."""

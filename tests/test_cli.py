@@ -91,6 +91,33 @@ def test_analyze_nesting_past_the_limit_exit_2(capsys):
     assert err == "expression error: parentheses nested deeper than 100 at offset 100\n"
 
 
+# the exit code and exact stderr of malformed expressions; the whole text is
+# parsed before any constructor runs, so a syntax error after a rejected atom
+# is the one reported
+MALFORMED = [
+    ("U(0) + +", 2, "unexpected token '+' at offset 7 (expected one of: INT, NAME, <, ()"),
+    ("U + U(0) + gram[1,2;3]", 2, "scale must be nonzero at offset 4"),
+    ("gram[1,1;1,1]", 2, "bad gram literal: Gram matrix is singular at offset 0"),
+    ("gram[0,1;2,0]", 2,
+     "bad gram literal: Gram matrix is not symmetric at (0,1): 1 != 2 at offset 0"),
+    ("3*(2*U + gram[1,2;2])", 2, "bad gram literal: Gram matrix must be square at offset 9"),
+    ("2*(U + <0>)", 2, "rank-1 Gram entry must be nonzero at offset 7"),
+    ("0*U", 2, "multiplier must be >= 1, got 0 at offset 0"),
+    ("0*Leech", 2, "unknown constructor 'Leech' at offset 2 (expected one of: U, E8, gram)"),
+    ("Leech(3)", 2, "unknown constructor 'Leech' at offset 0 (expected one of: U, E8, gram)"),
+    ("gram(2)", 2, "unexpected token '(' at offset 4 (expected one of: [)"),
+    ("()", 2, "unexpected token ')' at offset 1 (expected one of: INT, NAME, <, ()"),
+    ("U U", 2, "trailing input 'U' at offset 2 (expected one of: +, EOF)"),
+    ("10000000*U", 3, "rank 20000000 exceeds cap 64"),
+]
+
+
+@pytest.mark.parametrize("expr, code, message", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_expression_exit_code_and_stderr(capsys, expr, code, message):
+    prefix = "expression error" if code == 2 else "precondition violated"
+    assert run(capsys, "analyze", expr) == (code, "", f"{prefix}: {message}\n")
+
+
 def test_analyze_precondition_exit_3(capsys):
     code, _, err = run(capsys, "analyze", "U")
     assert code == 3
@@ -122,6 +149,18 @@ def test_oracle_depth_beyond_guard_exits_before_counting(capsys, monkeypatch):
     code, out, err = run(capsys, "oracle", "<2> + <-8>", "2", "0")
     assert (code, out) == (3, "")
     assert err == "precondition violated: depth r must be >= 1\n"
+
+
+@pytest.mark.parametrize("expr, p, r, power", [
+    ("<2> + <-8>", "2", "10000", "2^40000"),
+    ("<3>", "1009", "2000", "1009^2000"),
+])
+def test_oracle_guard_names_a_deep_power_without_forming_it(capsys, expr, p, r, power):
+    # p^(r*rank^2) has more digits than str() converts, so it is named, not formed
+    code, out, err = run(capsys, "oracle", expr, p, r)
+    assert (code, out) == (4, "")
+    assert err == (f"feasibility guard: oracle guard: p^(r*rank^2) = {power} "
+                   "exceeds 2^30 naive candidates\n")
 
 
 def test_isometry_guard_exit_4(capsys):
@@ -184,6 +223,14 @@ def test_catalog_subrange(capsys):
 def test_catalog_unknown_family(capsys):
     code, _, err = run(capsys, "catalog", "Z")
     assert code == 3
+
+
+@pytest.mark.parametrize("family", ["II", "T"])
+def test_catalog_d_for_a_family_without_d_exits_3(capsys, family):
+    # II and T have no d: each d would repeat the one row
+    code, out, err = run(capsys, "catalog", family, "--m", "0", "--d", "1..3")
+    assert (code, out) == (3, "")
+    assert err == f"precondition violated: family {family} has no d; drop --d\n"
 
 
 def test_analyze_oracle_check_flag(capsys):

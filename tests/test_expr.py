@@ -3,22 +3,22 @@ import tracemalloc
 import pytest
 
 from hmvol.errors import ExpressionError, PreconditionError
-from hmvol.expr import MAX_NESTING, GramAtom, RankOneAtom, UAtom, lattice_from_text, parse_expr
-from hmvol.lattices import Signature
+from hmvol.expr import MAX_NESTING, lattice_from_text, parse_expr
+from hmvol.lattices import Signature, from_gram, hyperbolic_plane, rank_one
 
 
-def render(expr) -> str:
+def render(terms) -> str:
     """Surface syntax of a parsed expression, one term per repetition count."""
 
-    def atom(a) -> str:
-        if isinstance(a, GramAtom):
-            return "gram[" + ";".join(",".join(map(str, row)) for row in a.rows) + "]"
-        if isinstance(a, RankOneAtom):
-            return f"<{a.entry}>"
-        name = "U" if isinstance(a, UAtom) else "E8"
-        return name if a.scale == 1 else f"{name}({a.scale})"
+    def atom(t) -> str:
+        if t.build is from_gram:
+            return "gram[" + ";".join(",".join(map(str, row)) for row in t.arg) + "]"
+        if t.build is rank_one:
+            return f"<{t.arg}>"
+        name = "U" if t.build is hyperbolic_plane else "E8"
+        return name if t.arg == 1 else f"{name}({t.arg})"
 
-    return " + ".join(("" if t.count == 1 else f"{t.count}*") + atom(t.atom) for t in expr.terms)
+    return " + ".join(("" if t.count == 1 else f"{t.count}*") + atom(t) for t in terms)
 
 
 def test_l50_expression():
@@ -53,10 +53,10 @@ def test_parenthesized_groups():
 
 
 def test_multiplier_distributes_over_parens():
-    ast = parse_expr("3*(2*U + <1>)")
-    assert [(t.count, type(t.atom).__name__) for t in ast.terms] == [
-        (6, "UAtom"),
-        (3, "RankOneAtom"),
+    terms = parse_expr("3*(2*U + <1>)")
+    assert [(t.count, t.build, t.arg, t.offset) for t in terms] == [
+        (6, hyperbolic_plane, 1, 5),
+        (3, rank_one, 1, 9),
     ]
 
 
@@ -125,7 +125,7 @@ def test_nesting_at_the_limit_parses():
     text = "(" * MAX_NESTING + "U + <-2> + U" + ")" * MAX_NESTING
     assert lattice_from_text(text) == lattice_from_text("U + <-2> + U")
     nested = "U + " + "2*(" * MAX_NESTING + "<-2>" + ")" * MAX_NESTING
-    assert [t.count for t in parse_expr(nested).terms] == [1, 2**MAX_NESTING]
+    assert [t.count for t in parse_expr(nested)] == [1, 2**MAX_NESTING]
 
 
 def test_trailing_garbage():

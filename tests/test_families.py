@@ -1,7 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from hmvol.density import local_density, oracle_stabilized
+from hmvol.errors import PreconditionError
 from hmvol.expr import lattice_from_text
 from hmvol.families import (
     fixture_cusp_k_tilde,
@@ -99,3 +103,22 @@ def test_dim_ii_growth_fixture():
 
     for m in (0, 1):
         assert cusp_dim_leading(unimodular_ii(m), "O~+") == fixture_dim_ii_leading(m)
+
+
+@pytest.mark.parametrize("build, d, rank", [
+    (unimodular_ii, (), 80000004),
+    (t_lattice, (), 80000004),
+    (l_lattice, (3,), 80000005),
+    (k_lattice, (3,), 80000004),
+    (n_lattice, (5,), 80000004),
+], ids=["II", "T", "L", "K", "N"])
+def test_family_over_rank_cap_builds_no_copies(build, d, rank):
+    # the rank cap is checked on the count m, before any copy of E8(-1) is listed
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match=f"rank {rank} exceeds cap 64"):
+            build(10**7, *d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -1,6 +1,7 @@
 """The records keep the behaviour of the frozen dataclasses they replaced:
-immutable, equal only within their own type where a tuple would blur it,
-no tuple arithmetic on a number, and no list shared between reports."""
+immutable, no tuple arithmetic on a number (`SymbolicReal`, the one
+`__slots__` class among them, equals only its own type), parsed terms of
+different constructors unequal, and no list shared between reports."""
 
 from fractions import Fraction
 
@@ -8,24 +9,19 @@ import pytest
 
 from hmvol.density import local_density
 from hmvol.discforms import discriminant_form
-from hmvol.expr import E8Atom, UAtom, _tokenize, lattice_from_text, parse_expr
+from hmvol.expr import Term, _tokenize, lattice_from_text, parse_expr
 from hmvol.jordan import jordan_decompose
+from hmvol.lattices import e8, hyperbolic_plane
 from hmvol.special_values import SymbolicReal
 from hmvol.volumes import build_report, euler_alpha_product
 
 
 def one_of_each_record():
     lat = lattice_from_text("U + <2> + <-6>")
-    expr = parse_expr("2*U + E8(-1) + <-2> + gram[2]")
     decomp = jordan_decompose(lat, 2)
     return {
         "Token": _tokenize("U")[0],
-        "UAtom": expr.terms[0].atom,
-        "E8Atom": expr.terms[1].atom,
-        "RankOneAtom": expr.terms[2].atom,
-        "GramAtom": expr.terms[3].atom,
-        "Term": expr.terms[0],
-        "LatticeExpr": expr,
+        "Term": parse_expr("2*U")[0],
         "Signature": lat.signature,
         "JordanBlock": decomp.blocks[0],
         "JordanDecomposition": decomp,
@@ -37,8 +33,7 @@ def one_of_each_record():
 
 
 FIRST_FIELD = {
-    "Token": "kind", "UAtom": "scale", "E8Atom": "scale", "RankOneAtom": "entry",
-    "GramAtom": "rows", "Term": "count", "LatticeExpr": "terms", "Signature": "positive",
+    "Token": "kind", "Term": "count", "Signature": "positive",
     "JordanBlock": "level", "JordanDecomposition": "p", "LocalDensity": "p",
     "FiniteQuadraticForm": "orders", "SymbolicReal": "coefficient", "VolumeReport": "lattice",
 }
@@ -63,12 +58,10 @@ def test_setting_an_attribute_raises(name, field):
 def test_atoms_of_different_types_are_unequal():
     assert parse_expr("U") != parse_expr("E8")
     assert parse_expr("2*U(3)") != parse_expr("2*E8(3)")
-    assert UAtom(1, 0) != E8Atom(1, 0)
-    assert UAtom(1, 0) != (1, 0)
+    assert Term(1, hyperbolic_plane, 1, 0) != Term(1, e8, 1, 0)
     assert parse_expr("U + E8(-1)") == parse_expr("U + E8(-1)")
-    assert UAtom(2, 5) == UAtom(scale=2, offset=5)
-    assert hash(UAtom(2, 5)) == hash(UAtom(2, 5))
-    assert repr(E8Atom(-1, 4)) == "E8Atom(scale=-1, offset=4)"
+    assert parse_expr("2*E8(-1)") == (Term(count=2, build=e8, arg=-1, offset=2),)
+    assert hash(parse_expr("U")) == hash(parse_expr("U"))
 
 
 def test_symbolic_real_has_no_tuple_arithmetic():
@@ -81,6 +74,10 @@ def test_symbolic_real_has_no_tuple_arithmetic():
     assert x * 2 == SymbolicReal(Fraction(2, 3), 2, 5)
     assert x * y == SymbolicReal(Fraction(2, 3), 2, 15)
     assert x != (Fraction(1, 3), 2, 5)
+    assert x == SymbolicReal(Fraction(1, 3), 2, 5)
+    assert hash(x) == hash(SymbolicReal(Fraction(1, 3), 2, 5))
+    with pytest.raises(AttributeError):
+        del x.radicand
     assert repr(x) == "1/3 * pi^(2/2) * sqrt(5)"
 
 
