@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .density import local_density, siegel_counts_oracle
@@ -189,19 +190,20 @@ _CATALOG_DEFAULTS = {
 }
 
 
-def _parse_range(spec: str) -> tuple[int, ...]:
-    """argparse type for '0,2', '1..10' or a comma list of both; an empty
-    range such as '5..1' is refused."""
-    out: list[int] = []
+def _parse_range(spec: str) -> tuple[range, ...]:
+    """argparse type for '0,2', '1..10' or a comma list of both, as one
+    `range` per item, so no value is listed before the rows ask for it; an
+    empty range such as '5..1' is refused."""
+    out = []
     for part in spec.split(","):
         lo, dots, hi = part.partition("..")
         try:
-            values = range(int(lo), int(hi) + 1) if dots else [int(lo)]
+            values = range(int(lo), int(hi if dots else lo) + 1)
         except ValueError:
             raise argparse.ArgumentTypeError(f"malformed range {part.strip()!r}") from None
         if not values:
             raise argparse.ArgumentTypeError(f"empty range {part.strip()!r}")
-        out.extend(values)
+        out.append(values)
     return tuple(out)
 
 
@@ -244,11 +246,12 @@ def _cmd_catalog(args) -> int:
         raise PreconditionError(f"unknown family {family!r}; choose from II, T, L, K, N")
     if args.d and family in ("II", "T"):
         raise PreconditionError(f"family {family} has no d; drop --d")
-    ms = args.m or _CATALOG_DEFAULTS[family]["m"]
-    ds = args.d or _CATALOG_DEFAULTS[family]["d"]
+    # each a sequence of value sequences: the parsed ranges, or the defaults
+    ms = args.m or (_CATALOG_DEFAULTS[family]["m"],)
+    ds = args.d or (_CATALOG_DEFAULTS[family]["d"],)
     mismatches = 0
-    for m in ms:
-        for d in ds:
+    for m in chain.from_iterable(ms):
+        for d in chain.from_iterable(ds):
             label, engine, fixture = _catalog_row(family, m, d)
             ok = engine == fixture
             mismatches += 0 if ok else 1

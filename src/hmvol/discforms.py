@@ -11,11 +11,12 @@ which happens exactly when -id acts trivially on A_L, i.e. when A_L has
 exponent <= 2 (and, for the determinant-1 groups, when the rank is even).
 
 (A_L, q_L) is the orthogonal sum of its p-primary parts (A_p, q_p) over
-p | det (Nikulin 1979), and it is held only as those parts, {p: (A_p, q_p)}
-in increasing p, from the Jordan blocks to the count of N.  Each part is
-read off the p-adic Jordan blocks of level >= 1 at its own p, with
-generators of order p^level, by level, and q and b as integer tables at the
-scale of the part's exponent; no `Fraction` is built.
+p | det (Nikulin 1979), so |O(q_L)| is the product of the |O(q_p)|, each
+read off the p-adic Jordan blocks of level >= 1 at its own p: in closed form
+at odd p and for a cyclic 2-part, and down a stabilizer chain on a
+non-cyclic 2-part, the only part built as a form for the count.  A part is
+held as generators of order p^level, by level, with q and b as integer
+tables at the scale of the part's exponent; no `Fraction` is built.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import FeasibilityError, PreconditionError
-from .jordan import JordanDecomposition, jordan_decompose
+from .jordan import JordanBlock, JordanDecomposition, jordan_decompose
 from .lattices import Lattice
 
 ISOMETRY_ENUM_CAP = 10**5
@@ -53,11 +54,6 @@ class FiniteQuadraticForm(NamedTuple):
     @property
     def is_trivial(self) -> bool:
         return not self.orders
-
-    @property
-    def is_two_elementary(self) -> bool:
-        """Exponent <= 2: every generator order divides 2."""
-        return all(d <= 2 for d in self.orders)
 
 
 def _part_from_jordan(decomp: JordanDecomposition) -> FiniteQuadraticForm:
@@ -97,56 +93,69 @@ def _part_from_jordan(decomp: JordanDecomposition) -> FiniteQuadraticForm:
     return FiniteQuadraticForm(tuple(orders), tuple(q), tuple(map(tuple, bil)))
 
 
-def _parts_from_jordan(
-    lattice: Lattice, decomps: list[JordanDecomposition]
-) -> dict[int, FiniteQuadraticForm]:
-    """{p: (A_p, q_p)} for p | det, from `decomps`, the Jordan
-    decompositions of an even lattice at (at least) every prime dividing det,
-    in increasing p (further primes add nothing)."""
-    parts = {d.p: _part_from_jordan(d) for d in decomps if d.p in lattice.det_factors}
-    if prod(part.order for part in parts.values()) != abs(lattice.det):
-        raise PreconditionError("discriminant group order does not match |det|")
-    return parts
-
-
 def discriminant_form(lattice: Lattice) -> dict[int, FiniteQuadraticForm]:
     """(A_L, q_L) for an even lattice as its p-primary parts {p: (A_p, q_p)}
     for p | det, in increasing p, each read off the p-adic Jordan blocks of
     level >= 1 at p."""
     if not lattice.is_even:
         raise PreconditionError("discriminant form requires an even lattice")
-    return _parts_from_jordan(lattice, [jordan_decompose(lattice, p) for p in lattice.det_factors])
+    return {p: _part_from_jordan(jordan_decompose(lattice, p)) for p in lattice.det_factors}
 
 
-def finite_isometry_order(parts: dict[int, FiniteQuadraticForm]) -> int:
-    """|O(A, q)| for (A, q) given by its p-primary parts {p: (A_p, q_p)}, as
-    the product of the |O(A_p, q_p)|: the parts are mutually orthogonal
-    (Nikulin 1979).
+def finite_isometry_order(decomps: list[JordanDecomposition]) -> int:
+    """|O(A, q)| for the discriminant form of an even lattice, from its Jordan
+    decompositions at the primes p dividing det: the product of the
+    |O(A_p, q_p)|, since the parts are mutually orthogonal (Nikulin 1979).
 
-    A cyclic part at odd p has exactly the isometries +1 and -1.  Every
-    other part is counted down a stabilizer chain (`_chain_count`): its
-    elements are bucketed once by (order, q) in integer arithmetic, and
-    |O(A_p, q_p)| is the product over the generators g_i of the orbit of g_i
-    under the isometries fixing g_0, ..., g_{i-1}.  The work grows with the
-    orbit sizes, not with |O|, except for the bucket pass, which visits all
-    |A_p| elements; the enumeration guard prices each counted part by that
-    pass.
+    At odd p the count is closed form (`_odd_isometry_order`).  A cyclic
+    2-part Z/2^k has q(g) = u/2^k with u odd, so x -> a x is an isometry iff
+    a^2 = 1 mod 2^(k+1), iff a = +-1 mod 2^k: 1 isometry at k = 1, else 2.
+    A non-cyclic 2-part is built as a form and counted down a stabilizer
+    chain (`_chain_count`), whose bucket pass visits all |A_2| elements; the
+    enumeration guard prices it by that pass.
     """
     count = 1
-    counted = []
-    for p, part in parts.items():
-        if p != 2 and len(part.orders) == 1:
-            count *= 2
-        elif part.order > ISOMETRY_ENUM_CAP:
-            raise FeasibilityError(
-                f"isometry enumeration guard: the {p}-part of A has "
-                f"|A_{p}| = {part.order} elements, more than {ISOMETRY_ENUM_CAP}"
-            )
+    for decomp in decomps:
+        blocks = [b for b in decomp.blocks if b.level >= 1]
+        if decomp.p != 2:
+            count *= _odd_isometry_order(decomp.p, blocks)
+        elif sum(b.rank for b in blocks) == 1:
+            count *= 1 if blocks[0].level == 1 else 2
         else:
-            counted.append(part)
-    for part in counted:
-        count *= _chain_count(part)
+            form = _part_from_jordan(decomp)
+            if form.order > ISOMETRY_ENUM_CAP:
+                raise FeasibilityError(
+                    f"isometry enumeration guard: the 2-part of A has "
+                    f"|A_2| = {form.order} elements, more than {ISOMETRY_ENUM_CAP}"
+                )
+            count *= _chain_count(form)
     return count
+
+
+def _odd_isometry_order(p: int, blocks: list[JordanBlock]) -> int:
+    """|O(A_p, q_p)| at odd p from the Jordan blocks p^k U_k, k >= 1, of rank
+    n_k, in increasing k (Nikulin 1979, section 1.9; Taylor, The Geometry of
+    the Classical Groups):
+
+        prod_k |O^{e_k}_{n_k}(F_p)| p^e,
+        e = sum_k (k - 1) n_k (n_k - 1)/2 + sum_{i<j} min(k_i, k_j) n_i n_j,
+
+    the isometries of the forms U_k mod p, lifted through the kernels of
+    reduction mod p^k, and the homomorphisms between blocks.  With e_k the
+    block's chi, |O_{2m+1}(F_p)| = 2 p^(m^2) prod_{i<=m} (p^(2i) - 1) and
+    |O^e_{2m}(F_p)| = 2 p^(m(m-1)) (p^m - e) prod_{i<m} (p^(2i) - 1); a
+    cyclic part (one block of rank 1) has the two isometries +-1.
+    """
+    count, e, below = 1, 0, 0  # below: sum of k_i n_i over the lower blocks
+    for block in blocks:
+        n, k = block.rank, block.level
+        m, odd = divmod(n, 2)
+        count *= 2 * prod(p ** (2 * i) - 1 for i in range(1, m + odd))
+        if not odd:
+            count *= p**m - block.chi
+        e += m * (m - 1 + odd) + (k - 1) * n * (n - 1) // 2 + below * n
+        below += k * n
+    return count * p**e
 
 
 def _bucket(
@@ -273,9 +282,10 @@ def stable_invariants(
     lattice: Lattice, decomps: list[JordanDecomposition]
 ) -> tuple[int, bool]:
     """(|O(q_L)|, whether A_L has exponent <= 2): the discriminant data every
-    stable-group index needs, from the p-parts of the discriminant form built
-    from `decomps`, the Jordan decompositions of L at (at least) every prime
-    dividing det, in increasing p.
+    stable-group index needs, from `decomps`, the Jordan decompositions of L
+    at (at least) every prime dividing det, in increasing p.  The blocks of
+    level >= 1 at those primes must account for all of |det|, and A_L has
+    exponent <= 2 iff they all sit at p = 2 and level 1.
 
     Requires an even signature-(2, n) lattice with a hyperbolic-plane direct
     summand (one class per genus, surjectivity onto O(q)).
@@ -288,8 +298,11 @@ def stable_invariants(
             "stable-group indices assume a hyperbolic-plane direct summand "
             "(one class per genus, surjectivity onto O(q))"
         )
-    parts = _parts_from_jordan(lattice, decomps)
-    return finite_isometry_order(parts), all(part.is_two_elementary for part in parts.values())
+    decomps = [d for d in decomps if d.p in lattice.det_factors]
+    if prod(d.p**d.det_valuation for d in decomps) != abs(lattice.det):
+        raise PreconditionError("discriminant group order does not match |det|")
+    two_elementary = all(d.p == 2 and b.level <= 1 for d in decomps for b in d.blocks)
+    return finite_isometry_order(decomps), two_elementary
 
 
 def index_and_minus_id(

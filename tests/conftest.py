@@ -1,7 +1,9 @@
 import pytest
 
 from hmvol.arith import factorize
+from hmvol.discforms import finite_isometry_order
 from hmvol.expr import lattice_from_text
+from hmvol.jordan import jordan_decompose
 
 # Rank <= 2 corpus for the counting-oracle suite: consecutive-depth
 # stabilization for rank-3 lattices at p = 2 needs depth 4, whose naive
@@ -53,6 +55,12 @@ SIGNATURE_2N_EXPRESSIONS = (
 @pytest.fixture(scope="session")
 def signature_2n_corpus():
     return [(text, lattice_from_text(text)) for text in SIGNATURE_2N_EXPRESSIONS]
+
+
+def isometry_order(lat) -> int:
+    """|O(q_L)| by the program's route: closed form at odd p and on a cyclic
+    2-part, the stabilizer chain on a non-cyclic 2-part."""
+    return finite_isometry_order([jordan_decompose(lat, p) for p in lat.det_factors])
 
 
 def num_prime_divisors(d: int) -> int:

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from hmvol.cli import main as cli_main
 from hmvol.density import local_density, oracle_stabilized
-from hmvol.discforms import discriminant_form, finite_isometry_order
 from hmvol.expr import lattice_from_text
 from hmvol.families import (
     fixture_cusp_k3,
@@ -33,7 +32,7 @@ from hmvol.lattices import direct_sum, e8, from_gram, hyperbolic_plane, rank_one
 from hmvol.special_values import SymbolicReal
 from hmvol.volumes import cusp_dim_leading, group_volume, vol_hm
 
-from conftest import ORACLE_CORPUS, SIGNATURE_2N_EXPRESSIONS, num_prime_divisors
+from conftest import ORACLE_CORPUS, SIGNATURE_2N_EXPRESSIONS, isometry_order, num_prime_divisors
 from siegel import siegel_identities
 
 
@@ -124,15 +123,14 @@ def test_criterion_7_oracle_suite():
 def test_criterion_8_lemma_sweeps():
     with criterion(8, "discriminant-form order sweeps", 60.0):
         for d in range(1, 31):
-            form = discriminant_form(rank_one(-2 * d))
-            assert finite_isometry_order(form) == 2 ** num_prime_divisors(d), d
+            assert isometry_order(rank_one(-2 * d)) == 2 ** num_prime_divisors(d), d
         for d in range(1, 31):
-            form = discriminant_form(direct_sum(rank_one(2), rank_one(-2 * d)))
+            lat = direct_sum(rank_one(2), rank_one(-2 * d))
             expected = 2 ** (num_prime_divisors(d) + 1) if (d % 4 == 3 or d % 8 == 0) else 2 ** num_prime_divisors(d)
-            assert finite_isometry_order(form) == expected, d
+            assert isometry_order(lat) == expected, d
         for d in range(1, 30, 4):  # d = 1 mod 4
-            form = discriminant_form(from_gram([[2, 1], [1, (1 - d) // 2]]))
-            assert finite_isometry_order(form) == 2 ** num_prime_divisors(d), d
+            lat = from_gram([[2, 1], [1, (1 - d) // 2]])
+            assert isometry_order(lat) == 2 ** num_prime_divisors(d), d
 
 
 def test_criterion_9_structural_invariants():

@@ -3,6 +3,8 @@ import json
 import os
 import re
 import subprocess
+import time
+import tracemalloc
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hmvol
-from hmvol.cli import _json_text, _print_report, _report_json, main
+from hmvol.cli import _json_text, _parse_range, _print_report, _report_json, main
 from hmvol.expr import lattice_from_text
 from hmvol.volumes import build_report
 
@@ -164,10 +166,24 @@ def test_oracle_guard_names_a_deep_power_without_forming_it(capsys, expr, p, r, 
 
 
 def test_isometry_guard_exit_4(capsys):
-    # a 2-part with more than 10^5 elements is still over the cap
-    code, _, err = run(capsys, "analyze", "2*U + <-131072>", "--group", "O~+")
+    # a non-cyclic 2-part with more than 10^5 elements is still over the cap
+    code, _, err = run(capsys, "analyze", "2*U + <-2> + <-131072>", "--group", "O~+")
     assert code == 4
-    assert "2-part" in err and "|A_2| = 131072" in err
+    assert "2-part" in err and "|A_2| = 262144" in err
+
+
+@pytest.mark.parametrize("expr, n_iso", [
+    ("2*U + <-131072>", 2),  # cyclic 2-part Z/2^17
+    ("2*U + 2*<-14> + 2*<-98>", 34_420_736),  # |A_7| = 7^6
+    ("2*U + 2*<-10> + 3*<-50>", 450_000_000_000),  # |A_5| = 5^8
+])
+def test_closed_form_parts_over_the_cap_exit_0(capsys, expr, n_iso):
+    # cyclic 2-parts and odd parts are closed form, so no size trips the guard
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", expr, "--group", "O~+", "--json")
+    assert time.perf_counter() - start < 0.1
+    assert (code, err) == (0, "")
+    assert json.loads(out)["indices"]["O~+"] == n_iso
 
 
 def test_l_value_conductor_guard_exit_4(capsys):
@@ -282,6 +298,39 @@ def test_malformed_option_exits_2(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert f"error: argument {argv[2]}" in capsys.readouterr().err
+
+
+def test_catalog_l_with_large_cyclic_two_parts(capsys):
+    # L(m, 2^k) has the cyclic 2-part Z/2^(k+1), over the old enumeration cap
+    code, out, _ = run(capsys, "catalog", "L", "--m", "0,2", "--d", "65536,131072,1048576")
+    assert code == 0, out
+    assert [line.split()[-1] for line in out.splitlines()] == ["ok"] * 6
+
+
+def test_parse_range_lists_no_values():
+    # a range is kept as a `range`, not as the list of its values
+    tracemalloc.start()
+    try:
+        spec = _parse_range("0..1000000, 5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert spec == (range(0, 1000001), range(5, 6))
+
+
+def test_catalog_iterates_a_huge_range_lazily(capsys):
+    # the rows of II run from m = 0 until the rank cap at m = 8 refuses one,
+    # with no list of the 10^6 values built first
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "catalog", "II", "--m", "0..1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and "rank 68 exceeds cap 64" in err
+    assert len(out.splitlines()) == 8
+    assert peak < 8 * 2**20
 
 
 def test_catalog_mixed_range(capsys):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hmvol.arith import factorize, is_prime
+from hmvol import discforms
+from hmvol.arith import factorize, is_prime, kronecker
 from hmvol.discforms import (
     ISOMETRY_ENUM_CAP,
     FiniteQuadraticForm,
@@ -26,7 +27,7 @@ from hmvol.jordan import jordan_decompose
 from hmvol.lattices import direct_sum, from_gram, rank_one
 from hmvol.volumes import build_report
 
-from conftest import SIGNATURE_2N_EXPRESSIONS, num_prime_divisors
+from conftest import SIGNATURE_2N_EXPRESSIONS, isometry_order, num_prime_divisors
 from discform_readers import b_of, element_order, elements, q_of
 
 
@@ -69,7 +70,7 @@ def test_factorize_large_semiprime():
 def test_discriminant_form_trivial_for_unimodular():
     parts = discriminant_form(unimodular_ii(1))
     assert parts == {}
-    assert finite_isometry_order(parts) == 1
+    assert isometry_order(unimodular_ii(1)) == 1
 
 
 def test_discriminant_form_rank_one():
@@ -121,16 +122,13 @@ def test_quadratic_identity_on_generators():
 def test_isometry_order_rank_one_sweep():
     # |O(q)| = 2^rho(d) for <-2d>
     for d in range(1, 31):
-        form = discriminant_form(rank_one(-2 * d))
-        assert finite_isometry_order(form) == 2 ** num_prime_divisors(d), d
+        assert isometry_order(rank_one(-2 * d)) == 2 ** num_prime_divisors(d), d
 
 
 def test_isometry_order_split_binary_examples():
     # <2> + <-2d>: 2^(1+rho(d)) when d = 3 mod 4 or 8 | d, else 2^rho(d)
-    form = discriminant_form(direct_sum(rank_one(2), rank_one(-6)))
-    assert finite_isometry_order(form) == 4
-    form = discriminant_form(direct_sum(rank_one(2), rank_one(-10)))
-    assert finite_isometry_order(form) == 2
+    assert isometry_order(direct_sum(rank_one(2), rank_one(-6))) == 4
+    assert isometry_order(direct_sum(rank_one(2), rank_one(-10))) == 2
 
 
 def test_unit_square_count_mod_4d():
@@ -143,7 +141,7 @@ def test_unit_square_count_mod_4d():
 def test_minus_id_criterion():
     # -id lies in the stable group iff A_L has exponent <= 2
     def two_elementary(lat):
-        return all(part.is_two_elementary for part in discriminant_form(lat).values())
+        return stable_invariants(lat, [jordan_decompose(lat, p) for p in lat.det_factors])[1]
 
     assert two_elementary(l_lattice(0, 1))  # A = Z/2
     assert not two_elementary(l_lattice(0, 3))  # A = Z/6
@@ -205,7 +203,7 @@ def test_projective_index_hypotheses():
 def test_t_lattice_stable_index():
     # |O(q)| = 2 and A is 2-elementary, so [PO : PO~+] = 2N = 4
     lat = t_lattice(1)
-    assert finite_isometry_order(discriminant_form(lat)) == 2
+    assert isometry_order(lat) == 2
     assert projective_index(lat, "O~+") == 4
 
 
@@ -239,9 +237,9 @@ BRUTE_FORCE_MULTI_PRIME_TEXTS = ("2*U + <-2> + <-6>", "U + U(3) + <-2>", "2*U + 
 
 
 def test_isometry_order_matches_brute_force():
-    # finite_isometry_order multiplies orbit sizes down a stabilizer chain;
     # this reference counts bijective q-preserving maps directly, on each
-    # p-part and on the unsplit Smith-form reference of the whole group
+    # p-part (against the program's route and the stabilizer chain) and on
+    # the unsplit Smith-form reference of the whole group
     texts = list(BRUTE_FORCE_TEXTS)
     lattices = [lattice_from_text(t) for t in texts] + [l_lattice(0, d) for d in range(1, 9)]
     for text, lat in zip(texts + [f"L(0,{d})" for d in range(1, 9)], lattices):
@@ -249,8 +247,10 @@ def test_isometry_order_matches_brute_force():
         assert sum(len(part.orders) for part in parts.values()) <= 3, text
         assert abs(lat.det) <= 16, text
         for p, part in parts.items():
-            assert finite_isometry_order({p: part}) == _brute_force_isometry_order(part), (text, p)
-        assert finite_isometry_order(parts) == _brute_force_isometry_order(
+            expected = _brute_force_isometry_order(part)
+            assert _chain_count(part) == expected, (text, p)
+            assert finite_isometry_order([jordan_decompose(lat, p)]) == expected, (text, p)
+        assert isometry_order(lat) == _brute_force_isometry_order(
             _smith_discriminant_form(lat)), text
     # several primes over several generators: the product over p-parts
     # against the unsplit reference
@@ -259,7 +259,7 @@ def test_isometry_order_matches_brute_force():
         parts = discriminant_form(lat)
         assert sum(len(part.orders) for part in parts.values()) >= 2 and len(parts) >= 2, text
         assert abs(lat.det) <= 24, text
-        assert finite_isometry_order(parts) == _brute_force_isometry_order(
+        assert isometry_order(lat) == _brute_force_isometry_order(
             _smith_discriminant_form(lat)), text
 
 
@@ -300,8 +300,9 @@ def _count_isometries(form: FiniteQuadraticForm) -> int:
 def test_isometry_order_is_product_over_p_parts():
     # the enumerator above is the reference: the product over p-parts
     # equals it on the unsplit Smith-form reference of the whole group, and
-    # the stabilizer-chain count equals it on every p-part with
-    # |A_p| <= 10^4 of the corpora
+    # on every p-part with |A_p| <= 10^4 of the corpora the stabilizer-chain
+    # count and the program's route (closed form at odd p and on a cyclic
+    # 2-part) equal it
     unsplit = {}
     for text in SIGNATURE_2N_EXPRESSIONS:
         lat = lattice_from_text(text)
@@ -310,31 +311,77 @@ def test_isometry_order_is_product_over_p_parts():
     for d in range(1, 201):
         unsplit[f"L(0,{d})"] = l_lattice(0, d)
     assert len(unsplit) > 200
-    forms = {}
     for name, lat in unsplit.items():
-        forms[name] = discriminant_form(lat)
-        assert finite_isometry_order(forms[name]) == _count_isometries(_smith_discriminant_form(lat)), name
+        assert isometry_order(lat) == _count_isometries(_smith_discriminant_form(lat)), name
+    lattices = dict(unsplit)
     texts = BRUTE_FORCE_TEXTS + BRUTE_FORCE_MULTI_PRIME_TEXTS
     texts += tuple(f"2*U + {n}*<-2>" for n in range(1, 6))
     for text in texts:
-        forms[text] = discriminant_form(lattice_from_text(text))
+        lattices[text] = lattice_from_text(text)
     for d in range(1, 201):
-        forms[f"K(0,{d})"] = discriminant_form(k_lattice(0, d))
+        lattices[f"K(0,{d})"] = k_lattice(0, d)
         if d % 4 == 1:
-            forms[f"N(0,{d})"] = discriminant_form(n_lattice(0, d))
-    counted = 0
-    for name, parts in forms.items():
-        for p, part in parts.items():
+            lattices[f"N(0,{d})"] = n_lattice(0, d)
+    counted = odd = 0
+    for name, lat in lattices.items():
+        for p, part in discriminant_form(lat).items():
             if part.order <= 10**4:
-                assert _chain_count(part) == _count_isometries(part), (name, p)
+                expected = _count_isometries(part)
+                assert _chain_count(part) == expected, (name, p)
+                assert finite_isometry_order([jordan_decompose(lat, p)]) == expected, (name, p)
                 counted += 1
-    assert counted > 900
+                odd += p != 2
+    assert counted > 900 and odd > 400
+
+
+def _odd_structure_text(p: int, rng: random.Random) -> tuple[str, tuple]:
+    """A lattice U + sum of <-2 u p^k> with Jordan blocks at odd p of levels
+    drawn from 1..3 and ranks 1..3, random units u; returns its text and the
+    structure ((level, rank, chi), ...) it has at p."""
+    levels = sorted(rng.sample((1, 2, 3), rng.randint(1, 3)))
+    atoms, structure = [], []
+    for k in levels:
+        units = [rng.randrange(1, p) for _ in range(rng.randint(1, 3))]
+        atoms += [f"<{-2 * u * p**k}>" for u in units]
+        n = len(units)
+        chi = 0 if n % 2 else kronecker((-1) ** (n // 2) * prod(-2 * u for u in units), p)
+        structure.append((k, n, chi))
+    return "U + " + " + ".join(atoms), tuple(structure)
+
+
+def test_odd_closed_form_matches_chain_on_generated_structures():
+    # a seeded generator of multi-level odd parts (p <= 11, levels 1-3,
+    # ranks 1-3, both signs at even rank): the closed form read off the
+    # Jordan blocks equals the stabilizer chain on the part built from
+    # them, and the enumerator where its dead branches stay small
+    rng = random.Random(23)
+    seen, enumerated, drawn = set(), 0, 0
+    while drawn < 300:
+        p = rng.choice((3, 5, 7, 11))
+        text, structure = _odd_structure_text(p, rng)
+        if p ** sum(k * n for k, n, _ in structure) > 10**4:
+            continue
+        drawn += 1
+        lat = lattice_from_text(text)
+        decomp = jordan_decompose(lat, p)
+        assert tuple((b.level, b.rank, b.chi) for b in decomp.blocks if b.level) == structure
+        part = discriminant_form(lat)[p]
+        expected = _chain_count(part)
+        assert finite_isometry_order([decomp]) == expected, text
+        if part.order ** (len(part.orders) - 1) <= 2 * 10**4:
+            assert _count_isometries(part) == expected, text
+            enumerated += 1
+        seen.add((p, structure))
+    # 71 of the 84 structures with |A_p| <= 10^4
+    assert len(seen) > 60 and enumerated > 40
+    assert {chi for s in seen for _, _, chi in s[1]} == {-1, 0, 1}
+    assert {len(s[1]) for s in seen} == {1, 2, 3}
 
 
 def test_odd_cyclic_part_has_two_isometries():
     # the closed form for a cyclic part at odd p, pinned by the stabilizer
     # chain it bypasses: Z/p^k with q(g) = 2u/p^k for a square and a
-    # non-square unit u
+    # non-square unit u, which the Jordan blocks of <2u p^k> give
     for p in filter(is_prime, range(3, 2000)):
         non_square = next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
         pk = p
@@ -343,24 +390,41 @@ def test_odd_cyclic_part_has_two_isometries():
                 q = Fraction(2 * u, pk)
                 form = _form((pk,), (q % 2,), ((q % 1,),))
                 assert _chain_count(form) == 2, (pk, u)
-                assert finite_isometry_order({p: form}) == 2, (pk, u)
+                decomp = jordan_decompose(rank_one(2 * u * pk), p)
+                assert finite_isometry_order([decomp]) == 2, (pk, u)
             pk *= p
+
+
+def test_cyclic_two_part_rule_matches_chain():
+    # Z/2^k with q(g) = u/2^k, u odd: 1 isometry at k = 1, else 2 (x -> a x
+    # with a = +-1 mod 2^k), against the stabilizer chain it bypasses, for
+    # every odd u mod 2^(k+1) up to k = 7 and every odd u mod 16 beyond,
+    # and through the Jordan blocks of <u 2^k>
+    for k in range(1, 14):
+        expected = 1 if k == 1 else 2
+        for u in range(1, 2 ** (k + 1) if k <= 7 else 16, 2):
+            q = Fraction(u, 2**k)
+            form = _form((2**k,), (q % 2,), ((q % 1,),))
+            assert _chain_count(form) == expected, (k, u)
+            decomp = jordan_decompose(rank_one(u * 2**k), 2)
+            assert finite_isometry_order([decomp]) == expected, (k, u)
 
 
 def test_isometry_order_anchors():
     # 2U + n<-2>: A = (Z/2)^n with q = -1/2 on each generator
     for n, expected in zip(range(1, 7), (1, 2, 6, 24, 120, 1440)):
-        parts = discriminant_form(lattice_from_text(f"2*U + {n}*<-2>"))
-        assert finite_isometry_order(parts) == expected, n
+        assert isometry_order(lattice_from_text(f"2*U + {n}*<-2>")) == expected, n
     # even-type 2-elementary forms: |O+_{2m}(2)| = 2 * 2^(m(m-1)) (2^m - 1)
     # prod_{i<m} (4^i - 1); E8(-2) gives m = 4, the Enriques lattice
     # U + U(2) + E8(-2) gives m = 5
-    parts = discriminant_form(lattice_from_text("2*U + E8(-2)"))
+    lat = lattice_from_text("2*U + E8(-2)")
+    parts = discriminant_form(lat)
     assert list(parts) == [2] and parts[2].orders == (2,) * 8
-    assert finite_isometry_order(parts) == 348_364_800
-    parts = discriminant_form(lattice_from_text("U + U(2) + E8(-2)"))
+    assert isometry_order(lat) == 348_364_800
+    lat = lattice_from_text("U + U(2) + E8(-2)")
+    parts = discriminant_form(lat)
     assert list(parts) == [2] and parts[2].orders == (2,) * 10
-    assert finite_isometry_order(parts) == 46_998_591_897_600
+    assert isometry_order(lat) == 46_998_591_897_600
 
 
 def _random_basis(form: FiniteQuadraticForm, rng: random.Random) -> FiniteQuadraticForm:
@@ -401,12 +465,14 @@ def test_isometry_order_is_basis_invariant():
 
 
 def test_isometry_count_leaves_no_reference_cycles():
-    parts = discriminant_form(lattice_from_text("U + U(2) + 3*<-2>"))
-    assert list(parts) == [2] and parts[2].is_two_elementary
+    lat = lattice_from_text("U + U(2) + 3*<-2>")
+    parts = discriminant_form(lat)
+    assert list(parts) == [2] and parts[2].orders == (2,) * 5
+    decomps = [jordan_decompose(lat, 2)]
     gc.collect()
     gc.disable()
     try:
-        assert finite_isometry_order(parts) > 0
+        assert finite_isometry_order(decomps) > 0
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -433,17 +499,50 @@ def test_chain_count_matches_enumerator_on_random_sums(blocks):
     expected = 1
     for part in parts.values():
         expected *= _count_isometries(part)
-    assert finite_isometry_order(parts) == expected
+    assert isometry_order(lat) == expected
+
+
+def test_chain_count_reached_only_by_non_cyclic_two_parts(monkeypatch):
+    # every other part is closed form, so no odd or cyclic part reaches the
+    # stabilizer chain (or its guard)
+    reached = []
+
+    def recording(form):
+        reached.append(form.orders)
+        return _chain_count(form)
+
+    monkeypatch.setattr(discforms, "_chain_count", recording)
+    texts = SIGNATURE_2N_EXPRESSIONS + BRUTE_FORCE_TEXTS + BRUTE_FORCE_MULTI_PRIME_TEXTS
+    lattices = [lattice_from_text(t) for t in texts]
+    lattices += [l_lattice(0, d) for d in range(1, 201)] + [k_lattice(0, d) for d in range(1, 201)]
+    for lat in lattices:
+        if lat.is_even:
+            isometry_order(lat)
+    assert len(reached) > 100
+    assert all(len(orders) >= 2 and all(d & (d - 1) == 0 for d in orders) for orders in reached)
 
 
 def test_isometry_guard_prices_each_p_part():
-    # |A| = 2 * 1000003 is far over the cap, but the only enumerated part
-    # is Z/2; a 2-part over the cap still trips the guard
-    assert finite_isometry_order(discriminant_form(l_lattice(0, 1000003))) == 2
-    parts = discriminant_form(lattice_from_text("2*U + <-131072>"))
-    assert list(parts) == [2] and parts[2].order == 131072 > ISOMETRY_ENUM_CAP
-    with pytest.raises(FeasibilityError, match=r"2-part .*\|A_2\| = 131072"):
-        finite_isometry_order(parts)
+    # |A| = 2 * 1000003 is far over the cap, but no part is enumerated:
+    # Z/2 and Z/1000003 are cyclic.  A cyclic 2-part over the cap is closed
+    # form too, and so are odd parts over it; only a non-cyclic 2-part over
+    # the cap trips the guard
+    assert isometry_order(l_lattice(0, 1000003)) == 2
+    lat = lattice_from_text("2*U + <-131072>")
+    assert {p: part.orders for p, part in discriminant_form(lat).items()} == {2: (131072,)}
+    assert isometry_order(lat) == 2
+    # the odd parts the guard refused before: 7^6 and 5^8 elements, pinned
+    # by the stabilizer chain called past the guard
+    for text, p in (("2*U + 2*<-14> + 2*<-98>", 7), ("2*U + 2*<-10> + 3*<-50>", 5)):
+        lat = lattice_from_text(text)
+        part = discriminant_form(lat)[p]
+        assert part.order > ISOMETRY_ENUM_CAP, text
+        assert finite_isometry_order([jordan_decompose(lat, p)]) == _chain_count(part), text
+    lat = lattice_from_text("2*U + <-2> + <-131072>")
+    parts = discriminant_form(lat)
+    assert list(parts) == [2] and parts[2].orders == (2, 131072)
+    with pytest.raises(FeasibilityError, match=r"2-part .*\|A_2\| = 262144"):
+        isometry_order(lat)
 
 
 def test_index_and_minus_id_table():
@@ -647,8 +746,8 @@ def test_jordan_form_matches_smith_reference():
         assert prod(part.order for part in parts.values()) == abs(lat.det), name
         for p, part in parts.items():
             assert part.order == ref[p].order, (name, p)
-            assert part.is_two_elementary == ref[p].is_two_elementary, (name, p)
-            assert finite_isometry_order({p: part}) == finite_isometry_order({p: ref[p]}), (name, p)
+            assert (part.exponent <= 2) == (ref[p].exponent <= 2), (name, p)
+            assert finite_isometry_order([jordan_decompose(lat, p)]) == _chain_count(ref[p]), (name, p)
             if part.order <= 2000:
                 assert _order_and_q_multiset(part) == _order_and_q_multiset(ref[p]), (name, p)
                 compared += 1

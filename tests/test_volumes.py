@@ -8,13 +8,13 @@ from conftest import (
     ORACLE_CORPUS,
     SIGNATURE_2N_EXPRESSIONS,
     integer_route_corpus,
+    isometry_order,
     num_prime_divisors,
 )
 from fraction_routes import det_power, gamma_factor, l_closed, zeta_closed
 from fraction_routes import euler_product as fraction_euler_product
 from siegel import siegel_gamma, siegel_identities, vol_s_so
 from hmvol.arith import is_prime, kronecker, squarefree_decompose
-from hmvol.discforms import finite_isometry_order, discriminant_form
 from hmvol.errors import PreconditionError
 from hmvol.expr import lattice_from_text
 from hmvol.families import (
@@ -225,7 +225,7 @@ def test_siegel_ratio_on_ii_2_10():
 def test_stable_vs_plus_factor():
     # on L(2, 6): [PO : PO~+] = N = |O(q)| = 4 and [PO : PO+] = 2
     lat = l_lattice(2, 6)
-    n_iso = finite_isometry_order(discriminant_form(lat))
+    n_iso = isometry_order(lat)
     assert n_iso == 4
     assert group_volume(lat, "O~+") / group_volume(lat, "O+") == Fraction(n_iso, 2)
 
@@ -324,8 +324,10 @@ def test_build_report_runs_each_stage_once(monkeypatch):
     assert set(rep.volumes) == {"O", "O+", "SO+", "O~+", "SO~+"}
     assert len(calls["_euler_product"]) == 1
     assert len(calls["generalized_bernoulli"]) == 1
-    # one part of the discriminant form per prime dividing det, counted once
-    assert [d.p for (d,) in calls["_part_from_jordan"]] == list(lat.det_factors) == [2, 3, 5]
+    # |O(q)| counted once; the odd parts are closed form from their Jordan
+    # blocks, so only the non-cyclic 2-part (Z/2 + Z/4) is built as a form
+    assert list(lat.det_factors) == [2, 3, 5]
+    assert [d.p for (d,) in calls["_part_from_jordan"]] == [2]
     assert len(calls["finite_isometry_order"]) == 1
     # one Jordan decomposition per bad prime feeds both the densities and
     # the discriminant form, and no good prime is decomposed
