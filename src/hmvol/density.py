@@ -48,7 +48,7 @@ ORACLE_CANDIDATE_CAP = 2**30
 # pairs in one block of the counting oracle; larger is faster but uses more memory
 _PAIR_CHUNK = 2**16
 # a 2-adic level with no block: even, with the empty even part's chi = +1
-_EMPTY_BLOCK = JordanBlock(0, 0, (), 1, ())
+_EMPTY_BLOCK = JordanBlock(0, 0, 1, ())
 _HALF = Fraction(1, 2)
 
 

@@ -12,11 +12,12 @@ exponent <= 2 (and, for the determinant-1 groups, when the rank is even).
 
 (A_L, q_L) is the orthogonal sum of its p-primary parts (A_p, q_p) over
 p | det (Nikulin 1979), so |O(q_L)| is the product of the |O(q_p)|, each
-read off the p-adic Jordan blocks of level >= 1 at its own p: in closed form
-at odd p and for a cyclic 2-part, and down a stabilizer chain on a
-non-cyclic 2-part, the only part built as a form for the count.  A part is
-held as generators of order p^level, by level, with q and b as integer
-tables at the scale of the part's exponent; no `Fraction` is built.
+read off the invariants of the p-adic Jordan blocks of level >= 1 at its
+own p: in closed form at odd p and for a cyclic 2-part, and down a
+stabilizer chain on a non-cyclic 2-part, the only part built as a form,
+from those invariants alone (no split Gram, so no precision contract with
+`jordan`).  A form is held as generators of order p^level, by level, with
+q and b as integer tables at the scale of its exponent; no `Fraction`.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
+from .density import _p_series_num
 from .errors import FeasibilityError, PreconditionError
-from .jordan import JordanBlock, JordanDecomposition, jordan_decompose
+from .jordan import JordanBlock, JordanDecomposition
 from .lattices import Lattice
 
 ISOMETRY_ENUM_CAP = 10**5
@@ -56,50 +58,45 @@ class FiniteQuadraticForm(NamedTuple):
         return not self.orders
 
 
-def _part_from_jordan(decomp: JordanDecomposition) -> FiniteQuadraticForm:
-    """(A_p, q_p) for an even lattice from its Jordan decomposition at p.  It
-    reads each block's `unit_gram`, the raw split kept mod p^(v_p(det) + 3),
-    which holds U mod 2^(l+1) at p = 2.
+# the even unimodular binaries over Z_2: hyperbolic (chi = +1) and the other one
+_H = ((0, 1), (1, 0))
+_V = ((2, 1), (1, 2))
 
-    A block p^l U with l >= 1 gives one generator e_i / p^l of order p^l per
-    row of U, with b(e_i, e_j) = U_ij / p^l mod 1.  At p = 2, q(e_i) =
-    U_ii / 2^l mod 2; at odd p only U_ii mod p^l is meaningful, and q(e_i) is
-    its lift 2c / p^l with 2c = U_ii mod p^l, the one value in
-    (2 / p^l)Z / 2Z that an element of odd order can take.  Different blocks
-    are orthogonal.  The exponent n of A_p is p^(top level), so these values
-    are written at once as integers at scale n: U_ij s mod n, U_ii s mod 2n
-    (p = 2) and 2c s, s = n / p^l.
+
+def _two_part(blocks: list[JordanBlock]) -> FiniteQuadraticForm:
+    """(A_2, q_2) of an even lattice from its 2-adic Jordan blocks 2^l U,
+    l >= 1, in increasing l.  Each U is rebuilt from its invariants, which
+    fix it up to isometry, as its planes (all H but one V when chi = -1)
+    and then <u> per odd unit; |O(q_2)| is an isometry invariant.  A row of
+    U gives a generator e_i / 2^l of order 2^l with b(e_i, e_j) =
+    U_ij / 2^l mod 1 and q(e_i) = U_ii / 2^l mod 2, written at the exponent
+    n = 2^(top level) as U_ij s mod n and U_ii s mod 2n, s = n / 2^l.
+
+    The odd units come last: `_chain_count` rejects a candidate image of
+    g_i outside its orbit only after a failed search over the generators
+    after g_i, and an odd unit can have many (in `2*U + <-2> + E8(-2)` it
+    is the characteristic element, fixed by every isometry, and 135 other
+    elements share its order and q-value).  Placed first, it makes that
+    lattice take over 10 s instead of 10 ms.
     """
-    p = decomp.p
-    blocks = [b for b in decomp.blocks if b.level >= 1]
-    n = p ** max((b.level for b in blocks), default=0)
-    k = sum(b.rank for b in blocks)
+    pieces = []  # (level, Gram of H, V or <u>)
+    for block in blocks:
+        planes = [_H] * ((block.rank - len(block.odd_units)) // 2)
+        if block.chi < 0:
+            planes[-1] = _V
+        pieces += [(block.level, g) for g in planes + [((u,),) for u in block.odd_units]]
+    n = 2 ** blocks[-1].level
+    k = sum(len(g) for _, g in pieces)
     orders: list[int] = []
     q: list[int] = []
     bil = [[0] * k for _ in range(k)]
-    for block in blocks:
-        pl = p**block.level
-        s = n // pl
-        u = block.unit_gram
-        off = len(orders)
-        for i in range(block.rank):
-            for j in range(block.rank):
-                bil[off + i][off + j] = u[i][j] * s % n
-            if p == 2:
-                q.append(u[i][i] * s % (2 * n))
-            else:
-                q.append(2 * (u[i][i] * (pl + 1) // 2 % pl) * s)
-            orders.append(pl)
+    for level, g in pieces:
+        s, off = n >> level, len(orders)
+        for i, row in enumerate(g):
+            bil[off + i][off:off + len(row)] = [x * s % n for x in row]
+            q.append(row[i] * s % (2 * n))
+            orders.append(2**level)
     return FiniteQuadraticForm(tuple(orders), tuple(q), tuple(map(tuple, bil)))
-
-
-def discriminant_form(lattice: Lattice) -> dict[int, FiniteQuadraticForm]:
-    """(A_L, q_L) for an even lattice as its p-primary parts {p: (A_p, q_p)}
-    for p | det, in increasing p, each read off the p-adic Jordan blocks of
-    level >= 1 at p."""
-    if not lattice.is_even:
-        raise PreconditionError("discriminant form requires an even lattice")
-    return {p: _part_from_jordan(jordan_decompose(lattice, p)) for p in lattice.det_factors}
 
 
 def finite_isometry_order(decomps: list[JordanDecomposition]) -> int:
@@ -110,9 +107,10 @@ def finite_isometry_order(decomps: list[JordanDecomposition]) -> int:
     At odd p the count is closed form (`_odd_isometry_order`).  A cyclic
     2-part Z/2^k has q(g) = u/2^k with u odd, so x -> a x is an isometry iff
     a^2 = 1 mod 2^(k+1), iff a = +-1 mod 2^k: 1 isometry at k = 1, else 2.
-    A non-cyclic 2-part is built as a form and counted down a stabilizer
-    chain (`_chain_count`), whose bucket pass visits all |A_2| elements; the
-    enumeration guard prices it by that pass.
+    A non-cyclic 2-part is built as a form from the block invariants
+    (`_two_part`) and counted down a stabilizer chain (`_chain_count`),
+    whose bucket pass visits all |A_2| elements; the enumeration guard
+    prices it by that pass.
     """
     count = 1
     for decomp in decomps:
@@ -122,7 +120,7 @@ def finite_isometry_order(decomps: list[JordanDecomposition]) -> int:
         elif sum(b.rank for b in blocks) == 1:
             count *= 1 if blocks[0].level == 1 else 2
         else:
-            form = _part_from_jordan(decomp)
+            form = _two_part(blocks)
             if form.order > ISOMETRY_ENUM_CAP:
                 raise FeasibilityError(
                     f"isometry enumeration guard: the 2-part of A has "
@@ -150,7 +148,7 @@ def _odd_isometry_order(p: int, blocks: list[JordanBlock]) -> int:
     for block in blocks:
         n, k = block.rank, block.level
         m, odd = divmod(n, 2)
-        count *= 2 * prod(p ** (2 * i) - 1 for i in range(1, m + odd))
+        count *= 2 * _p_series_num(p, (n - 1) // 2)
         if not odd:
             count *= p**m - block.chi
         e += m * (m - 1 + odd) + (k - 1) * n * (n - 1) // 2 + below * n

@@ -10,20 +10,21 @@ block; the elimination keeps only that remaining (active) block, so every
 row and column update runs over the active indices alone.
 
 A direct sum is split one summand at a time: `jordan_decompose` splits each
-distinct summand Gram once and concatenates the pieces, and `_assemble`
-sorts the pieces within each level.  On a block-diagonal Gram the
-elimination never mixes blocks, and its pivot rule restricted to one block
-picks what it would pick on that block alone, so the split of the whole
-Gram is an interleaving of the summand splits; sorting makes the
-interleaving irrelevant.  Only the non-unimodular atoms bring bad primes.
+distinct summand Gram once and concatenates the pieces.  On a
+block-diagonal Gram the elimination never mixes blocks, and its pivot rule
+restricted to one block picks what it would pick on that block alone, so
+the split of the whole Gram is an interleaving of the summand splits; each
+invariant of a level is a product or a sorted multiset of piece data, so
+the interleaving does not matter.  Only the non-unimodular atoms bring bad
+primes.
 
 A summand unimodular at p (p does not divide its det; at p = 2 it must also
 be even, such as U or E8(-1)) is not split at all: its pieces would all
-land in level 0, whose Gram nothing reads, and it gives level 0 only its
-rank and det.  At odd p the det joins the product of the level-0 units.  At
-p = 2 its split would be even 2x2 pieces with product of determinants
-= det mod 8, each of class 7 (chi +1) or 3 (chi -1), so it multiplies the
-level-0 chi by kronecker(det, 2).
+land in level 0, and it gives level 0 only its rank and det.  At odd p
+the det joins the product of the level-0 units.  At p = 2 its split would
+be even 2x2 pieces with product of determinants = det mod 8, each of class
+7 (chi +1) or 3 (chi -1), so it multiplies the level-0 chi by
+kronecker(det, 2).
 
 All arithmetic runs modulo p^M with M = 2 v_p(det) + 8, det that of the
 whole lattice, also when a summand is split on its own.  A split-off piece
@@ -40,8 +41,11 @@ by the classical unit relation (Conway-Sloane, SPLAG ch. 15 section 7)
     <a> + <b> + <c>  ~  <a+b+c> + (even binary of determinant abc/(a+b+c))
 
 over Z_2; its correctness is enforced empirically by the density oracle
-tests, not assumed.  The `unit_gram` of a block of level >= 1 stays the
-raw split, which the discriminant form reads; a level-0 block carries none.
+tests, not assumed.
+
+A block is only its invariants (level, rank, chi, odd_units): the density
+and the discriminant form read nothing else, so no split Gram leaves this
+module and its working precision is no other module's concern.
 """
 
 from __future__ import annotations
@@ -57,21 +61,20 @@ _MIN_UNIT_PRECISION = 4
 
 
 class JordanBlock(NamedTuple):
-    """One constituent p^level U of the decomposition.
+    """One constituent p^level U of the decomposition, as its invariants.
 
-    unit_gram is U as split (diagonal at odd p; at p = 2 a block sum of
-    rank-1 odd and 2x2 even pieces), with entries mod p^(v_p(det) + 3), at
-    level >= 1 only; it is () at level 0, where no reader needs it.  At
-    odd p, chi is the Legendre symbol of (-1)^(rank/2) det U (0 at odd rank)
-    and odd_units is empty.  At p = 2, odd_units are the odd part's units
-    mod 8, compressed to at most two and sorted, and chi is the chi of the
-    even part after compression (+1 for the empty even part); the even rank
-    is rank - len(odd_units).
+    At odd p, chi is the Legendre symbol of (-1)^(rank/2) det U (0 at odd
+    rank) and odd_units is empty; they fix U up to isometry at even rank
+    and up to a unit scaling at odd rank.  At p = 2, odd_units are the odd
+    part's units mod 8, compressed to at most two and sorted, and chi is
+    the chi of the even part after compression (+1 for the empty even
+    part): a sum of hyperbolic planes H, with one V = [2,1;1,2] when
+    chi = -1, of rank rank - len(odd_units).  These fix U up to isometry
+    over Z_2 (Conway-Sloane, SPLAG ch. 15 section 7).
     """
 
     level: int
     rank: int
-    unit_gram: tuple[tuple[int, ...], ...]
     chi: int
     odd_units: tuple[int, ...]
 
@@ -236,46 +239,30 @@ def _two_adic_invariants(pieces) -> tuple[int, tuple[int, ...]]:
     return chi, tuple(units)
 
 
-def _block_diag(pieces):
-    n = sum(len(pc) for pc in pieces)
-    rows = [[0] * n for _ in range(n)]
-    off = 0
-    for pc in pieces:
-        k = len(pc)
-        for a in range(k):
-            for b in range(k):
-                rows[off + a][off + b] = pc[a][b]
-        off += k
-    return tuple(tuple(r) for r in rows)
-
-
-def _assemble(pieces_by_level, p: int, report_exp: int,
+def _assemble(pieces_by_level, p: int,
               unimodular: tuple[int, int] = (0, 1)) -> tuple[JordanBlock, ...]:
     """The blocks from the split pieces of each level, plus `unimodular`:
     (rank, det) of the summands added to level 0 without a split (an even
     one at p = 2), whose det is a unit at p."""
-    pR = p**report_exp
     extra_rank, extra_det = unimodular
     blocks = []
     for level in sorted({*pieces_by_level, *([0] if extra_rank else [])}):
-        reduced = sorted([[x % pR for x in row] for row in pc]
-                         for pc in pieces_by_level.get(level, ()))
-        rank = sum(len(pc) for pc in reduced)
+        pieces = pieces_by_level.get(level, ())
+        rank = sum(len(pc) for pc in pieces)
         det_unit = 1
         if level == 0:
             rank += extra_rank
             det_unit = extra_det
         if p == 2:
-            chi, odd_units = _two_adic_invariants(reduced)
+            chi, odd_units = _two_adic_invariants(pieces)
             # the even split of the unsplit part has prod det_i = det mod 8,
             # and _even_chi(d) = kronecker(d, 2) for d = 3, 7 mod 8
             chi *= kronecker(det_unit, 2)
         else:
             odd_units = ()
-            det_unit *= prod(pc[0][0] % p for pc in reduced)
+            det_unit *= prod(pc[0][0] % p for pc in pieces)
             chi = 0 if rank % 2 else kronecker((-1) ** (rank // 2) * det_unit, p)
-        gram = _block_diag(reduced) if level else ()
-        blocks.append(JordanBlock(level, rank, gram, chi, odd_units))
+        blocks.append(JordanBlock(level, rank, chi, odd_units))
     return tuple(blocks)
 
 
@@ -301,7 +288,7 @@ def jordan_decompose(lattice: Lattice, p: int) -> JordanDecomposition:
         for level, piece in splits[part.gram]:
             by_level.setdefault(level, []).append(piece)
     decomp = JordanDecomposition(
-        p, _assemble(by_level, p, vdet + 3, (unimodular_rank, unimodular_det)))
+        p, _assemble(by_level, p, (unimodular_rank, unimodular_det)))
     if decomp.total_rank != lattice.rank:
         raise InternalCheckError("Jordan blocks do not exhaust the rank")
     if decomp.det_valuation != vdet:

@@ -163,7 +163,9 @@ def build_report(
     prime, which gives both the densities and (for the stable tags) the
     discriminant form and |O(q)|, the Euler product from the densities, and
     vol_HM(O(L)) from that.  Every tag's volume is its index times
-    vol_HM(O(L)), and its cusp term is 2/n! times that volume.
+    vol_HM(O(L)), and its cusp term is 2/n! times that volume.  A repeated
+    tag counts once.  With a hyperbolic-plane direct summand the genus has
+    one class, so any g_sp_plus but 1 is a precondition error.
     """
     if g_sp_plus < 1:
         raise PreconditionError("spinor genus count must be a positive integer")
@@ -171,15 +173,22 @@ def build_report(
         raise PreconditionError("volume formula needs rank >= 3")
     if lattice.is_definite:
         raise PreconditionError("volume formula needs an indefinite lattice")
+    g_justified = lattice.has_hyperbolic_summand
+    if g_justified and g_sp_plus != 1:
+        raise PreconditionError(
+            f"g_sp+ = {g_sp_plus} contradicts the hyperbolic-plane direct summand: "
+            "the genus has a single class, so g_sp+ = 1"
+        )
     sig = lattice.signature
     is_two_n = sig.positive == 2 and sig.negative >= 1
     if tags is None:
-        if is_two_n and lattice.is_even and lattice.has_hyperbolic_summand:
+        if is_two_n and lattice.is_even and g_justified:
             tags = GROUP_TAGS
         elif is_two_n:
             tags = ("O", "O+", "SO+")
         else:
             tags = ("O",)
+    tags = tuple(dict.fromkeys(tags))
     bad = bad_primes(lattice)
     decomps = [jordan_decompose(lattice, p) for p in bad]
     densities = [density_from_decomposition(d) for d in decomps]
@@ -194,11 +203,10 @@ def build_report(
         det_power = adet ** (rho // 2) * s * c
     vol = Fraction(2 * det_power, g_sp_plus) * gamma_factor(rho) * euler.coefficient
     assumptions = []
-    g_justified = lattice.has_hyperbolic_summand
     if g_justified:
         assumptions.append(
-            "g_sp+ = %d; the default 1 is justified: a hyperbolic-plane direct summand "
-            "is present, so the genus has a single class" % g_sp_plus
+            "g_sp+ = 1; the default 1 is justified: a hyperbolic-plane direct summand "
+            "is present, so the genus has a single class"
         )
     else:
         assumptions.append(

@@ -300,6 +300,28 @@ def test_malformed_option_exits_2(capsys, argv):
     assert f"error: argument {argv[2]}" in capsys.readouterr().err
 
 
+def test_gsp_override_exits_3_only_with_a_hyperbolic_summand(capsys):
+    code, out, err = run(capsys, "analyze", "U + <2> + <-2>", "--gsp", "2", "--group", "O~+")
+    assert (code, out) == (3, "")
+    assert err == ("precondition violated: g_sp+ = 2 contradicts the hyperbolic-plane "
+                   "direct summand: the genus has a single class, so g_sp+ = 1\n")
+    # without the syntactic summand the default 1 is only assumed
+    text = "gram[0,1;1,0] + gram[0,1;1,0] + <-2>"
+    code, out, _ = run(capsys, "analyze", text, "--gsp", "2", "--json")
+    assert code == 0, out
+    doc = json.loads(out)
+    assert doc["g_sp_plus"] == 2
+    assert any("g_sp+ = 2 assumed" in note for note in doc["assumptions"])
+
+
+def test_repeated_group_prints_once(capsys):
+    argv = ("analyze", "2*U + <-2>", "--group", "O~+")
+    code, once, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--group", "O~+") == (0, once, "")
+    assert once.count("O~+: -id lies in the group") == 1
+
+
 def test_catalog_l_with_large_cyclic_two_parts(capsys):
     # L(m, 2^k) has the cyclic 2-part Z/2^(k+1), over the old enumeration cap
     code, out, _ = run(capsys, "catalog", "L", "--m", "0,2", "--d", "65536,131072,1048576")

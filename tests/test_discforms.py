@@ -15,7 +15,7 @@ from hmvol.discforms import (
     ISOMETRY_ENUM_CAP,
     FiniteQuadraticForm,
     _chain_count,
-    discriminant_form,
+    _two_part,
     finite_isometry_order,
     index_and_minus_id,
     stable_invariants,
@@ -50,6 +50,22 @@ def _form(orders, q_values, bilinear) -> FiniteQuadraticForm:
 
 def _unit(k: int, i: int) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(k))
+
+
+def _program_two_part(lat) -> FiniteQuadraticForm:
+    """(A_2, q_2) as the program builds it, from the 2-adic Jordan blocks of
+    level >= 1."""
+    return _two_part([b for b in jordan_decompose(lat, 2).blocks if b.level])
+
+
+def discriminant_form(lat) -> dict[int, FiniteQuadraticForm]:
+    """(A_L, q_L) of an even lattice as its p-parts {p: (A_p, q_p)}, p | det
+    in increasing p: the 2-part as the program builds it, the odd parts from
+    the Smith-form reference (the program builds no odd part)."""
+    parts = dict(_p_parts(_smith_discriminant_form(lat)))
+    if 2 in parts:
+        parts[2] = _program_two_part(lat)
+    return parts
 
 
 def test_factorize_and_rho():
@@ -97,8 +113,12 @@ def test_discriminant_form_n_binary():
 
 
 def test_discriminant_form_rejects_odd_lattice():
+    # the stable-group route is the one reader of the discriminant form
+    lat = lattice_from_text("U + <1> + <-2>")
     with pytest.raises(PreconditionError, match="even"):
-        discriminant_form(rank_one(1))
+        stable_invariants(lat, [jordan_decompose(lat, 2)])
+    with pytest.raises(PreconditionError, match="even"):
+        build_report(lat, ("O~+",))
 
 
 def test_group_order_matches_det():
@@ -464,6 +484,52 @@ def test_isometry_order_is_basis_invariant():
                     assert _count_isometries(moved) == expected, (text, p)
 
 
+def _congruent_gram(gram, rng: random.Random, steps: int) -> list[list[int]]:
+    """E G E^t for a seeded product E of `steps` elementary matrices of
+    GL_n(Z): each adds +-1 times row and column j to row and column i."""
+    g = [list(row) for row in gram]
+    for _ in range(steps):
+        i, j = rng.sample(range(len(g)), 2)
+        c = rng.choice((-1, 1))
+        g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+        for row in g:
+            row[i] += c * row[j]
+    return g
+
+
+def test_two_part_depends_only_on_block_invariants():
+    # a Gram literal congruent to a sum over Z is split along another
+    # basis, but where its 2-adic blocks have the sum's invariants, the
+    # 2-part built from them has the same tables, so the same |O(q_2)|
+    for text, expected in (("2*U + <-2> + E8(-2)", 348_364_800),
+                           ("U + U(2) + E8(-2)", 46_998_591_897_600)):
+        lat = lattice_from_text(text)
+        blocks = jordan_decompose(lat, 2).blocks
+        form = _program_two_part(lat)
+        for seed in range(4):
+            literal = from_gram(_congruent_gram(lat.gram, random.Random(seed), 30))
+            assert literal.det == lat.det and literal.gram != lat.gram, (text, seed)
+            assert jordan_decompose(literal, 2).blocks == blocks, (text, seed)
+            assert _program_two_part(literal) == form, (text, seed)
+            assert isometry_order(literal) == isometry_order(lat) == expected, (text, seed)
+
+
+def test_sign_walked_invariants_give_the_same_isometry_order():
+    # 2-adic block invariants are not unique: this literal congruent to
+    # 2*U + <-4> + E8(-2) splits as (level 1, chi = -1) + <3 * 4>, the sum as
+    # (level 1, chi = +1) + <7 * 4>; the two 2-parts are isometric, so
+    # |O(q_2)| agrees
+    lat = lattice_from_text("2*U + <-4> + E8(-2)")
+    literal = from_gram(_congruent_gram(lat.gram, random.Random(4), 30))
+    invariants = [[(b.level, b.rank, b.chi, b.odd_units) for b in jordan_decompose(x, 2).blocks]
+                  for x in (lat, literal)]
+    assert invariants == [[(0, 4, 1, ()), (1, 8, 1, ()), (2, 1, 1, (7,))],
+                          [(0, 4, 1, ()), (1, 8, -1, ()), (2, 1, 1, (3,))]]
+    assert isometry_order(literal) == isometry_order(lat) == 94_755_225_600
+    ref = dict(_p_parts(_smith_discriminant_form(literal)))[2]
+    assert _order_and_q_multiset(_program_two_part(literal)) == _order_and_q_multiset(ref)
+
+
 def test_isometry_count_leaves_no_reference_cycles():
     lat = lattice_from_text("U + U(2) + 3*<-2>")
     parts = discriminant_form(lat)
@@ -690,28 +756,33 @@ def _p_parts(form: FiniteQuadraticForm) -> list[tuple[int, FiniteQuadraticForm]]
     return parts
 
 
-def _fraction_form_from_jordan(decomps) -> tuple[list[int], list[Fraction], list[list[Fraction]]]:
-    """(orders, q(g_i), b(g_i, g_j)) in `Fraction`s read off the Jordan
-    blocks p^l U, l >= 1, with no common scale: b = U_ij / p^l mod 1;
-    q = U_ii / 2^l mod 2 at p = 2 and the lift 2c / p^l, 2c = U_ii mod p^l,
-    at odd p.  The reference for `_part_from_jordan`'s integer tables."""
-    blocks = [(d.p, b) for d in decomps for b in d.blocks if b.level >= 1]
-    k = sum(b.rank for _, b in blocks)
+def _fraction_two_part(blocks) -> tuple[list[int], list[Fraction], list[list[Fraction]]]:
+    """(orders, q(g_i), b(g_i, g_j)) in `Fraction`s with no common scale,
+    for the 2-adic Jordan blocks 2^l U, l >= 1: U is the block diagonal of
+    its hyperbolic planes [0,1;1,0] (the last one [2,1;1,2] when chi = -1)
+    and then its odd units <u>, and each row gives a generator of order 2^l
+    with b = U_ij / 2^l mod 1 and q = U_ii / 2^l mod 2.  The reference for
+    `_two_part`'s integer tables."""
     orders: list[int] = []
-    q_vals: list[Fraction] = []
-    bil = [[Fraction(0)] * k for _ in range(k)]
-    for p, block in blocks:
-        pl = p**block.level
-        u = block.unit_gram
-        off = len(orders)
-        for i in range(block.rank):
-            for j in range(block.rank):
-                bil[off + i][off + j] = Fraction(u[i][j], pl) % 1
-            if p == 2:
-                q_vals.append(Fraction(u[i][i], pl) % 2)
-            else:
-                q_vals.append(Fraction(2 * (u[i][i] * (pl + 1) // 2 % pl), pl))
+    diagonal: list[tuple[int, int]] = []  # (2^l, U_ii)
+    pairs: dict[tuple[int, int], Fraction] = {}
+    for block in blocks:
+        pl = 2**block.level
+        planes = (block.rank - len(block.odd_units)) // 2
+        for t in range(planes):
+            i = len(orders)
+            d = 2 if block.chi == -1 and t == planes - 1 else 0
+            diagonal += [(pl, d), (pl, d)]
+            pairs[i, i + 1] = pairs[i + 1, i] = Fraction(1, pl)
+            orders += [pl, pl]
+        for u in block.odd_units:
+            diagonal.append((pl, u))
             orders.append(pl)
+    k = len(orders)
+    q_vals = [Fraction(d, pl) % 2 for pl, d in diagonal]
+    bil = [[pairs.get((i, j), Fraction(0)) for j in range(k)] for i in range(k)]
+    for i, (pl, d) in enumerate(diagonal):
+        bil[i][i] = Fraction(d, pl) % 1
     return orders, q_vals, bil
 
 
@@ -719,9 +790,18 @@ def _order_and_q_multiset(form: FiniteQuadraticForm) -> Counter:
     return Counter((element_order(form, x), q_of(form, x)) for x in elements(form))
 
 
+# 2-parts with chi = -1 beside 0, 1 or 2 odd units, and over three levels
+TWO_ADIC_TEXTS = (
+    "U + U(2) + gram[-4,2;2,-4]", "2*U + gram[-4,2;2,-4] + <-2>",
+    "2*U + gram[-4,2;2,-4] + <-2> + <-6>", "U + U(2) + 3*<-2>",
+    "2*U + <-2> + <-4> + <-8>", "U + U(2) + U(4) + <-8>",
+)
+
+
 def _smith_corpus() -> dict:
     corpus = {}
-    for text in SIGNATURE_2N_EXPRESSIONS + BRUTE_FORCE_TEXTS + BRUTE_FORCE_MULTI_PRIME_TEXTS:
+    texts = SIGNATURE_2N_EXPRESSIONS + BRUTE_FORCE_TEXTS + BRUTE_FORCE_MULTI_PRIME_TEXTS
+    for text in texts + TWO_ADIC_TEXTS:
         lat = lattice_from_text(text)
         if lat.is_even:
             corpus[text] = lat
@@ -734,41 +814,50 @@ def _smith_corpus() -> dict:
 
 
 def test_jordan_form_matches_smith_reference():
-    # the parts read off the Jordan blocks and the p-parts of the Smith-form
-    # construction describe the same (A_p, q_p) at every p: same order,
-    # exponent test and |O(q_p)|, and on small groups the same
-    # (element order, q) value distribution
+    # the 2-part built from the 2-adic Jordan invariants and the 2-part of
+    # the Smith-form construction describe the same (A_2, q_2): same order,
+    # exponent test and |O(q_2)|, and on small groups the same (element
+    # order, q) value distribution; at every p the program's |O(q_p)|, read
+    # off the Jordan blocks, is the stabilizer chain on the reference part
     compared = 0
     for name, lat in _smith_corpus().items():
-        parts = discriminant_form(lat)
         ref = dict(_p_parts(_smith_discriminant_form(lat)))
-        assert list(parts) == list(ref) == list(lat.det_factors), name
-        assert prod(part.order for part in parts.values()) == abs(lat.det), name
-        for p, part in parts.items():
-            assert part.order == ref[p].order, (name, p)
-            assert (part.exponent <= 2) == (ref[p].exponent <= 2), (name, p)
+        assert list(ref) == list(lat.det_factors), name
+        assert prod(part.order for part in ref.values()) == abs(lat.det), name
+        for p in ref:
             assert finite_isometry_order([jordan_decompose(lat, p)]) == _chain_count(ref[p]), (name, p)
-            if part.order <= 2000:
-                assert _order_and_q_multiset(part) == _order_and_q_multiset(ref[p]), (name, p)
-                compared += 1
-    assert compared > 150
+        if 2 not in ref:
+            continue
+        part = _program_two_part(lat)
+        assert part.order == ref[2].order, name
+        assert (part.exponent <= 2) == (ref[2].exponent <= 2), name
+        assert _chain_count(part) == _chain_count(ref[2]), name
+        if part.order <= 2000:
+            assert _order_and_q_multiset(part) == _order_and_q_multiset(ref[2]), name
+            compared += 1
+    assert compared > 100
 
 
 def test_integer_form_matches_fraction_jordan_route():
-    # the integer tables written from the Jordan blocks read back, through
-    # q_of and b_of, as the Fraction values of the old construction
+    # the integer tables written from the 2-adic Jordan invariants read
+    # back, through q_of and b_of, as the Fraction values of the reference
+    built, kinds = 0, set()
     for name, lat in _smith_corpus().items():
-        primes = sorted(factorize(abs(lat.det)))
-        parts = discriminant_form(lat)
-        assert list(parts) == primes, name
-        for p in primes:
-            orders, q_vals, bil = _fraction_form_from_jordan([jordan_decompose(lat, p)])
-            form = parts[p]
-            assert list(form.orders) == orders, (name, p)
-            units = [_unit(len(orders), i) for i in range(len(orders))]
-            assert [q_of(form, x) for x in units] == q_vals, (name, p)
-            assert [[b_of(form, x, y) for y in units] for x in units] == bil, (name, p)
-            assert all(isinstance(v, int) for v in form.q + sum(form.b, ())), (name, p)
+        if 2 not in lat.det_factors:
+            continue
+        blocks = [b for b in jordan_decompose(lat, 2).blocks if b.level]
+        kinds |= {(b.chi, len(b.odd_units)) for b in blocks}
+        kinds.add(len(blocks))
+        orders, q_vals, bil = _fraction_two_part(blocks)
+        form = _two_part(blocks)
+        assert list(form.orders) == orders, name
+        units = [_unit(len(orders), i) for i in range(len(orders))]
+        assert [q_of(form, x) for x in units] == q_vals, name
+        assert [[b_of(form, x, y) for y in units] for x in units] == bil, name
+        assert all(isinstance(v, int) for v in form.q + sum(form.b, ())), name
+        built += 1
+    # chi = -1 with each odd-part size, and parts over several levels
+    assert built > 120 and {(-1, 0), (-1, 1), (-1, 2), 2, 3} <= kinds, kinds
 
 
 def test_p_parts_rescale_smith_forms():

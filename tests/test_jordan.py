@@ -12,6 +12,7 @@ from hmvol.expr import lattice_from_text
 from hmvol.families import k_lattice, l_lattice, n_lattice, t_lattice, unimodular_ii
 from hmvol.jordan import (
     _MIN_UNIT_PRECISION,
+    JordanBlock,
     JordanDecomposition,
     _assemble,
     _split_pieces,
@@ -143,15 +144,13 @@ def scan_split_pieces(gram, p: int, modulus_exp: int):
 
 def scan_decompose(lattice: Lattice, p: int) -> JordanDecomposition:
     """`jordan_decompose` assembled from `scan_split_pieces` of the whole
-    Gram at the same working precision, unimodular summands included.
-    Level-0 blocks carry no `unit_gram` on either route, so equality
-    compares level, rank, chi and odd_units at every level and unit_gram at
-    levels >= 1."""
+    Gram at the same working precision, unimodular summands included;
+    equality compares level, rank, chi and odd_units at every level."""
     vdet = valuation(lattice.det, p)
     by_level: dict[int, list] = {}
     for level, piece in scan_split_pieces(lattice.gram, p, 2 * vdet + 8):
         by_level.setdefault(level, []).append(piece)
-    return JordanDecomposition(p, _assemble(by_level, p, vdet + 3))
+    return JordanDecomposition(p, _assemble(by_level, p))
 
 
 def _assert_matches_scan(lattice: Lattice, p: int) -> None:
@@ -251,10 +250,10 @@ def test_unsplit_unimodular_chi_matches_split():
             by_level: dict[int, list] = {}
             for level, piece in _split_pieces(atom.gram, p, 8):
                 by_level.setdefault(level, []).append(piece)
-            (split_block,) = _assemble(by_level, p, 3)
+            (split_block,) = _assemble(by_level, p)
             (block,) = jordan_decompose(atom, p).blocks
             assert block == split_block, (atom.gram, p)
-            assert (block.level, block.rank, block.unit_gram) == (0, atom.rank, ())
+            assert (block.level, block.rank) == (0, atom.rank)
         assert jordan_decompose(atom, 2).blocks[0].chi == kronecker(atom.det, 2)
 
 
@@ -330,6 +329,18 @@ def test_t_lattice_two_adic_blocks():
     b0, b1 = dec.blocks
     assert (b0.rank, b0.odd_units, b0.chi) == (10, (), 1)
     assert (b1.rank, b1.odd_units, b1.chi) == (2, (), 1)
+
+
+def test_jordan_block_is_its_invariants():
+    # a block holds no split Gram, so the order of the summands, which
+    # orders the pieces of a level, leaves every block unchanged
+    assert JordanBlock._fields == ("level", "rank", "chi", "odd_units")
+    texts = ("<-2> + U(2) + <-6> + gram[-4,2;2,-4]", "gram[-4,2;2,-4] + <-6> + U(2) + <-2>")
+    expected = {2: (JordanBlock(1, 6, -1, (5, 7)),),
+                3: (JordanBlock(0, 4, 1, ()), JordanBlock(1, 2, 1, ()))}
+    for p, blocks in expected.items():
+        for text in texts:
+            assert jordan_decompose(lattice_from_text(text), p).blocks == blocks, (text, p)
 
 
 def test_e8_two_adic_single_even_block():

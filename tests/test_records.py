@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hmvol.density import local_density
-from hmvol.discforms import discriminant_form
+from hmvol.discforms import _two_part
 from hmvol.expr import Term, _tokenize, lattice_from_text, parse_expr
 from hmvol.jordan import jordan_decompose
 from hmvol.lattices import e8, hyperbolic_plane
@@ -26,7 +26,7 @@ def one_of_each_record():
         "JordanBlock": decomp.blocks[0],
         "JordanDecomposition": decomp,
         "LocalDensity": local_density(lat, 3),
-        "FiniteQuadraticForm": discriminant_form(lat)[3],
+        "FiniteQuadraticForm": _two_part([b for b in decomp.blocks if b.level]),
         "SymbolicReal": euler_alpha_product(lat),
         "VolumeReport": build_report(lat),
     }

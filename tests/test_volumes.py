@@ -113,9 +113,31 @@ def test_vol_hm_odd_lattice_signature_2n():
 
 
 def test_spinor_genus_parameter_threads_through():
+    # L(0, 1) written without a syntactic hyperbolic summand, where g_sp+ = 1
+    # is only assumed, so an override divides every volume
+    lat = lattice_from_text("gram[0,1;1,0] + gram[0,1;1,0] + <-2>")
+    assert vol_hm(lat, 2) == vol_hm(lat) / 2 == vol_hm(l_lattice(0, 1)) / 2
+    assert group_volume(lat, "O+", 4) == group_volume(lat, "O+") / 4
+    assert cusp_dim_leading(lat, "SO+", 3) == cusp_dim_leading(lat, "SO+") / 3
+
+
+def test_spinor_genus_override_contradicting_hyperbolic_summand_is_rejected():
+    # a hyperbolic-plane direct summand leaves one class in the genus, so
+    # g_sp+ is 1 and no other value may divide the volumes
+    for lat in (l_lattice(0, 1), lattice_from_text("U + <2> + <-2>")):
+        assert build_report(lat, ("O~+",), 1).g_justified
+        for call in (lambda: build_report(lat, ("O~+",), 2), lambda: vol_hm(lat, 2),
+                     lambda: group_volume(lat, "O~+", 4), lambda: cusp_dim_leading(lat, "O+", 2)):
+            with pytest.raises(PreconditionError, match=r"g_sp\+ = \d contradicts the hyperbolic"):
+                call()
+
+
+def test_repeated_tags_count_once():
     lat = l_lattice(0, 1)
-    assert vol_hm(lat, 2) == vol_hm(lat) / 2
-    assert group_volume(lat, "O~+", 4) == group_volume(lat, "O~+") / 4
+    once, twice = build_report(lat, ("O~+",)), build_report(lat, ("O~+", "O+", "O~+"))
+    assert once.assumptions == [a for a in twice.assumptions if not a.startswith("O+")]
+    assert list(twice.volumes) == list(twice.indices) == list(twice.cusp_leading) == ["O~+", "O+"]
+    assert sum(a.startswith("O~+: -id") for a in twice.assumptions) == 1
 
 
 def test_sp2z_anchor():
@@ -298,7 +320,7 @@ def test_build_report_runs_each_stage_once(monkeypatch):
         "jordan_decompose": jordan.jordan_decompose,
         "_euler_product": volumes._euler_product,
         "generalized_bernoulli": special_values.generalized_bernoulli,
-        "_part_from_jordan": discforms._part_from_jordan,
+        "_two_part": discforms._two_part,
         "finite_isometry_order": discforms.finite_isometry_order,
         "factorize": arith.factorize,
         "squarefree_decompose": arith.squarefree_decompose,
@@ -327,7 +349,7 @@ def test_build_report_runs_each_stage_once(monkeypatch):
     # |O(q)| counted once; the odd parts are closed form from their Jordan
     # blocks, so only the non-cyclic 2-part (Z/2 + Z/4) is built as a form
     assert list(lat.det_factors) == [2, 3, 5]
-    assert [d.p for (d,) in calls["_part_from_jordan"]] == [2]
+    assert [[(b.level, b.rank) for b in blocks] for (blocks,) in calls["_two_part"]] == [[(1, 1), (2, 1)]]
     assert len(calls["finite_isometry_order"]) == 1
     # one Jordan decomposition per bad prime feeds both the densities and
     # the discriminant form, and no good prime is decomposed
