@@ -160,9 +160,9 @@ def build_report(
     """Assemble the full report used by the CLI and the acceptance tests.
 
     Each stage runs once for the lattice: one Jordan decomposition per bad
-    prime, which gives both the densities and (for the stable tags) the
-    discriminant form and |O(q)|, the Euler product from the densities, and
-    vol_HM(O(L)) from that.  Every tag's volume is its index times
+    prime and one density from each, which give the Euler product, then
+    vol_HM(O(L)), and (for the stable tags) |O(q)| at the primes dividing
+    det.  Every tag's volume is its index times
     vol_HM(O(L)), and its cusp term is 2/n! times that volume.  A repeated
     tag counts once.  With a hyperbolic-plane direct summand the genus has
     one class, so any g_sp_plus but 1 is a precondition error.
@@ -215,7 +215,7 @@ def build_report(
         )
     stable = None
     if any(tag in STABLE_TAGS for tag in tags):
-        stable = stable_invariants(lattice, decomps)
+        stable = stable_invariants(lattice, decomps, densities)
     volumes: dict[str, Fraction] = {}
     indices: dict[str, int] = {}
     cusp: dict[str, Fraction] = {}

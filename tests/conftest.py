@@ -1,6 +1,9 @@
+from math import prod
+
 import pytest
 
 from hmvol.arith import factorize
+from hmvol.density import density_from_decomposition
 from hmvol.discforms import finite_isometry_order
 from hmvol.expr import lattice_from_text
 from hmvol.jordan import jordan_decompose
@@ -57,10 +60,14 @@ def signature_2n_corpus():
     return [(text, lattice_from_text(text)) for text in SIGNATURE_2N_EXPRESSIONS]
 
 
+def part_order(decomp) -> int:
+    """|O(q_p)| by the program's route, read off the density of `decomp`."""
+    return finite_isometry_order([(decomp, density_from_decomposition(decomp))])
+
+
 def isometry_order(lat) -> int:
-    """|O(q_L)| by the program's route: closed form at odd p and on a cyclic
-    2-part, the stabilizer chain on a non-cyclic 2-part."""
-    return finite_isometry_order([jordan_decompose(lat, p) for p in lat.det_factors])
+    """|O(q_L)| by the program's route: the product of the |O(q_p)|, p | det."""
+    return prod(part_order(jordan_decompose(lat, p)) for p in lat.det_factors)
 
 
 def num_prime_divisors(d: int) -> int:

@@ -165,20 +165,17 @@ def test_oracle_guard_names_a_deep_power_without_forming_it(capsys, expr, p, r, 
                    "exceeds 2^30 naive candidates\n")
 
 
-def test_isometry_guard_exit_4(capsys):
-    # a non-cyclic 2-part with more than 10^5 elements is still over the cap
-    code, _, err = run(capsys, "analyze", "2*U + <-2> + <-131072>", "--group", "O~+")
-    assert code == 4
-    assert "2-part" in err and "|A_2| = 262144" in err
-
-
 @pytest.mark.parametrize("expr, n_iso", [
     ("2*U + <-131072>", 2),  # cyclic 2-part Z/2^17
     ("2*U + 2*<-14> + 2*<-98>", 34_420_736),  # |A_7| = 7^6
     ("2*U + 2*<-10> + 3*<-50>", 450_000_000_000),  # |A_5| = 5^8
+    ("U + <2> + E8(-2)", 696_729_600),  # 2 |O+_8(2)|, A_2 = (Z/2)^9 of odd type
+    ("2*U + 2*E8(-2)", 3_646_667_308_127_140_301_114_201_478_266_880_000),  # A_2 = (Z/2)^16
+    ("2*U + <-2> + <-131072>", 4),  # A_2 = Z/2 + Z/2^17, as the chain oracle counts
 ])
 def test_closed_form_parts_over_the_cap_exit_0(capsys, expr, n_iso):
-    # cyclic 2-parts and odd parts are closed form, so no size trips the guard
+    # every |O(q_p)| is read off the density, so parts of any size, cyclic
+    # or not, report at once
     start = time.perf_counter()
     code, out, err = run(capsys, "analyze", expr, "--group", "O~+", "--json")
     assert time.perf_counter() - start < 0.1
@@ -194,7 +191,7 @@ def test_l_value_conductor_guard_exit_4(capsys):
 
 
 def test_analyze_e8_minus_two_stable_exit_0(capsys):
-    # |O(q)| = |O+_8(2)| = 348,364,800: counted down a stabilizer chain
+    # |O(q)| = |O+_8(2)| = 348,364,800, read off the density
     code, out, _ = run(capsys, "analyze", "2*U + E8(-2)", "--group", "O~+", "--json")
     assert code == 0
     doc = json.loads(out)

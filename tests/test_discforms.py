@@ -1,33 +1,29 @@
 import gc
+import importlib.util
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hmvol import discforms
 from hmvol.arith import factorize, is_prime, kronecker
-from hmvol.discforms import (
-    ISOMETRY_ENUM_CAP,
-    FiniteQuadraticForm,
-    _chain_count,
-    _two_part,
-    finite_isometry_order,
-    index_and_minus_id,
-    stable_invariants,
-)
-from hmvol.errors import FeasibilityError, PreconditionError
+from hmvol.density import density_from_decomposition
+from hmvol.discforms import finite_isometry_order, index_and_minus_id, stable_invariants
+from hmvol.errors import InternalCheckError, PreconditionError
 from hmvol.expr import lattice_from_text
 from hmvol.families import k_lattice, l_lattice, n_lattice, t_lattice, unimodular_ii
 from hmvol.jordan import jordan_decompose
 from hmvol.lattices import direct_sum, from_gram, rank_one
 from hmvol.volumes import build_report
 
-from conftest import SIGNATURE_2N_EXPRESSIONS, isometry_order, num_prime_divisors
+from chain_oracle import FiniteQuadraticForm, chain_count, two_part
+from conftest import SIGNATURE_2N_EXPRESSIONS, isometry_order, num_prime_divisors, part_order
 from discform_readers import b_of, element_order, elements, q_of
 
 
@@ -53,15 +49,22 @@ def _unit(k: int, i: int) -> tuple[int, ...]:
 
 
 def _program_two_part(lat) -> FiniteQuadraticForm:
-    """(A_2, q_2) as the program builds it, from the 2-adic Jordan blocks of
-    level >= 1."""
-    return _two_part([b for b in jordan_decompose(lat, 2).blocks if b.level])
+    """(A_2, q_2) as the chain oracle builds it, from the invariants of the
+    2-adic Jordan blocks of level >= 1."""
+    return two_part([b for b in jordan_decompose(lat, 2).blocks if b.level])
+
+
+def _stable(lat, primes=None) -> tuple[int, bool]:
+    """`stable_invariants` from the Jordan decompositions and densities at
+    `primes` (default: those dividing det)."""
+    decomps = [jordan_decompose(lat, p) for p in (lat.det_factors if primes is None else primes)]
+    return stable_invariants(lat, decomps, [density_from_decomposition(d) for d in decomps])
 
 
 def discriminant_form(lat) -> dict[int, FiniteQuadraticForm]:
     """(A_L, q_L) of an even lattice as its p-parts {p: (A_p, q_p)}, p | det
-    in increasing p: the 2-part as the program builds it, the odd parts from
-    the Smith-form reference (the program builds no odd part)."""
+    in increasing p: the 2-part built from the 2-adic block invariants, the
+    odd parts from the Smith-form reference."""
     parts = dict(_p_parts(_smith_discriminant_form(lat)))
     if 2 in parts:
         parts[2] = _program_two_part(lat)
@@ -116,7 +119,7 @@ def test_discriminant_form_rejects_odd_lattice():
     # the stable-group route is the one reader of the discriminant form
     lat = lattice_from_text("U + <1> + <-2>")
     with pytest.raises(PreconditionError, match="even"):
-        stable_invariants(lat, [jordan_decompose(lat, 2)])
+        _stable(lat, [2])
     with pytest.raises(PreconditionError, match="even"):
         build_report(lat, ("O~+",))
 
@@ -161,7 +164,7 @@ def test_unit_square_count_mod_4d():
 def test_minus_id_criterion():
     # -id lies in the stable group iff A_L has exponent <= 2
     def two_elementary(lat):
-        return stable_invariants(lat, [jordan_decompose(lat, p) for p in lat.det_factors])[1]
+        return _stable(lat)[1]
 
     assert two_elementary(l_lattice(0, 1))  # A = Z/2
     assert not two_elementary(l_lattice(0, 3))  # A = Z/6
@@ -268,8 +271,8 @@ def test_isometry_order_matches_brute_force():
         assert abs(lat.det) <= 16, text
         for p, part in parts.items():
             expected = _brute_force_isometry_order(part)
-            assert _chain_count(part) == expected, (text, p)
-            assert finite_isometry_order([jordan_decompose(lat, p)]) == expected, (text, p)
+            assert chain_count(part) == expected, (text, p)
+            assert part_order(jordan_decompose(lat, p)) == expected, (text, p)
         assert isometry_order(lat) == _brute_force_isometry_order(
             _smith_discriminant_form(lat)), text
     # several primes over several generators: the product over p-parts
@@ -321,8 +324,7 @@ def test_isometry_order_is_product_over_p_parts():
     # the enumerator above is the reference: the product over p-parts
     # equals it on the unsplit Smith-form reference of the whole group, and
     # on every p-part with |A_p| <= 10^4 of the corpora the stabilizer-chain
-    # count and the program's route (closed form at odd p and on a cyclic
-    # 2-part) equal it
+    # count and the program's route (read off the density) equal it
     unsplit = {}
     for text in SIGNATURE_2N_EXPRESSIONS:
         lat = lattice_from_text(text)
@@ -347,8 +349,8 @@ def test_isometry_order_is_product_over_p_parts():
         for p, part in discriminant_form(lat).items():
             if part.order <= 10**4:
                 expected = _count_isometries(part)
-                assert _chain_count(part) == expected, (name, p)
-                assert finite_isometry_order([jordan_decompose(lat, p)]) == expected, (name, p)
+                assert chain_count(part) == expected, (name, p)
+                assert part_order(jordan_decompose(lat, p)) == expected, (name, p)
                 counted += 1
                 odd += p != 2
     assert counted > 900 and odd > 400
@@ -371,9 +373,9 @@ def _odd_structure_text(p: int, rng: random.Random) -> tuple[str, tuple]:
 
 def test_odd_closed_form_matches_chain_on_generated_structures():
     # a seeded generator of multi-level odd parts (p <= 11, levels 1-3,
-    # ranks 1-3, both signs at even rank): the closed form read off the
-    # Jordan blocks equals the stabilizer chain on the part built from
-    # them, and the enumerator where its dead branches stay small
+    # ranks 1-3, both signs at even rank): |O(q_p)| read off the density
+    # equals the stabilizer chain on the part built from the Jordan blocks,
+    # and the enumerator where its dead branches stay small
     rng = random.Random(23)
     seen, enumerated, drawn = set(), 0, 0
     while drawn < 300:
@@ -386,8 +388,8 @@ def test_odd_closed_form_matches_chain_on_generated_structures():
         decomp = jordan_decompose(lat, p)
         assert tuple((b.level, b.rank, b.chi) for b in decomp.blocks if b.level) == structure
         part = discriminant_form(lat)[p]
-        expected = _chain_count(part)
-        assert finite_isometry_order([decomp]) == expected, text
+        expected = chain_count(part)
+        assert part_order(decomp) == expected, text
         if part.order ** (len(part.orders) - 1) <= 2 * 10**4:
             assert _count_isometries(part) == expected, text
             enumerated += 1
@@ -399,8 +401,8 @@ def test_odd_closed_form_matches_chain_on_generated_structures():
 
 
 def test_odd_cyclic_part_has_two_isometries():
-    # the closed form for a cyclic part at odd p, pinned by the stabilizer
-    # chain it bypasses: Z/p^k with q(g) = 2u/p^k for a square and a
+    # a cyclic part at odd p has the isometries +-1, by the stabilizer chain
+    # and by the density: Z/p^k with q(g) = 2u/p^k for a square and a
     # non-square unit u, which the Jordan blocks of <2u p^k> give
     for p in filter(is_prime, range(3, 2000)):
         non_square = next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
@@ -409,15 +411,15 @@ def test_odd_cyclic_part_has_two_isometries():
             for u in (1, non_square):
                 q = Fraction(2 * u, pk)
                 form = _form((pk,), (q % 2,), ((q % 1,),))
-                assert _chain_count(form) == 2, (pk, u)
+                assert chain_count(form) == 2, (pk, u)
                 decomp = jordan_decompose(rank_one(2 * u * pk), p)
-                assert finite_isometry_order([decomp]) == 2, (pk, u)
+                assert part_order(decomp) == 2, (pk, u)
             pk *= p
 
 
 def test_cyclic_two_part_rule_matches_chain():
     # Z/2^k with q(g) = u/2^k, u odd: 1 isometry at k = 1, else 2 (x -> a x
-    # with a = +-1 mod 2^k), against the stabilizer chain it bypasses, for
+    # with a = +-1 mod 2^k), by the stabilizer chain and the density, for
     # every odd u mod 2^(k+1) up to k = 7 and every odd u mod 16 beyond,
     # and through the Jordan blocks of <u 2^k>
     for k in range(1, 14):
@@ -425,9 +427,9 @@ def test_cyclic_two_part_rule_matches_chain():
         for u in range(1, 2 ** (k + 1) if k <= 7 else 16, 2):
             q = Fraction(u, 2**k)
             form = _form((2**k,), (q % 2,), ((q % 1,),))
-            assert _chain_count(form) == expected, (k, u)
+            assert chain_count(form) == expected, (k, u)
             decomp = jordan_decompose(rank_one(u * 2**k), 2)
-            assert finite_isometry_order([decomp]) == expected, (k, u)
+            assert part_order(decomp) == expected, (k, u)
 
 
 def test_isometry_order_anchors():
@@ -445,6 +447,18 @@ def test_isometry_order_anchors():
     parts = discriminant_form(lat)
     assert list(parts) == [2] and parts[2].orders == (2,) * 10
     assert isometry_order(lat) == 46_998_591_897_600
+    # each in well under a second: 2*E8(-2) gives m = 8 (2^16 elements);
+    # beside the odd type <2>, the characteristic element c (b(x, c) = q(x)
+    # mod 1) is the odd unit's generator, fixed by every isometry, and
+    # q(c) = 1/2 makes <c> an orthogonal summand, so |O(q)| is that of its
+    # complement, E8(-2) (m = 4) or U(2) + E8(-2) (m = 5)
+    for text, m in (("2*U + 2*E8(-2)", 8), ("U + <2> + E8(-2)", 4),
+                    ("2*U + <2> + E8(-2)", 4), ("U + U(2) + <2> + E8(-2)", 5)):
+        start = time.perf_counter()
+        order = isometry_order(lattice_from_text(text))
+        assert time.perf_counter() - start < 1, text
+        o_plus = 2 * 2 ** (m * (m - 1)) * (2**m - 1) * prod(4**i - 1 for i in range(1, m))
+        assert order == o_plus, text
 
 
 def _random_basis(form: FiniteQuadraticForm, rng: random.Random) -> FiniteQuadraticForm:
@@ -476,10 +490,10 @@ def test_isometry_order_is_basis_invariant():
         for p, part in discriminant_form(lattice_from_text(text)).items():
             if len(set(part.orders)) != 1 or len(part.orders) < 2:
                 continue
-            expected = _chain_count(part)
+            expected = chain_count(part)
             for _ in range(3):
                 moved = _random_basis(part, rng)
-                assert _chain_count(moved) == expected, (text, p, moved)
+                assert chain_count(moved) == expected, (text, p, moved)
                 if part.order <= 81:
                     assert _count_isometries(moved) == expected, (text, p)
 
@@ -534,11 +548,12 @@ def test_isometry_count_leaves_no_reference_cycles():
     lat = lattice_from_text("U + U(2) + 3*<-2>")
     parts = discriminant_form(lat)
     assert list(parts) == [2] and parts[2].orders == (2,) * 5
-    decomps = [jordan_decompose(lat, 2)]
+    decomp = jordan_decompose(lat, 2)
+    parts = [(decomp, density_from_decomposition(decomp))]
     gc.collect()
     gc.disable()
     try:
-        assert finite_isometry_order(decomps) > 0
+        assert finite_isometry_order(parts) > 0
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -568,60 +583,167 @@ def test_chain_count_matches_enumerator_on_random_sums(blocks):
     assert isometry_order(lat) == expected
 
 
-def test_chain_count_reached_only_by_non_cyclic_two_parts(monkeypatch):
-    # every other part is closed form, so no odd or cyclic part reaches the
-    # stabilizer chain (or its guard)
-    reached = []
+def _benchmark_pool_lattices() -> dict:
+    """Every lattice the four benchmark workloads build, keyed by op text:
+    the analyze and oracle expressions, and the catalog family members."""
+    spec = importlib.util.spec_from_file_location(
+        "hmbench_workloads", Path(__file__).parents[1] / "hmbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    builders = {"II": unimodular_ii, "T": t_lattice, "L": l_lattice, "K": k_lattice, "N": n_lattice}
+    lattices = {}
+    for workload in workloads.WORKLOADS:
+        for pool in workloads.pools(workload).values():
+            for op in pool:
+                if op["argv"][0] == "catalog":
+                    name, m, d = op["fam"]
+                    key = f"{name}({m},{d})"
+                    if key not in lattices:
+                        lattices[key] = builders[name](m) if d is None else builders[name](m, d)
+                elif op["argv"][1] not in lattices:
+                    lattices[op["argv"][1]] = lattice_from_text(op["argv"][1])
+    return lattices
 
-    def recording(form):
-        reached.append(form.orders)
-        return _chain_count(form)
 
-    monkeypatch.setattr(discforms, "_chain_count", recording)
-    texts = SIGNATURE_2N_EXPRESSIONS + BRUTE_FORCE_TEXTS + BRUTE_FORCE_MULTI_PRIME_TEXTS
-    lattices = [lattice_from_text(t) for t in texts]
-    lattices += [l_lattice(0, d) for d in range(1, 201)] + [k_lattice(0, d) for d in range(1, 201)]
-    for lat in lattices:
-        if lat.is_even:
-            isometry_order(lat)
-    assert len(reached) > 100
-    assert all(len(orders) >= 2 and all(d & (d - 1) == 0 for d in orders) for orders in reached)
+def _seeded_two_adic_text(rng: random.Random) -> tuple[str, int]:
+    """An even lattice whose 2-adic blocks of level >= 1 (levels 1-4) are
+    drawn as U(2^l), V(2^l) = gram[2s,s;s,2s] and <u 2^l> with u odd, under
+    a level 0 of none, U, 2*U, U + E8(-1) or gram[2,1;1,2]; returns its text
+    and |A_2|."""
+    atoms, order = [], 1
+    for _ in range(rng.randint(2, 4)):
+        s = 2 ** rng.randint(1, 4)
+        kind = rng.randrange(3)
+        if kind == 2:
+            atoms.append(f"<{rng.choice((1, 3, 5, 7, -1, -3, -5, -7)) * s}>")
+            order *= s
+        else:
+            atoms.append(f"U({s})" if kind == 0 else f"gram[{2 * s},{s};{s},{2 * s}]")
+            order *= s * s
+    top = rng.choice(("", "U + ", "2*U + ", "U + E8(-1) + ", "gram[2,1;1,2] + "))
+    return top + " + ".join(atoms), order
 
 
-def test_isometry_guard_prices_each_p_part():
-    # |A| = 2 * 1000003 is far over the cap, but no part is enumerated:
-    # Z/2 and Z/1000003 are cyclic.  A cyclic 2-part over the cap is closed
-    # form too, and so are odd parts over it; only a non-cyclic 2-part over
-    # the cap trips the guard
-    assert isometry_order(l_lattice(0, 1000003)) == 2
-    lat = lattice_from_text("2*U + <-131072>")
-    assert {p: part.orders for p, part in discriminant_form(lat).items()} == {2: (131072,)}
-    assert isometry_order(lat) == 2
-    # the odd parts the guard refused before: 7^6 and 5^8 elements, pinned
-    # by the stabilizer chain called past the guard
-    for text, p in (("2*U + 2*<-14> + 2*<-98>", 7), ("2*U + 2*<-10> + 3*<-50>", 5)):
+def test_isometry_order_matches_the_chain_oracle():
+    # |O(q_p)| read off the density equals the stabilizer-chain count on the
+    # part built from the block invariants: on every non-cyclic 2-part the
+    # benchmark pools reach, on seeded 2-adic structures with odd units and
+    # levels 1-4, and at odd p on seeded multi-level parts, where the
+    # brute-force enumerator confirms the chain
+    chains: dict = {}
+
+    def chain_of(blocks) -> int:
+        if blocks not in chains:
+            chains[blocks] = chain_count(two_part(list(blocks)))
+        return chains[blocks]
+
+    pooled = 0
+    for name, lat in _benchmark_pool_lattices().items():
+        if not lat.is_even or 2 not in lat.det_factors:
+            continue
+        decomp = jordan_decompose(lat, 2)
+        blocks = tuple(b for b in decomp.blocks if b.level)
+        if sum(b.rank for b in blocks) >= 2:
+            assert part_order(decomp) == chain_of(blocks), name
+            pooled += 1
+    assert pooled > 2000 and len(chains) > 250
+    # |A_2| <= 256 keeps the chain fast: it has cliffs of its own, such as
+    # Z/2 + (Z/4)^4 from <2> + U(4) + gram[8,4;4,8] at about 7 s
+    rng = random.Random(25)
+    seeded, kinds = set(), set()
+    while len(seeded) < 500:
+        text, order = _seeded_two_adic_text(rng)
+        if order > 256:
+            continue
+        decomp = jordan_decompose(lattice_from_text(text), 2)
+        blocks = tuple(b for b in decomp.blocks if b.level)
+        assert part_order(decomp) == chain_of(blocks), text
+        seeded.add(decomp)
+        kinds |= {(b.level, len(b.odd_units), b.chi) for b in blocks}
+    assert {level for level, _, _ in kinds} == {1, 2, 3, 4}
+    assert {(units, chi) for _, units, chi in kinds} >= {(0, -1), (1, 1), (1, -1), (2, 1), (2, -1)}
+    enumerated = 0
+    while enumerated < 40:
+        p = rng.choice((3, 5, 7))
+        text, structure = _odd_structure_text(p, rng)
+        if p ** sum(k * n for k, n, _ in structure) > 2000:
+            continue
         lat = lattice_from_text(text)
         part = discriminant_form(lat)[p]
-        assert part.order > ISOMETRY_ENUM_CAP, text
-        assert finite_isometry_order([jordan_decompose(lat, p)]) == _chain_count(part), text
-    lat = lattice_from_text("2*U + <-2> + <-131072>")
-    parts = discriminant_form(lat)
-    assert list(parts) == [2] and parts[2].orders == (2, 131072)
-    with pytest.raises(FeasibilityError, match=r"2-part .*\|A_2\| = 262144"):
-        isometry_order(lat)
+        if part.order ** (len(part.orders) - 1) > 2 * 10**4:
+            continue
+        expected = _count_isometries(part)
+        assert part_order(jordan_decompose(lat, p)) == expected == chain_count(part), text
+        enumerated += 1
+
+
+def test_isometry_order_is_blind_to_the_unimodular_block():
+    # q_p depends only on the blocks of level >= 1: equal such blocks under
+    # a level 0 of U, 2*U, U + E8(-1) or gram[2,1;1,2] give equal |O(q_p)|
+    # (gram[2,1;1,2] has det 3, so at p = 3 it adds a block of level 1)
+    tops = ("U", "2*U", "U + E8(-1)", "gram[2,1;1,2]")
+    tails = ("U(2) + <-2>", "E8(-2)", "<-2> + <-4> + <-8>", "U(4) + gram[-4,2;2,-4]",
+             "U(3) + <-6>", "2*<-14> + <-98>", "gram[8,4;4,8] + <-6> + U(5)")
+    for tail in tails:
+        orders: dict = {}  # (p, blocks of level >= 1) -> {top: |O(q_p)|}
+        for top in tops:
+            lat = lattice_from_text(f"{top} + {tail}")
+            for p in lat.det_factors:
+                decomp = jordan_decompose(lat, p)
+                key = (p, tuple(b for b in decomp.blocks if b.level))
+                orders.setdefault(key, {})[top] = part_order(decomp)
+        for (p, _), by_top in orders.items():
+            assert len(set(by_top.values())) == 1, (tail, p, by_top)
+            assert len(by_top) >= 3 or (p == 3 and set(by_top) == {"gram[2,1;1,2]"}), (tail, p)
+
+
+def test_isometry_order_refuses_an_odd_lattice():
+    # an odd unimodular 2-adic block means an odd lattice, which has no
+    # discriminant form: a direct caller gets a precondition error
+    for text in ("U + <1> + <-2>", "U + <1> + <1> + <-4>"):
+        with pytest.raises(PreconditionError, match="even lattice"):
+            part_order(jordan_decompose(lattice_from_text(text), 2))
+
+
+def test_isometry_order_checks_each_part_is_a_positive_integer():
+    # a density that does not belong to the decomposition makes a p-part
+    # that is no positive integer, which is an internal check failure
+    for text, p in (("2*U + E8(-2)", 2), ("2*U + 2*<-14> + 2*<-98>", 7)):
+        decomp = jordan_decompose(lattice_from_text(text), p)
+        density = density_from_decomposition(decomp)
+        assert part_order(decomp) > 1
+        for value in (density.value / 11, -density.value):
+            wrong = density._replace(value=value)
+            with pytest.raises(InternalCheckError, match=rf"\|O\(q_{p}\)\|"):
+                finite_isometry_order([(decomp, wrong)])
+
+
+def test_large_parts_match_the_chain():
+    # no size of A_p costs more than the density: cyclic parts of any size,
+    # the odd parts of order 7^6 and 5^8 and the non-cyclic 2-part
+    # Z/2 + Z/2^17, against the chain oracle where it is counted
+    assert isometry_order(l_lattice(0, 1000003)) == 2
+    assert isometry_order(lattice_from_text("2*U + <-131072>")) == 2
+    for text, p in (("2*U + 2*<-14> + 2*<-98>", 7), ("2*U + 2*<-10> + 3*<-50>", 5),
+                    ("2*U + <-2> + <-131072>", 2)):
+        lat = lattice_from_text(text)
+        part = discriminant_form(lat)[p]
+        assert part.order > 10**5, text
+        assert part_order(jordan_decompose(lat, p)) == chain_count(part), text
+    assert isometry_order(lattice_from_text("2*U + <-2> + <-131072>")) == 4
 
 
 def test_index_and_minus_id_table():
     # rank 5, A = Z/2: -id is in every group but SO+ and SO~+ (odd rank)
     lat = l_lattice(0, 1)
-    stable = stable_invariants(lat, [jordan_decompose(lat, 2)])
+    stable = _stable(lat, [2])
     assert stable == (1, True)
     got = {tag: index_and_minus_id(lat, tag, stable) for tag in ("O", "O+", "SO+", "O~+", "SO~+")}
     assert got == {"O": (1, True), "O+": (2, True), "SO+": (2, False),
                    "O~+": (2, True), "SO~+": (2, False)}
     # rank 5, A = Z/6: -id acts nontrivially on A
     lat3 = l_lattice(0, 3)
-    stable3 = stable_invariants(lat3, [jordan_decompose(lat3, p) for p in (2, 3)])
+    stable3 = _stable(lat3)
     assert index_and_minus_id(lat3, "O~+", stable3) == (2, False)
     # the full group needs no signature: index 1 on any lattice
     assert projective_index(lattice_from_text("U + <-2>"), "O") == 1
@@ -756,13 +878,13 @@ def _p_parts(form: FiniteQuadraticForm) -> list[tuple[int, FiniteQuadraticForm]]
     return parts
 
 
-def _fraction_two_part(blocks) -> tuple[list[int], list[Fraction], list[list[Fraction]]]:
+def _fractiontwo_part(blocks) -> tuple[list[int], list[Fraction], list[list[Fraction]]]:
     """(orders, q(g_i), b(g_i, g_j)) in `Fraction`s with no common scale,
     for the 2-adic Jordan blocks 2^l U, l >= 1: U is the block diagonal of
     its hyperbolic planes [0,1;1,0] (the last one [2,1;1,2] when chi = -1)
     and then its odd units <u>, and each row gives a generator of order 2^l
     with b = U_ij / 2^l mod 1 and q = U_ii / 2^l mod 2.  The reference for
-    `_two_part`'s integer tables."""
+    `two_part`'s integer tables."""
     orders: list[int] = []
     diagonal: list[tuple[int, int]] = []  # (2^l, U_ii)
     pairs: dict[tuple[int, int], Fraction] = {}
@@ -818,20 +940,20 @@ def test_jordan_form_matches_smith_reference():
     # the Smith-form construction describe the same (A_2, q_2): same order,
     # exponent test and |O(q_2)|, and on small groups the same (element
     # order, q) value distribution; at every p the program's |O(q_p)|, read
-    # off the Jordan blocks, is the stabilizer chain on the reference part
+    # off the density, is the stabilizer chain on the reference part
     compared = 0
     for name, lat in _smith_corpus().items():
         ref = dict(_p_parts(_smith_discriminant_form(lat)))
         assert list(ref) == list(lat.det_factors), name
         assert prod(part.order for part in ref.values()) == abs(lat.det), name
         for p in ref:
-            assert finite_isometry_order([jordan_decompose(lat, p)]) == _chain_count(ref[p]), (name, p)
+            assert part_order(jordan_decompose(lat, p)) == chain_count(ref[p]), (name, p)
         if 2 not in ref:
             continue
         part = _program_two_part(lat)
         assert part.order == ref[2].order, name
         assert (part.exponent <= 2) == (ref[2].exponent <= 2), name
-        assert _chain_count(part) == _chain_count(ref[2]), name
+        assert chain_count(part) == chain_count(ref[2]), name
         if part.order <= 2000:
             assert _order_and_q_multiset(part) == _order_and_q_multiset(ref[2]), name
             compared += 1
@@ -848,8 +970,8 @@ def test_integer_form_matches_fraction_jordan_route():
         blocks = [b for b in jordan_decompose(lat, 2).blocks if b.level]
         kinds |= {(b.chi, len(b.odd_units)) for b in blocks}
         kinds.add(len(blocks))
-        orders, q_vals, bil = _fraction_two_part(blocks)
-        form = _two_part(blocks)
+        orders, q_vals, bil = _fractiontwo_part(blocks)
+        form = two_part(blocks)
         assert list(form.orders) == orders, name
         units = [_unit(len(orders), i) for i in range(len(orders))]
         assert [q_of(form, x) for x in units] == q_vals, name

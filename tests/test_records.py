@@ -8,12 +8,13 @@ from fractions import Fraction
 import pytest
 
 from hmvol.density import local_density
-from hmvol.discforms import _two_part
 from hmvol.expr import Term, _tokenize, lattice_from_text, parse_expr
 from hmvol.jordan import jordan_decompose
 from hmvol.lattices import e8, hyperbolic_plane
 from hmvol.special_values import SymbolicReal
 from hmvol.volumes import build_report, euler_alpha_product
+
+from chain_oracle import two_part
 
 
 def one_of_each_record():
@@ -26,7 +27,7 @@ def one_of_each_record():
         "JordanBlock": decomp.blocks[0],
         "JordanDecomposition": decomp,
         "LocalDensity": local_density(lat, 3),
-        "FiniteQuadraticForm": _two_part([b for b in decomp.blocks if b.level]),
+        "FiniteQuadraticForm": two_part([b for b in decomp.blocks if b.level]),
         "SymbolicReal": euler_alpha_product(lat),
         "VolumeReport": build_report(lat),
     }

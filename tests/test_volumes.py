@@ -320,7 +320,7 @@ def test_build_report_runs_each_stage_once(monkeypatch):
         "jordan_decompose": jordan.jordan_decompose,
         "_euler_product": volumes._euler_product,
         "generalized_bernoulli": special_values.generalized_bernoulli,
-        "_two_part": discforms._two_part,
+        "density_from_decomposition": density.density_from_decomposition,
         "finite_isometry_order": discforms.finite_isometry_order,
         "factorize": arith.factorize,
         "squarefree_decompose": arith.squarefree_decompose,
@@ -346,16 +346,17 @@ def test_build_report_runs_each_stage_once(monkeypatch):
     assert set(rep.volumes) == {"O", "O+", "SO+", "O~+", "SO~+"}
     assert len(calls["_euler_product"]) == 1
     assert len(calls["generalized_bernoulli"]) == 1
-    # |O(q)| counted once; the odd parts are closed form from their Jordan
-    # blocks, so only the non-cyclic 2-part (Z/2 + Z/4) is built as a form
-    assert list(lat.det_factors) == [2, 3, 5]
-    assert [[(b.level, b.rank) for b in blocks] for (blocks,) in calls["_two_part"]] == [[(1, 1), (2, 1)]]
-    assert len(calls["finite_isometry_order"]) == 1
-    # one Jordan decomposition per bad prime feeds both the densities and
-    # the discriminant form, and no good prime is decomposed
+    # one Jordan decomposition and one density per bad prime, and no good
+    # prime is decomposed
     n_bad = len(density.bad_primes(lat))
-    assert n_bad == 3
+    assert n_bad == 3 and list(lat.det_factors) == [2, 3, 5]
     assert len(calls["jordan_decompose"]) == n_bad
+    assert len(calls["density_from_decomposition"]) == n_bad
+    # |O(q)| counted once, from the report's own decompositions and
+    # densities at the primes dividing det: no split or density runs again
+    ((parts,),) = calls["finite_isometry_order"]
+    assert [a for _, a in parts] == rep.densities
+    assert all(a is b for (_, a), b in zip(parts, rep.densities))
     # det is factored once, on the lattice, and |D| once, for chi_D; nothing
     # else is factored
     disc = volumes.genus_discriminant(lat)
