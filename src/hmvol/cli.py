@@ -21,7 +21,6 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .density import local_density, siegel_counts_oracle
-from .discforms import GROUP_TAGS
 from .errors import (
     ExpressionError,
     FeasibilityError,
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .expr import lattice_from_text
 from .special_values import SymbolicReal
-from .volumes import VolumeReport, build_report
+from .volumes import GROUP_TAGS, VolumeReport, build_report
 from . import families
 
 

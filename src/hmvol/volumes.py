@@ -30,6 +30,15 @@ coefficient of cusp-form dimension growth for signature (2, n) is
 (2/n!) vol_HM(Gamma).  Every entry point reads its value off `build_report`:
 `vol_hm`, `group_volume` and `cusp_dim_leading` return a `Fraction`, and
 `euler_alpha_product` the `SymbolicReal` record of the Euler product.
+
+The group diagram, for an even lattice of signature (2, n): the stable
+subgroups (the ones acting trivially on the discriminant form (A_L, q_L))
+sit inside the full groups with index N = |O(q_L)|, and the plus and
+determinant conditions each contribute a further index 2.  The projective
+index also depends on whether -id lies in the subgroup: -id is in O+ always,
+in the determinant-1 groups iff the rank is even, and in the stable groups
+iff -id acts trivially on A_L, i.e. A_L has exponent <= 2.  One rule,
+`_refusal`, decides which tags a lattice has.
 """
 
 from __future__ import annotations
@@ -44,9 +53,9 @@ from .density import (
     _p_series_num,
     bad_primes,
     density_from_decomposition,
+    finite_isometry_order,
     oracle_stabilized,
 )
-from .discforms import GROUP_TAGS, STABLE_TAGS, index_and_minus_id, stable_invariants
 from .errors import InternalCheckError, PreconditionError
 from .jordan import jordan_decompose
 from .lattices import Lattice
@@ -57,6 +66,43 @@ from .special_values import (
     l_closed,
     zeta_product,
 )
+
+
+# a "~" marks the stable groups, which act trivially on the discriminant form
+GROUP_TAGS = ("O", "O+", "SO+", "O~+", "SO~+")
+
+
+def _refusal(lattice: Lattice, tag: str) -> str | None:
+    """Why `lattice` has no group `tag`, or None when it has one."""
+    if tag not in GROUP_TAGS:
+        return f"unknown group tag {tag!r}"
+    if tag == "O":
+        return None
+    sig = lattice.signature
+    if sig.positive != 2 or sig.negative < 1:
+        return "projective indices are defined for signature (2, n), n >= 1"
+    if "~" not in tag:
+        return None
+    if not lattice.is_even:
+        return "stable group tags need the discriminant form of an even lattice"
+    if not lattice.has_hyperbolic_summand:
+        return ("stable-group indices assume a hyperbolic-plane direct summand "
+                "(one class per genus, surjectivity onto O(q))")
+    return None
+
+
+def _index_and_minus_id(
+    tag: str, even_rank: bool, n_iso: int | None, two_elementary: bool | None
+) -> tuple[int, bool]:
+    """([PO(L) : P(Gamma_tag)], whether -id lies in Gamma_tag).  The index is
+    [O(L) : Gamma_tag], halved when -id is not in Gamma_tag, since -id is in
+    O(L); `n_iso` = |O(q_L)| and `two_elementary` (A_L has exponent <= 2)
+    are read only for the stable tags."""
+    full, minus_id = {"O": (1, True), "O+": (2, True), "SO+": (4, even_rank),
+                      "O~+": (2, two_elementary), "SO~+": (4, two_elementary and even_rank)}[tag]
+    if "~" in tag:
+        full *= n_iso
+    return (full if minus_id else full // 2), minus_id
 
 
 def genus_discriminant(lattice: Lattice) -> int:
@@ -164,8 +210,10 @@ def build_report(
     vol_HM(O(L)), and (for the stable tags) |O(q)| at the primes dividing
     det.  Every tag's volume is its index times
     vol_HM(O(L)), and its cusp term is 2/n! times that volume.  A repeated
-    tag counts once.  With a hyperbolic-plane direct summand the genus has
-    one class, so any g_sp_plus but 1 is a precondition error.
+    tag counts once.  The default tags are those `_refusal` accepts; the
+    first asked-for tag it refuses raises, after the Euler product, whose
+    own precondition comes first.  With a hyperbolic-plane direct summand
+    the genus has one class, so any g_sp_plus but 1 is a precondition error.
     """
     if g_sp_plus < 1:
         raise PreconditionError("spinor genus count must be a positive integer")
@@ -181,18 +229,18 @@ def build_report(
         )
     sig = lattice.signature
     is_two_n = sig.positive == 2 and sig.negative >= 1
+    refused = None
     if tags is None:
-        if is_two_n and lattice.is_even and g_justified:
-            tags = GROUP_TAGS
-        elif is_two_n:
-            tags = ("O", "O+", "SO+")
-        else:
-            tags = ("O",)
-    tags = tuple(dict.fromkeys(tags))
+        tags = tuple(tag for tag in GROUP_TAGS if _refusal(lattice, tag) is None)
+    else:
+        tags = tuple(dict.fromkeys(tags))
+        refused = next(filter(None, (_refusal(lattice, tag) for tag in tags)), None)
     bad = bad_primes(lattice)
     decomps = [jordan_decompose(lattice, p) for p in bad]
     densities = [density_from_decomposition(d) for d in decomps]
     euler = _euler_product(lattice, densities)
+    if refused:
+        raise PreconditionError(refused)
     rho, adet = lattice.rank, abs(lattice.det)
     if rho % 2:
         det_power = adet ** ((rho + 1) // 2)
@@ -213,14 +261,16 @@ def build_report(
             "g_sp+ = %d assumed (no hyperbolic-plane summand detected; supply --gsp "
             "if the genus has several spinor genera)" % g_sp_plus
         )
-    stable = None
-    if any(tag in STABLE_TAGS for tag in tags):
-        stable = stable_invariants(lattice, decomps, densities)
+    n_iso = two_elementary = None
+    if any("~" in tag for tag in tags):
+        parts = [(d, a) for d, a in zip(decomps, densities) if d.p in lattice.det_factors]
+        n_iso = finite_isometry_order(parts)
+        two_elementary = all(d.p == 2 and b.level <= 1 for d, _ in parts for b in d.blocks)
     volumes: dict[str, Fraction] = {}
     indices: dict[str, int] = {}
     cusp: dict[str, Fraction] = {}
     for tag in tags:
-        indices[tag], minus_id = index_and_minus_id(lattice, tag, stable)
+        indices[tag], minus_id = _index_and_minus_id(tag, rho % 2 == 0, n_iso, two_elementary)
         volumes[tag] = indices[tag] * vol
         if is_two_n:
             cusp[tag] = Fraction(2, factorial(sig.negative)) * volumes[tag]

@@ -3,8 +3,7 @@ from math import prod
 import pytest
 
 from hmvol.arith import factorize
-from hmvol.density import density_from_decomposition
-from hmvol.discforms import finite_isometry_order
+from hmvol.density import density_from_decomposition, finite_isometry_order
 from hmvol.expr import lattice_from_text
 from hmvol.jordan import jordan_decompose
 

@@ -13,8 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hmvol.arith import factorize, is_prime, kronecker
-from hmvol.density import density_from_decomposition
-from hmvol.discforms import finite_isometry_order, index_and_minus_id, stable_invariants
+from hmvol.density import density_from_decomposition, finite_isometry_order
 from hmvol.errors import InternalCheckError, PreconditionError
 from hmvol.expr import lattice_from_text
 from hmvol.families import k_lattice, l_lattice, n_lattice, t_lattice, unimodular_ii
@@ -54,11 +53,12 @@ def _program_two_part(lat) -> FiniteQuadraticForm:
     return two_part([b for b in jordan_decompose(lat, 2).blocks if b.level])
 
 
-def _stable(lat, primes=None) -> tuple[int, bool]:
-    """`stable_invariants` from the Jordan decompositions and densities at
-    `primes` (default: those dividing det)."""
-    decomps = [jordan_decompose(lat, p) for p in (lat.det_factors if primes is None else primes)]
-    return stable_invariants(lat, decomps, [density_from_decomposition(d) for d in decomps])
+def _index_and_minus_id(lat, tag: str) -> tuple[int, bool]:
+    """([PO(L) : P Gamma_tag], whether -id lies in Gamma_tag), read off the
+    one-tag report: its index and its "-id lies in the group" note."""
+    rep = build_report(lat, (tag,))
+    minus_id = any(line.startswith(f"{tag}: -id lies in the group") for line in rep.assumptions)
+    return rep.indices[tag], minus_id
 
 
 def discriminant_form(lat) -> dict[int, FiniteQuadraticForm]:
@@ -118,10 +118,9 @@ def test_discriminant_form_n_binary():
 def test_discriminant_form_rejects_odd_lattice():
     # the stable-group route is the one reader of the discriminant form
     lat = lattice_from_text("U + <1> + <-2>")
-    with pytest.raises(PreconditionError, match="even"):
-        _stable(lat, [2])
-    with pytest.raises(PreconditionError, match="even"):
-        build_report(lat, ("O~+",))
+    for tag in ("O~+", "SO~+"):
+        with pytest.raises(PreconditionError, match="even"):
+            build_report(lat, (tag,))
 
 
 def test_group_order_matches_det():
@@ -164,7 +163,7 @@ def test_unit_square_count_mod_4d():
 def test_minus_id_criterion():
     # -id lies in the stable group iff A_L has exponent <= 2
     def two_elementary(lat):
-        return _stable(lat)[1]
+        return _index_and_minus_id(lat, "O~+")[1]
 
     assert two_elementary(l_lattice(0, 1))  # A = Z/2
     assert not two_elementary(l_lattice(0, 3))  # A = Z/6
@@ -736,15 +735,14 @@ def test_large_parts_match_the_chain():
 def test_index_and_minus_id_table():
     # rank 5, A = Z/2: -id is in every group but SO+ and SO~+ (odd rank)
     lat = l_lattice(0, 1)
-    stable = _stable(lat, [2])
-    assert stable == (1, True)
-    got = {tag: index_and_minus_id(lat, tag, stable) for tag in ("O", "O+", "SO+", "O~+", "SO~+")}
+    assert isometry_order(lat) == 1
+    got = {tag: _index_and_minus_id(lat, tag) for tag in ("O", "O+", "SO+", "O~+", "SO~+")}
     assert got == {"O": (1, True), "O+": (2, True), "SO+": (2, False),
                    "O~+": (2, True), "SO~+": (2, False)}
     # rank 5, A = Z/6: -id acts nontrivially on A
     lat3 = l_lattice(0, 3)
-    stable3 = _stable(lat3)
-    assert index_and_minus_id(lat3, "O~+", stable3) == (2, False)
+    assert isometry_order(lat3) == 2
+    assert _index_and_minus_id(lat3, "O~+") == (2, False)
     # the full group needs no signature: index 1 on any lattice
     assert projective_index(lattice_from_text("U + <-2>"), "O") == 1
     with pytest.raises(PreconditionError, match="signature"):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -292,6 +293,52 @@ def test_build_report_defaults():
     assert rep.indices["O+"] == rep.indices["O~+"] == 2
 
 
+_SIGNATURE = "projective indices are defined for signature (2, n), n >= 1"
+_ODD = "stable group tags need the discriminant form of an even lattice"
+_NO_U = ("stable-group indices assume a hyperbolic-plane direct summand "
+         "(one class per genus, surjectivity onto O(q))")
+
+
+def test_default_tags_are_the_tags_not_refused():
+    # one rule picks the default tags and refuses the rest, each with its
+    # own message: a stable tag needs an even lattice, then the U flag (the
+    # Gram literal of 2*U + <-2> and U(2) + <2> + <-2> lack it), and every
+    # tag but O needs signature (2, n)
+    refused = {
+        "2*U + <-2>": {},
+        "gram[0,1;1,0] + gram[0,1;1,0] + <-2>": {"O~+": _NO_U, "SO~+": _NO_U},
+        "U + U + <-1>": {"O~+": _ODD, "SO~+": _ODD},
+        "U(2) + <2> + <-2>": {"O~+": _NO_U, "SO~+": _NO_U},
+        "U + <2> + <2> + <-2>": {tag: _SIGNATURE for tag in ("O+", "SO+", "O~+", "SO~+")},
+    }
+    for text, messages in refused.items():
+        lat = lattice_from_text(text)
+        accepted = []
+        for tag in ("O", "O+", "SO+", "O~+", "SO~+"):
+            if tag in messages:
+                with pytest.raises(PreconditionError) as err:
+                    build_report(lat, (tag,))
+                assert str(err.value) == messages[tag], (text, tag)
+            else:
+                assert set(build_report(lat, (tag,)).volumes) == {tag}, (text, tag)
+                accepted.append(tag)
+        assert list(build_report(lat).volumes) == accepted, text
+    with pytest.raises(PreconditionError, match="unknown group tag 'bogus'"):
+        build_report(lattice_from_text("2*U + <-2>"), ("O", "bogus"))
+
+
+def test_euler_product_precondition_comes_before_the_tag_refusals():
+    # even rank with det < 0: the Euler product's own precondition is what
+    # every tag and every pair of tags reports, also the tags the lattice's
+    # signature would refuse
+    tags = ("O", "O+", "SO+", "O~+", "SO~+")
+    for text in ("U + <-2> + <-2>", "U + <2> + <2>"):
+        lat = lattice_from_text(text)
+        for asked in [None, *((t,) for t in tags), *itertools.product(tags, repeat=2)]:
+            with pytest.raises(PreconditionError, match="odd-parity L-value"):
+                build_report(lat, asked)
+
+
 def test_build_report_oracle_check():
     # rank 3 at p = 2 cannot confirm stabilization inside the guard, so the
     # check reports the deepest feasible depth as guard-capped
@@ -314,14 +361,14 @@ def test_build_report_runs_each_stage_once(monkeypatch):
     # every hmvol module that binds one of these names gets a recording wrapper
     import sys
 
-    from hmvol import arith, density, discforms, jordan, special_values, volumes
+    from hmvol import arith, density, jordan, special_values, volumes
 
     targets = {
         "jordan_decompose": jordan.jordan_decompose,
         "_euler_product": volumes._euler_product,
         "generalized_bernoulli": special_values.generalized_bernoulli,
         "density_from_decomposition": density.density_from_decomposition,
-        "finite_isometry_order": discforms.finite_isometry_order,
+        "finite_isometry_order": density.finite_isometry_order,
         "factorize": arith.factorize,
         "squarefree_decompose": arith.squarefree_decompose,
     }
