@@ -33,102 +33,73 @@ from .volumes import GROUP_TAGS, VolumeReport, build_report
 from . import families
 
 
-def _frac_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def _sym_json(x: SymbolicReal) -> dict:
-    return {
-        "coeff_num": str(x.coefficient.numerator),
-        "coeff_den": str(x.coefficient.denominator),
-        "pi_half_exp": x.pi_half_exponent,
-        "radicand": str(x.radicand),
-    }
-
-
-def _report_json(report: VolumeReport, precision: int | None) -> dict:
-    lat = report.lattice
-    doc = {
-        "lattice": {
-            "gram": [list(r) for r in lat.gram],
-            "rank": lat.rank,
-            "signature": [lat.signature.positive, lat.signature.negative],
-            "det": str(lat.det),
-            "even": lat.is_even,
-        },
-        "bad_primes": list(report.bad_primes),
-        "densities": [
-            {
-                "p": d.p,
-                "value_num": str(d.value.numerator),
-                "value_den": str(d.value.denominator),
-                "breakdown": {
-                    "s": d.breakdown["s"],
-                    "w": d.breakdown["w"],
-                    "q": d.breakdown["q"],
-                    "lead": _frac_json(d.breakdown["lead"]),
-                    "P": _frac_json(d.breakdown["P"]),
-                    "E": {str(j): _frac_json(e) for j, e in sorted(d.breakdown["E"].items())},
-                },
-            }
-            for d in report.densities
-        ],
-        "euler_product": _sym_json(report.euler_product),
-        "g_sp_plus": report.g_sp_plus,
-        "volumes": {tag: _frac_json(v) for tag, v in report.volumes.items()},
-        "indices": dict(report.indices),
-        "cusp_leading": {tag: _frac_json(v) for tag, v in report.cusp_leading.items()},
-        "assumptions": list(report.assumptions),
-    }
-    if report.oracle_checks:
-        doc["oracle_checks"] = [
-            {
-                "p": c["p"],
-                "r": c["r"],
-                "oracle": _frac_json(c["oracle"]),
-                "stable": c["stable"],
-                "matches_formula": c["matches_formula"],
-            }
-            for c in report.oracle_checks
-        ]
-    if precision is not None:
-        doc["numeric_echo"] = {
-            "euler_product": _decimal(report.euler_product, precision),
-            "volumes": {tag: _decimal(v, precision) for tag, v in report.volumes.items()},
-        }
-    return doc
-
-
-def _json_text(x, newline: str = "\n") -> str:
-    """json.dumps(x, indent=2), byte for byte, for dicts with str keys, lists,
-    tuples, str, int, bool and None; any other type raises TypeError.  The
-    stdlib leaves its C encoder whenever indent is set, so this writer indents
-    and keeps the C string escaper; a list of plain ints (a Gram row) is one
-    join.  `newline` is the line break and indent that x starts at."""
-    if isinstance(x, str):
-        return _json_str(x)
-    if x is None or x is True or x is False:
-        return "null" if x is None else "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    inner = newline + "  "
-    # str values, most of a report's leaves, are escaped without a recursive call;
-    # a key that is not a str raises TypeError in the escaper
-    if isinstance(x, dict):
-        items = [_json_str(k) + ": " + (_json_str(v) if type(v) is str else _json_text(v, inner))
-                 for k, v in x.items()]
-        brackets = "{}"
-    elif isinstance(x, (list, tuple)):
-        brackets = "[]"
-        if all(type(v) is int for v in x):
-            items = list(map(int.__repr__, x))
-        else:
-            items = [_json_str(v) if type(v) is str else _json_text(v, inner) for v in x]
-    else:
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+def _block(items: list[str], brackets: str, nl: str) -> str:
+    """`items`, each written one indent in, as json.dumps(indent=2) lays them
+    out in `brackets` at the line break and indent `nl`; none give `brackets`."""
     if not items:
         return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+    inner = nl + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+
+
+def _frac_text(x: Fraction, nl: str) -> str:
+    return f'{{{nl}  "num": "{x.numerator}",{nl}  "den": "{x.denominator}"{nl}}}'
+
+
+def _fracs_text(fracs: dict[str, Fraction], nl: str) -> str:
+    return _block([f"{_json_str(k)}: {_frac_text(v, nl + '  ')}" for k, v in fracs.items()], "{}", nl)
+
+
+def _report_text(report: VolumeReport, precision: int | None) -> str:
+    """The report's JSON document as json.dumps(doc, indent=2) writes it, in
+    one pass: the stdlib drops its C encoder whenever indent is set, so each
+    node of the fixed schema is written at its known indent, strings through
+    the C escaper (`tests/report_doc.py` builds the document it must equal)."""
+    lat, euler = report.lattice, report.euler_product
+    n2, n4, n6, n8, n10 = "\n  ", "\n    ", "\n      ", "\n        ", "\n          "
+    rows = ["[" + n8 + ("," + n8).join(map(str, row)) + n6 + "]" for row in lat.gram]
+    densities = []
+    for d in report.densities:
+        b = d.breakdown
+        e = _block([f'"{j}": {_frac_text(b["E"][j], n10)}' for j in sorted(b["E"])], "{}", n8)
+        densities.append(
+            f'{{{n6}"p": {d.p},{n6}"value_num": "{d.value.numerator}",'
+            f'{n6}"value_den": "{d.value.denominator}",{n6}"breakdown": {{'
+            f'{n8}"s": {b["s"]},{n8}"w": {b["w"]},{n8}"q": {b["q"]},'
+            f'{n8}"lead": {_frac_text(b["lead"], n8)},{n8}"P": {_frac_text(b["P"], n8)},'
+            f'{n8}"E": {e}{n6}}}{n4}}}'
+        )
+    indices = [f"{_json_str(tag)}: {i}" for tag, i in report.indices.items()]
+    fields = [
+        f'"lattice": {{{n4}"gram": {_block(rows, "[]", n4)},{n4}"rank": {lat.rank},'
+        f'{n4}"signature": [{n6}{lat.signature.positive},{n6}{lat.signature.negative}{n4}],'
+        f'{n4}"det": "{lat.det}",{n4}"even": {"true" if lat.is_even else "false"}{n2}}}',
+        f'"bad_primes": {_block(list(map(str, report.bad_primes)), "[]", n2)}',
+        f'"densities": {_block(densities, "[]", n2)}',
+        f'"euler_product": {{{n4}"coeff_num": "{euler.coefficient.numerator}",'
+        f'{n4}"coeff_den": "{euler.coefficient.denominator}",'
+        f'{n4}"pi_half_exp": {euler.pi_half_exponent},{n4}"radicand": "{euler.radicand}"{n2}}}',
+        f'"g_sp_plus": {report.g_sp_plus}',
+        f'"volumes": {_fracs_text(report.volumes, n2)}',
+        f'"indices": {_block(indices, "{}", n2)}',
+        f'"cusp_leading": {_fracs_text(report.cusp_leading, n2)}',
+        f'"assumptions": {_block(list(map(_json_str, report.assumptions)), "[]", n2)}',
+    ]
+    if report.oracle_checks:
+        checks = [
+            f'{{{n6}"p": {c["p"]},{n6}"r": {c["r"]},{n6}"oracle": {_frac_text(c["oracle"], n6)},'
+            f'{n6}"stable": {"true" if c["stable"] else "false"},'
+            f'{n6}"matches_formula": {"true" if c["matches_formula"] else "false"}{n4}}}'
+            for c in report.oracle_checks
+        ]
+        fields.append(f'"oracle_checks": {_block(checks, "[]", n2)}')
+    if precision is not None:
+        echo = [f"{_json_str(tag)}: {_json_str(_decimal(v, precision))}"
+                for tag, v in report.volumes.items()]
+        fields.append(f'"numeric_echo": {{{n4}"euler_product": '
+                      f'{_json_str(_decimal(euler, precision))},'
+                      f'{n4}"volumes": {_block(echo, "{}", n4)}{n2}}}')
+    return _block(fields, "{}", "\n")
 
 
 def _decimal(x: Fraction | SymbolicReal, digits: int) -> str:
@@ -174,7 +145,7 @@ def _cmd_analyze(args) -> int:
     tags = tuple(args.group) if args.group else None
     report = build_report(lattice, tags=tags, g_sp_plus=args.gsp, oracle_check=args.oracle_check)
     if args.json:
-        print(_json_text(_report_json(report, args.precision)))
+        print(_report_text(report, args.precision))
     else:
         _print_report(report, args.precision)
     return 0

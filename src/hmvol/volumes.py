@@ -269,11 +269,12 @@ def build_report(
     volumes: dict[str, Fraction] = {}
     indices: dict[str, int] = {}
     cusp: dict[str, Fraction] = {}
+    cusp_factor = Fraction(2, factorial(sig.negative)) if is_two_n else None
     for tag in tags:
         indices[tag], minus_id = _index_and_minus_id(tag, rho % 2 == 0, n_iso, two_elementary)
         volumes[tag] = indices[tag] * vol
         if is_two_n:
-            cusp[tag] = Fraction(2, factorial(sig.negative)) * volumes[tag]
+            cusp[tag] = cusp_factor * volumes[tag]
             if minus_id:
                 assumptions.append(
                     f"{tag}: -id lies in the group; the dimension formula counts weights k "

@@ -6,15 +6,15 @@ import subprocess
 import time
 import tracemalloc
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hmvol
-from hmvol.cli import _json_text, _parse_range, _print_report, _report_json, main
+from hmvol.cli import _parse_range, _print_report, _report_text, main
 from hmvol.expr import lattice_from_text
 from hmvol.volumes import build_report
+from report_doc import report_doc
 
 
 def run(capsys, *argv):
@@ -424,12 +424,15 @@ def test_import_loads_no_dataclasses_numpy_or_mpmath():
     assert out == "[]\n"
 
 
+def _stdlib_text(report, precision):
+    return json.dumps(report_doc(report, precision), indent=2)
+
+
 def test_json_writer_matches_stdlib_on_signature_2n_reports(signature_2n_corpus):
     for text, lat in signature_2n_corpus:
         report = build_report(lat)
         for precision in (None, 30):
-            doc = _report_json(report, precision)
-            assert _json_text(doc) == json.dumps(doc, indent=2), (text, precision)
+            assert _report_text(report, precision) == _stdlib_text(report, precision), (text, precision)
 
 
 def test_json_writer_matches_stdlib_on_oracle_check_reports(oracle_corpus):
@@ -437,30 +440,49 @@ def test_json_writer_matches_stdlib_on_oracle_check_reports(oracle_corpus):
     for text, lat in oracle_corpus:
         expr = f"U + {text}" if lat.rank == 1 else f"{text} + <-1>"
         report = build_report(lattice_from_text(expr), oracle_check=True)
-        doc = _report_json(report, None)
-        assert all(isinstance(c["stable"], bool) for c in doc["oracle_checks"]), expr
-        assert _json_text(doc) == json.dumps(doc, indent=2), expr
+        assert all(isinstance(c["stable"], bool) for c in report.oracle_checks), expr
+        assert _report_text(report, None) == _stdlib_text(report, None), expr
 
 
-def test_json_writer_matches_stdlib_on_edge_documents():
-    docs = [
-        {}, [], (), "", 0, -1, 2**64 + 1, -(2**64) - 1, 3**200, True, False, None,
-        {"a": {}}, {"a": [[], {}, [{}], ({},)]}, [[[]]], [{}],
-        "caf\u00e9 \u2028 \U0001f600 \x00\x1f\x7f \"q\" \\ / \t\n\r",
-        {"cl\u00e9\n\"": "\u5024", "": ""},
-        [True, False, None], {"t": True, "f": False, "n": None},
-        [1, -2, 2**70, 0], (5, -6), [1, True], [0, None], [[1, 2], [3, -4]],
-        {"gram": [[0, 1], [1, 0]], "nested": {"deep": {"deeper": [1, "x", {"k": [False]}]}}},
+def test_json_writer_matches_stdlib_on_every_optional_or_empty_node():
+    # each report shape the emitter writes, and the shapes they reach
+    cases = [
+        ("U + <1> + <1> + <1>", None, True, 12),  # odd, no cusp term, rank > 3 note
+        ("U + <2> + <-6>", ("O~+",), False, 30),  # an empty E at p = 3, negative entries
+        ("U + <-22>", None, True, None),  # a prime too dear for the oracle, E at j = -1
+        ("U + <-6>", None, True, 5),  # two checks, one matching; signature (1, 2)
+        ("2*U + 3*E8(-1) + <-50>", None, False, 40),  # rank 28, long fractions
+        ("2*U + <-1024>", ("SO~+", "O"), False, None),  # E at j = 10, 11: keys sorted as ints
     ]
-    for doc in docs:
-        assert _json_text(doc) == json.dumps(doc, indent=2), doc
-
-
-@pytest.mark.parametrize("doc", [Fraction(1, 2), 1.5, {"x": Fraction(1, 3)}, [0.0], [1, 2.0],
-                                 {1: "int key"}])
-def test_json_writer_rejects_other_types(doc):
-    with pytest.raises(TypeError):
-        _json_text(doc)
+    seen = set()
+    for text, tags, oracle_check, precision in cases:
+        report = build_report(lattice_from_text(text), tags, oracle_check=oracle_check)
+        reports = [report]
+        if report.oracle_checks:
+            # no rank-3 oracle walk stabilizes under the guard; the emitter
+            # still has to write a stable check
+            stable = [dict(c, stable=True, matches_formula=True) for c in report.oracle_checks]
+            reports.append(report._replace(oracle_checks=stable))
+        for r in reports:
+            assert _report_text(r, precision) == _stdlib_text(r, precision), (text, precision)
+            doc = report_doc(r, precision)
+            seen.add(("even", doc["lattice"]["even"]))
+            seen.update(("E", bool(d["breakdown"]["E"])) for d in doc["densities"])
+            seen.update(("E key", "-" if k[0] == "-" else len(k))
+                        for d in doc["densities"] for k in d["breakdown"]["E"])
+            seen.add(("cusp_leading", bool(doc["cusp_leading"])))
+            seen.update(("oracle_check", c["stable"], c["matches_formula"])
+                        for c in doc.get("oracle_checks", ()))
+            seen.add(("oracle_checks", "oracle_checks" in doc))
+            seen.update(("skipped", "at p=" in note) for note in doc["assumptions"] if "skipped" in note)
+            seen.add(("numeric_echo", "numeric_echo" in doc))
+    assert seen == {
+        ("even", True), ("even", False), ("E", True), ("E", False), ("E key", "-"),
+        ("E key", 1), ("E key", 2), ("cusp_leading", True), ("cusp_leading", False),
+        ("oracle_check", False, False), ("oracle_check", False, True),
+        ("oracle_check", True, True), ("oracle_checks", True), ("oracle_checks", False),
+        ("skipped", True), ("skipped", False), ("numeric_echo", True), ("numeric_echo", False),
+    }
 
 
 def test_analyze_json_is_stdlib_indented_json(capsys):
