@@ -29,8 +29,11 @@ Two independent routes:
   does not reproduce the closed forms and is rejected (see tests).  One
   counter, `_siegel_counts`, walks the depths r, r+1, ...: a depth's
   candidates are the next depth's candidates reduced, so each walk (the
-  `oracle` command's r and r+1, `oracle_stabilized`) lifts them once, one
-  digit per depth, from S reduced once mod p^(deepest depth).
+  `oracle` command's r and r+1, `oracle_stabilized`) reads them off one
+  table of all vectors mod p^r at its first depth r and then lifts them
+  once, one digit per depth, from S reduced once mod p^(deepest depth).
+  Ranks 2 and 3 count in int32: the guard's p^(deepest n^2) <= 2^30 keeps
+  every entry below n p^(2 deepest) <= 65,522.
 
 |O(q_L)| of an even lattice is the product of the |O(q_p)|, p | det, since
 its discriminant form is the orthogonal sum of its p-parts (Nikulin 1979):
@@ -49,7 +52,8 @@ from .jordan import JordanBlock, JordanDecomposition, jordan_decompose
 from .lattices import Lattice
 
 ORACLE_CANDIDATE_CAP = 2**30
-# pairs in one block of the counting oracle; larger is faster but uses more memory
+# pairs in one block of the counting oracle (an int32 entry each, 256 kB);
+# larger is faster but uses more memory
 _PAIR_CHUNK = 2**16
 # a 2-adic level with no block: even, with the empty even part's chi = +1
 _EMPTY_BLOCK = JordanBlock(0, 0, 1, ())
@@ -230,16 +234,48 @@ def bad_primes(lattice: Lattice) -> tuple[int, ...]:
     return tuple(sorted({2, *lattice.det_factors}))
 
 
+def _mod(x, m: int):
+    """x mod m, in place, for a temporary integer array x and m > 0: numpy
+    divides an array by a scalar much faster than it takes the remainder."""
+    y = x // m
+    y *= m
+    x -= y
+    return x
+
+
+def _dots_mod(a, b, q: int):
+    """(a @ b.T) mod q for integer arrays of n columns.  Past 1,024
+    entries it is summed as n outer products: numpy's integer matmul is a
+    generic loop, several times slower per entry, but one call is cheaper."""
+    import numpy as np
+
+    if len(a) * len(b) <= 1024:
+        return _mod(a @ b.T, q)
+    x = np.multiply.outer(a[:, 0], b[:, 0])
+    for k in range(1, a.shape[1]):
+        x += np.multiply.outer(a[:, k], b[:, k])
+    return _mod(x, q)
+
+
 def _lift(cand, m: int, p: int, s, target: int, digits):
     """The solutions mod m p of c^t S c = target among the lifts c + m t,
     t a row of `digits`, of the solutions `cand` mod m.  With S read mod
     p^deepest and S c reduced mod m p before the dot product, no entry passes
-    n p^(2 deepest), inside int64 under the guard."""
+    n p^(2 deepest): in int32 at ranks 2 and 3, in int64 at rank 1."""
     import numpy as np
 
     lifts = (cand[:, None, :] + m * digits).reshape(-1, cand.shape[1])
     m *= p
-    return lifts[np.einsum("ij,ij->i", lifts, lifts @ s % m) % m == target % m]
+    return lifts[_mod(np.einsum("ij,ij->i", lifts, _mod(lifts @ s, m)), m) == target % m]
+
+
+def _table_candidates(table, s, q: int, targets) -> dict:
+    """{t: the solutions mod q of c^t S c = t} for each t of `targets`, read
+    off `table`, all vectors mod q: c^t S c is formed once for the table."""
+    import numpy as np
+
+    value = _mod(np.einsum("ij,ij->i", table, _mod(table @ s, q)), q)
+    return {t: table[value == t % q] for t in targets}
 
 
 def _siegel_counts(gram, p: int, r: int, deepest: int) -> Iterator[int]:
@@ -249,16 +285,27 @@ def _siegel_counts(gram, p: int, r: int, deepest: int) -> Iterator[int]:
     Column i solves c^t S c = S_ii; its solutions mod p^(k+1) are among the
     lifts c + p^k t, t in [0, p)^n, of those mod p^k (each reduces to one).
     A lift mod p^k reads S and S_ii only mod p^k, so S is reduced once, mod
-    p^deepest, and each distinct S_ii keeps its solutions from one depth to
-    the next, lifted by one digit per depth (columns with equal S_ii share
-    them).  At rank 1, a x^2 = a mod q iff x^2 = 1 mod q/g, g = gcd(a, q),
-    and x -> x mod q/g is g-to-1; the square roots of 1 are kept the same
-    way.  The last column c meets the cross conditions only through
-    u = S c mod q, so it counts as buckets u of multiplicity m_u: rank 2 sums
-    m_u over the (c0, u) with c0.u = S_01; rank 3 sums m_u [c1.u = S_12] over
-    (c0, c1) with c0^t S c1 = S_01 joined to (c0, u) with c0.u = S_02.  A
-    block of rows of c0 or c1 holds <= _PAIR_CHUNK pairs.  The buckets and
-    pairs are formed anew at each depth.
+    p^deepest.  At the first depth r the solutions of every distinct S_ii
+    are read off one table of all p^(rn) vectors mod p^r (at r = 1 the digit
+    table); from there each distinct S_ii keeps its solutions from one depth
+    to the next, lifted by one digit per depth (columns with equal S_ii
+    share them).  At rank 1, a x^2 = a mod q iff x^2 = 1 mod q/g,
+    g = gcd(a, q), and x -> x mod q/g is g-to-1; the square roots of 1 are
+    lifted one digit per depth from the zero column, in int64.  The last
+    column c meets the cross conditions only through u = S c mod q, so it
+    counts as buckets u of multiplicity m_u: rank 2 sums m_u over the
+    (c0, u) with c0.u = S_01; rank 3 sums m_u [c1.u = S_12] over (c0, c1)
+    with c0^t S c1 = S_01 joined to (c0, u) with c0.u = S_02.  A block of
+    rows of c0 or c1 holds <= _PAIR_CHUNK pairs.  The buckets and pairs are
+    formed anew at each depth.
+
+    Ranks 2 and 3 count in int32, S reduced in Python before the cast
+    (Gram entries may reach 2^63).  With Q = p^deepest every entry stays
+    below n Q^2 (S c, c^t S c and the pair products) or Q^n (the bucket
+    key); the guard's Q^(n^2) <= 2^30 keeps both below 2^16 (at most 65,522
+    at rank 2 and 729 at rank 3).  A caller past the guard gets a
+    PreconditionError once either reaches 2^31, not a count that wraps; the
+    first table and the buckets have p^(rn) and up to p^(kn) entries.
     """
     import numpy as np
 
@@ -266,13 +313,16 @@ def _siegel_counts(gram, p: int, r: int, deepest: int) -> Iterator[int]:
     if n > 3:
         raise PreconditionError("oracle counting implemented for rank <= 3 only")
     top = p**deepest
-    digits = np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T
-    zero = np.zeros((1, n), dtype=np.int64)
+    if n > 1 and (n * top * top >= 2**31 or top**n >= 2**31):
+        raise PreconditionError(
+            f"oracle counting in int32 needs n p^(2 deepest) and p^(n deepest) below 2^31,"
+            f" not at p^deepest = {p}^{deepest}, rank {n}")
+    digits = np.indices((p,) * n, dtype=np.int64 if n == 1 else np.int32).reshape(n, -1).T
     if n == 1:
         # g = p^min(v, k) at depth k, v = v_p(a) capped at deepest
         v = valuation(gram[0][0] % top or top, p)
         one = np.ones((1, 1), dtype=np.int64)
-        roots, m = zero, 1
+        roots, m = np.zeros((1, 1), dtype=np.int64), 1
         for k in range(1, deepest + 1):
             if k > v:
                 roots = _lift(roots, m, p, one, 1, digits)
@@ -280,34 +330,45 @@ def _siegel_counts(gram, p: int, r: int, deepest: int) -> Iterator[int]:
             if k >= r:
                 yield p ** min(v, k) * len(roots)
         return
-    s_top = np.array([[x % top for x in row] for row in gram], dtype=np.int64)
+    if r > deepest:
+        return
+    # reduced in Python before the cast: Gram entries may reach 2^63
+    s_top = np.array([[x % top for x in row] for row in gram], dtype=np.int32)
     diag = [int(s_top[i, i]) for i in range(n)]
-    cand = dict.fromkeys(diag, zero)
-    for k in range(1, deepest + 1):
-        q = p**k
-        cand = {t: _lift(c, q // p, p, s_top, t, digits) for t, c in cand.items()}
-        if k >= r:
-            yield _pair_count(s_top % q, q, [cand[t] for t in diag])
+    q = p**r
+    table = digits if r == 1 else np.indices((q,) * n, dtype=np.int32).reshape(n, -1).T
+    cand = _table_candidates(table, s_top, q, dict.fromkeys(diag))
+    while True:
+        yield _pair_count(s_top % q, q, [cand[t] for t in diag])
+        if q == top:
+            return
+        cand = {t: _lift(c, q, p, s_top, t, digits) for t, c in cand.items()}
+        q *= p
 
 
 def _pair_count(s, q: int, cand) -> int:
     """#{X : X^t S X = S mod q} from each column's solutions `cand` mod q of
-    c^t S c = S_ii, S reduced mod q (see `_siegel_counts`)."""
+    c^t S c = S_ii, S reduced mod q (see `_siegel_counts`), in int32.  The
+    buckets u of the last column are counted by `np.bincount` on the key
+    sum_i u_i q^i < q^n, with no sort."""
     import numpy as np
 
     n = len(cand)
-    keys, mult = np.unique(cand[-1] @ s % q @ q ** np.arange(n), return_counts=True)
-    u = keys[:, None] // q ** np.arange(n) % q
+    pw = q ** np.arange(n, dtype=np.int32)
+    count = np.bincount(_mod(cand[-1] @ s, q) @ pw)
+    keys = np.flatnonzero(count)
+    mult = count[keys]
+    u = _mod(keys.astype(np.int32)[:, None] // pw, q)
     rows = max(1, _PAIR_CHUNK // max(len(keys), len(cand[1]) if n == 3 else 0))
     blocks = [cand[0][i:i + rows] for i in range(0, len(cand[0]), rows)]
     if n == 2:
-        return sum(int((c0 @ u.T % q == s[0, 1]).sum(axis=0) @ mult) for c0 in blocks)
-    b = np.vstack([cand[1][i:i + rows] @ u.T % q == s[1, 2]
+        return sum(int((_dots_mod(c0, u, q) == s[0, 1]).sum(axis=0) @ mult) for c0 in blocks)
+    b = np.vstack([_dots_mod(cand[1][i:i + rows], u, q) == s[1, 2]
                    for i in range(0, len(cand[1]), rows)])
     total = 0
     for c0 in blocks:
-        pr, pc = np.nonzero(c0 @ s % q @ cand[1].T % q == s[0, 1])
-        ar, au = np.nonzero(c0 @ u.T % q == s[0, 2])
+        pr, pc = np.nonzero(_dots_mod(_mod(c0 @ s, q), cand[1], q) == s[0, 1])
+        ar, au = np.nonzero(_dots_mod(c0, u, q) == s[0, 2])
         # each (c0, c1) once per bucket u of its c0: au[first:first + reps]
         first = np.searchsorted(ar, pr)
         reps = np.searchsorted(ar, pr, side="right") - first
@@ -318,9 +379,12 @@ def _pair_count(s, q: int, cand) -> int:
 
 def _guard_depth(p: int, n: int) -> int:
     """Deepest r the oracle guard allows: rank n <= 3, p^(r n^2) <= ORACLE_CANDIDATE_CAP.
-    That naive count bounds the lifted work: no counter array exceeds it.  It
-    also keeps S mod p^deepest, the one reduction `_siegel_counts` makes, and
-    every product of the counter inside int64 (p^deepest <= 2^30 at rank 1)."""
+    That naive count bounds the lifted work: no counter array exceeds it,
+    and the table of the first counted depth r has p^(rn) <= 2^(30/n) rows
+    (2^15 at rank 2).  It also keeps S mod p^deepest, the one reduction
+    `_siegel_counts` makes, and every product of the counter inside int64 at
+    rank 1 (p^deepest <= 2^30) and inside int32 at ranks 2 and 3
+    (n p^(2 deepest) <= 65,522 and p^(n deepest) <= 32,761)."""
     if n > 3:
         raise FeasibilityError(f"oracle guard: rank {n} > 3")
     r = 0

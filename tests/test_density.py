@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hmvol.density as density
+from hmvol.arith import is_prime
 from hmvol.density import (
     _siegel_counts,
     bad_primes,
@@ -405,6 +406,54 @@ def test_counter_walk_matches_table_oracle_at_every_depth(oracle_corpus):
             assert list(_siegel_counts(g, p, 1, deepest)) == expected, (g, p)
             walked += 1
     assert walked == 4 * len(grams)
+
+
+# (rank, p, deepest guarded depth): at rank 2 the largest p of each depth 1-4
+# and p = 2; at rank 3 every prime with a nonzero guard depth
+EXTREME_MODULI = ((2, 181, 1), (2, 13, 2), (2, 5, 3), (2, 3, 4), (2, 2, 7),
+                  (3, 2, 3), (3, 3, 2), (3, 5, 1), (3, 7, 1))
+
+
+def test_counter_at_the_extreme_guarded_moduli():
+    # ranks 2 and 3 count in int32 at every depth the guard allows: at the
+    # largest moduli p^deepest the walk from depth 1 and the count at the
+    # deepest depth alone (one table of all q^n vectors) match both
+    # references on seeded Grams and on the same Grams shifted by multiples
+    # of q to entries near +-2^62, which must be reduced before the cast;
+    # S = 0 mod q makes every matrix a solution, q^(n^2) of them
+    rng = random.Random(28)
+    for n, p, r in EXTREME_MODULI:
+        assert density._guard_depth(p, n) == r
+        q = p**r
+        shift = 2**62 // q * q
+        for _ in range(2):
+            g = _random_gram(rng, n, 40)
+            near = [[x + (-1) ** (i + j) * shift for j, x in enumerate(row)]
+                    for i, row in enumerate(g)]
+            expected = [loop_siegel_count(g, p, k) for k in range(1, r + 1)]
+            assert expected[-1] == table_siegel_count(g, p, r), (g, p)
+            assert table_siegel_count(near, p, r) == expected[-1], (g, p)
+            for gram in (g, near):
+                assert list(_siegel_counts(gram, p, 1, r)) == expected, (gram, p)
+                assert siegel_count(gram, p, r) == expected[-1], (gram, p)
+        zero = [[(-1) ** (i + j) * (shift - q * (i + j)) for j in range(n)] for i in range(n)]
+        assert siegel_count(zero, p, r) == q ** (n * n), (n, p)
+
+
+def test_guard_keeps_the_int32_counter_inside_its_bound():
+    # every prime with a nonzero guard depth at rank 2 or 3 (p <= 181 at rank
+    # 2, p <= 7 at rank 3) has Q = p^deepest with n Q^2 (S c, c^t S c, the
+    # pair products) and Q^n (the bucket key) below 2^16; past 2^31 the
+    # counter refuses before it counts
+    for n, largest in ((2, 65_522), (3, 729)):
+        bounds = [max(n * Q * Q, Q**n)
+                  for p in range(2, 400) if is_prime(p)
+                  for Q in [p ** density._guard_depth(p, n)] if Q > 1]
+        assert max(bounds) == largest < 2**16, n
+    with pytest.raises(PreconditionError, match="int32"):
+        siegel_count([[1, 0], [0, 1]], 2, 15)  # 2 * 2^30 = 2^31
+    with pytest.raises(PreconditionError, match="int32"):
+        siegel_count([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2, 11)  # 2^33
 
 
 def test_rank_one_counter_matches_residue_scan():

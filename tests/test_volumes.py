@@ -437,29 +437,38 @@ def test_oracle_check_counts_each_depth_once(monkeypatch):
 
 
 def test_oracle_walk_lifts_each_target_one_digit_per_depth(monkeypatch):
-    # one walk lifts each distinct diagonal target S_ii mod p^deepest by one
-    # digit per depth, from the zero column up to the deepest depth walked:
-    # <1> + <1> + <-1> has the equal targets 1, 1 and U + <-22> the equal
+    # one walk reads every distinct diagonal target S_ii mod p^deepest off one
+    # table of all vectors mod p^r at its first depth r, then lifts each
+    # target by one digit per later depth up to the deepest depth walked:
+    # <1> + <1> + <-1> (first depth 2) has the equal targets 1, 1, and
+    # U + <-22> (first depth 3, the guard's, so nothing is lifted) the equal
     # targets 0, 0; the rank-1 square roots of 1 of <12> are lifted once per
     # depth beyond v_2(12) = 2
     from hmvol import density
 
-    lifted = []
-    lift = density._lift
+    lifted, tables = [], []
+    lift, table_candidates = density._lift, density._table_candidates
 
     def recording(cand, m, p, s, target, digits):
         lifted.append((target, m))
         return lift(cand, m, p, s, target, digits)
 
+    def recording_table(table, s, q, targets):
+        tables.append((sorted(targets), q, len(table)))
+        return table_candidates(table, s, q, targets)
+
     monkeypatch.setattr(density, "_lift", recording)
-    for text in ("<1> + <1> + <-1>", "U + <-22>"):
+    monkeypatch.setattr(density, "_table_candidates", recording_table)
+    for text, first in (("<1> + <1> + <-1>", 2), ("U + <-22>", 3)):
         lat = lattice_from_text(text)
         lifted.clear()
+        tables.clear()
         r, _, stable = density.oracle_stabilized(lat, 2)
         assert r == density._guard_depth(2, 3) == 3 and not stable, text
         targets = {lat.gram[i][i] % 2**r for i in range(3)}
         assert len(targets) == 2, text
-        assert sorted(lifted) == sorted((t, 2**k) for t in targets for k in range(r)), text
+        assert tables == [(sorted(targets), 2**first, 2 ** (3 * first))], text
+        assert sorted(lifted) == sorted((t, 2**k) for t in targets for k in range(first, r)), text
     lifted.clear()
     # 4 #{x mod 2^(k-2) : x^2 = 1} at depth k >= 2
     assert list(density._siegel_counts([[12]], 2, 1, 12)) == [2, 4, 4, 8] + [16] * 8
