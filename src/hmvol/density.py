@@ -243,20 +243,6 @@ def _mod(x, m: int):
     return x
 
 
-def _dots_mod(a, b, q: int):
-    """(a @ b.T) mod q for integer arrays of n columns.  Past 1,024
-    entries it is summed as n outer products: numpy's integer matmul is a
-    generic loop, several times slower per entry, but one call is cheaper."""
-    import numpy as np
-
-    if len(a) * len(b) <= 1024:
-        return _mod(a @ b.T, q)
-    x = np.multiply.outer(a[:, 0], b[:, 0])
-    for k in range(1, a.shape[1]):
-        x += np.multiply.outer(a[:, k], b[:, k])
-    return _mod(x, q)
-
-
 def _lift(cand, m: int, p: int, s, target: int, digits):
     """The solutions mod m p of c^t S c = target among the lifts c + m t,
     t a row of `digits`, of the solutions `cand` mod m.  With S read mod
@@ -317,6 +303,8 @@ def _siegel_counts(gram, p: int, r: int, deepest: int) -> Iterator[int]:
         raise PreconditionError(
             f"oracle counting in int32 needs n p^(2 deepest) and p^(n deepest) below 2^31,"
             f" not at p^deepest = {p}^{deepest}, rank {n}")
+    if r > deepest:
+        return
     digits = np.indices((p,) * n, dtype=np.int64 if n == 1 else np.int32).reshape(n, -1).T
     if n == 1:
         # g = p^min(v, k) at depth k, v = v_p(a) capped at deepest
@@ -329,8 +317,6 @@ def _siegel_counts(gram, p: int, r: int, deepest: int) -> Iterator[int]:
                 m *= p
             if k >= r:
                 yield p ** min(v, k) * len(roots)
-        return
-    if r > deepest:
         return
     # reduced in Python before the cast: Gram entries may reach 2^63
     s_top = np.array([[x % top for x in row] for row in gram], dtype=np.int32)
@@ -362,13 +348,13 @@ def _pair_count(s, q: int, cand) -> int:
     rows = max(1, _PAIR_CHUNK // max(len(keys), len(cand[1]) if n == 3 else 0))
     blocks = [cand[0][i:i + rows] for i in range(0, len(cand[0]), rows)]
     if n == 2:
-        return sum(int((_dots_mod(c0, u, q) == s[0, 1]).sum(axis=0) @ mult) for c0 in blocks)
-    b = np.vstack([_dots_mod(cand[1][i:i + rows], u, q) == s[1, 2]
+        return sum(int((_mod(c0 @ u.T, q) == s[0, 1]).sum(axis=0) @ mult) for c0 in blocks)
+    b = np.vstack([_mod(cand[1][i:i + rows] @ u.T, q) == s[1, 2]
                    for i in range(0, len(cand[1]), rows)])
     total = 0
     for c0 in blocks:
-        pr, pc = np.nonzero(_dots_mod(_mod(c0 @ s, q), cand[1], q) == s[0, 1])
-        ar, au = np.nonzero(_dots_mod(c0, u, q) == s[0, 2])
+        pr, pc = np.nonzero(_mod(_mod(c0 @ s, q) @ cand[1].T, q) == s[0, 1])
+        ar, au = np.nonzero(_mod(c0 @ u.T, q) == s[0, 2])
         # each (c0, c1) once per bucket u of its c0: au[first:first + reps]
         first = np.searchsorted(ar, pr)
         reps = np.searchsorted(ar, pr, side="right") - first
@@ -395,8 +381,9 @@ def _guard_depth(p: int, n: int) -> int:
 
 def siegel_counts_oracle(lattice: Lattice, p: int, r: int, last: int) -> Iterator[Fraction]:
     """Siegel counts at depths r, r+1, ..., last, as `siegel_count_oracle`
-    values, from one `_siegel_counts` walk: each depth lifts the column
-    candidates of the one before by one digit.  The guard is checked here,
+    values, from one `_siegel_counts` walk: the column candidates of depth r
+    are read off one table of all vectors mod p^r, and each later depth
+    lifts those of the one before by one digit.  The guard is checked here,
     before any counting; a depth beyond it names the first such depth."""
     n = lattice.rank
     deepest = _guard_depth(p, n)
@@ -427,8 +414,10 @@ def oracle_stabilized(lattice: Lattice, p: int) -> tuple[int, Fraction, bool] | 
     equals that at r+1.  If the guard stops the walk first, (r, value, False)
     at the deepest depth r >= 1 the guard allows (below v_p(2 det)+1 when that
     is beyond the guard); None if even r = 1 is.  One `siegel_counts_oracle`
-    walk counts each depth once, lifting the column candidates one digit per
-    depth, and is advanced no further than the first agreement."""
+    walk counts each depth once: the column candidates of its first depth
+    come from one table of all vectors mod p^r, each later depth lifts them
+    by one digit, and the walk is advanced no further than the first
+    agreement."""
     deepest = _guard_depth(p, lattice.rank)
     r = min(valuation(2 * abs(lattice.det), p) + 1, deepest)
     if r == 0:

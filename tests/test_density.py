@@ -297,6 +297,14 @@ def siegel_count(gram, p, r):
     return next(_siegel_counts(gram, p, r, r))
 
 
+def _near_2_62(gram, q):
+    """`gram` shifted by multiples of q to entries near +-2^62 (diagonal
+    entries up, off-diagonal down): the same Gram mod q."""
+    shift = 2**62 // q * q
+    n = len(gram)
+    return [[gram[i][j] + (shift if i == j else -shift) for j in range(n)] for i in range(n)]
+
+
 def _blocks(gram, p, r):
     """(#c0, block width) of the counter's rows of c0, from a table of all
     q^n columns: the width is the number of buckets S c mod q of the last
@@ -332,14 +340,14 @@ def _walk_agrees(monkeypatch, g, p, expected):
 
 def test_counter_matches_loop_oracle(oracle_corpus, monkeypatch):
     # the lifted, bucketed counter against the per-column loop: rank 2 on the
-    # corpus and on seeded random Grams, and rank 3 on seeded random Grams, at
-    # every guarded depth of one walk per (Gram, p), with the default block
-    # and with blocks of 1, 2 and 7 rows of c0 (the last block partial in many
-    # cases)
+    # corpus (at p = 181 too, the largest guarded rank-2 modulus) and on
+    # seeded random Grams, and rank 3 on seeded random Grams, at every guarded
+    # depth of one walk per (Gram, p), with the default block and with blocks
+    # of 1, 2 and 7 rows of c0 (the last block partial in many cases)
     rng = random.Random(8)
     rank2 = [lat.gram for _, lat in oracle_corpus if lat.rank == 2]
     primes = (2, 3, 5, 7, 11, 13)
-    walks = [(g, p) for g in rank2 for p in (2, 3, 5, 7)]
+    walks = [(g, p) for g in rank2 for p in (2, 3, 5, 7, 181)]
     for i in range(200):
         walks.append((_random_gram(rng, 2, 40), primes[i % len(primes)]))
     partial = {2: 0, 3: 0}
@@ -361,14 +369,16 @@ def test_counter_matches_table_oracle(oracle_corpus):
     # the lifted, bucketed counter against the table counter it replaced, at
     # every guarded depth of one walk per (Gram, p): the corpus, seeded random
     # rank-2 and rank-3 Grams, and Grams whose last-column candidates share
-    # few buckets S c mod q
+    # few buckets S c mod q; the corpus also at p = 181, the largest prime
+    # with a nonzero guard depth (1, at rank 2)
     rng = random.Random(15)
     primes = (2, 3, 5, 7, 11, 13)
-    grams = [lat.gram for _, lat in oracle_corpus if lat.rank > 1]
-    grams += [lattice_from_text(t).gram for t in RANK3_TEXTS]
+    corpus = [lat.gram for _, lat in oracle_corpus if lat.rank > 1]
+    grams = corpus + [lattice_from_text(t).gram for t in RANK3_TEXTS]
     grams += [_random_gram(rng, 2, 40) for _ in range(200)]
     grams += [_random_gram(rng, 3, 12) for _ in range(40)]
     walks = [(g, p, density._guard_depth(p, len(g))) for g in grams for p in primes]
+    walks += [(g, 181, 1) for g in corpus]
     # S = 4 (3, -5) and 4 (1, -3): 1,024 columns in a few hundred buckets
     walks += [(g, 2, 7) for g in ([[12, 0], [0, -20]], [[4, 0], [0, -12]])]
     rank3 = 0
@@ -390,54 +400,41 @@ def test_counter_walk_matches_table_oracle_at_every_depth(oracle_corpus):
     # the lifted candidates of each depth carry over to the next, so a
     # target or S taken mod the wrong power of p shows at the second depth.
     # Rank 1 includes p^v | a below, at and beyond the deepest depth; S = 8 I
-    # is 0 mod q to depth 3, and 4 diag(3, -5) has degenerate 2-adic buckets
+    # is 0 mod q to depth 3, and 4 diag(3, -5) has degenerate 2-adic buckets.
+    # The corpus and RANK3_TEXTS reach every extreme int32 modulus p^deepest
+    # (rank 2 at p = 181, 13, 5, 3 and 2, rank 3 at p = 2, 3, 5 and 7).  Each
+    # walk runs again on its Gram shifted by multiples of p^deepest to
+    # entries near +-2^62, which must be reduced before the cast, and that
+    # Gram is counted at the deepest depth alone, off one table of all
+    # vectors mod p^deepest
     grams = [lat.gram for _, lat in oracle_corpus]
     grams += [lattice_from_text(t).gram for t in RANK3_TEXTS]
     grams += [[[a]] for a in (12, -40, 7 * 2**5, 2**16, 2**20, 45, -162, 250, -3 * 5**4)]
     grams += [[[8, 0], [0, 8]], [[12, 0], [0, -20]]]
     walked = 0
     for g in grams:
-        for p in (2, 3, 5, 7):
+        for p in (2, 3, 5, 7, 13, 181):
             deepest = density._guard_depth(p, len(g))
             if len(g) == 1:
                 # the residue scan of the table counter reads all p^r residues
                 deepest = max(k for k in range(1, 20) if p**k <= 2**16)
+            if deepest == 0:
+                continue
             expected = [table_siegel_count(g, p, r) for r in range(1, deepest + 1)]
-            assert list(_siegel_counts(g, p, 1, deepest)) == expected, (g, p)
-            walked += 1
-    assert walked == 4 * len(grams)
-
-
-# (rank, p, deepest guarded depth): at rank 2 the largest p of each depth 1-4
-# and p = 2; at rank 3 every prime with a nonzero guard depth
-EXTREME_MODULI = ((2, 181, 1), (2, 13, 2), (2, 5, 3), (2, 3, 4), (2, 2, 7),
-                  (3, 2, 3), (3, 3, 2), (3, 5, 1), (3, 7, 1))
-
-
-def test_counter_at_the_extreme_guarded_moduli():
-    # ranks 2 and 3 count in int32 at every depth the guard allows: at the
-    # largest moduli p^deepest the walk from depth 1 and the count at the
-    # deepest depth alone (one table of all q^n vectors) match both
-    # references on seeded Grams and on the same Grams shifted by multiples
-    # of q to entries near +-2^62, which must be reduced before the cast;
-    # S = 0 mod q makes every matrix a solution, q^(n^2) of them
-    rng = random.Random(28)
-    for n, p, r in EXTREME_MODULI:
-        assert density._guard_depth(p, n) == r
-        q = p**r
-        shift = 2**62 // q * q
-        for _ in range(2):
-            g = _random_gram(rng, n, 40)
-            near = [[x + (-1) ** (i + j) * shift for j, x in enumerate(row)]
-                    for i, row in enumerate(g)]
-            expected = [loop_siegel_count(g, p, k) for k in range(1, r + 1)]
-            assert expected[-1] == table_siegel_count(g, p, r), (g, p)
-            assert table_siegel_count(near, p, r) == expected[-1], (g, p)
+            near = _near_2_62(g, p**deepest)
             for gram in (g, near):
-                assert list(_siegel_counts(gram, p, 1, r)) == expected, (gram, p)
-                assert siegel_count(gram, p, r) == expected[-1], (gram, p)
-        zero = [[(-1) ** (i + j) * (shift - q * (i + j)) for j in range(n)] for i in range(n)]
-        assert siegel_count(zero, p, r) == q ** (n * n), (n, p)
+                assert list(_siegel_counts(gram, p, 1, deepest)) == expected, (gram, p)
+            assert siegel_count(near, p, deepest) == expected[-1], (near, p)
+            walked += 1
+    # rank 3 has no guarded depth at p = 13 or 181
+    assert walked == 6 * len(grams) - 2 * len(RANK3_TEXTS)
+    # S = 0 mod q makes every matrix a solution, at every guarded (rank, p)
+    for n in (2, 3):
+        for p in (2, 3, 5, 7, 11, 13, 181):
+            deepest = density._guard_depth(p, n)
+            if deepest:
+                zero = _near_2_62([[0] * n for _ in range(n)], p**deepest)
+                assert siegel_count(zero, p, deepest) == p ** (deepest * n * n), (n, p)
 
 
 def test_guard_keeps_the_int32_counter_inside_its_bound():
