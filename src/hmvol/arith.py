@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 
+# The trial-division primes, and a deterministic Miller-Rabin witness set
+# for n < 3.3 * 10**24.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Deterministic Miller-Rabin witness set for n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
@@ -26,7 +25,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

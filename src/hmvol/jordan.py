@@ -1,13 +1,13 @@
 """Jordan decomposition of an integral lattice over the p-adic integers.
 
-For odd p the Gram matrix is diagonalized by symmetric elimination with a
-minimal-valuation pivot; an off-diagonal minimum is surfaced onto the
-diagonal by a row/column addition (2 is a unit).  For p = 2 a diagonal
-minimum splits off a rank-1 (odd) piece and an off-diagonal minimum splits
-off a 2x2 even piece; division by 2 never occurs.  The pivot is the first
-diagonal unit when there is one, else found by one scan of the remaining
-block; the elimination keeps only that remaining (active) block, so every
-row and column update runs over the active indices alone.
+The Gram matrix is split by symmetric elimination with a minimal-valuation
+pivot, by one rule at every p: a diagonal minimum splits off a rank-1
+piece, and an off-diagonal minimum b (every diagonal entry of higher
+valuation) splits off the 2x2 piece it spans, whose determinant is -b^2
+times a unit, so it is p^(2v)-modular; division by 2 never occurs.  One
+scan of the remaining block picks the pivot, returning at the first
+diagonal unit; the elimination keeps only that remaining (active) block,
+so every row and column update runs over the active indices alone.
 
 A direct sum is split one summand at a time: `jordan_decompose` splits each
 distinct summand Gram once and concatenates the pieces.  On a
@@ -20,11 +20,11 @@ primes.
 
 A summand unimodular at p (p does not divide its det; at p = 2 it must also
 be even, such as U or E8(-1)) is not split at all: its pieces would all
-land in level 0, and it gives level 0 only its rank and det.  At odd p
-the det joins the product of the level-0 units.  At p = 2 its split would
-be even 2x2 pieces with product of determinants = det mod 8, each of class
-7 (chi +1) or 3 (chi -1), so it multiplies the level-0 chi by
-kronecker(det, 2).
+land in level 0, and it gives level 0 only its rank and det.  At odd p a
+level's unit class is the product of its pieces' determinants, and the det
+joins that product at level 0.  At p = 2 its split would be even 2x2
+pieces with product of determinants = det mod 8, each of class 7 (chi +1)
+or 3 (chi -1), so it multiplies the level-0 chi by kronecker(det, 2).
 
 All arithmetic runs modulo p^M with M = 2 v_p(det) + 8, det that of the
 whole lattice, also when a summand is split on its own.  A split-off piece
@@ -93,14 +93,14 @@ class JordanDecomposition(NamedTuple):
 
 
 def _pivot_entry(m, p: int):
-    """(vmin, i, j): the pivot of the remaining block m when no diagonal
-    entry is a unit.
+    """(vmin, i, j): the pivot of the remaining block m.
 
     vmin is the least valuation of a nonzero entry.  The pivot is the first
     diagonal entry of valuation vmin if there is one, else the first
     off-diagonal entry of valuation vmin in row-major order; by symmetry
     that one lies above the diagonal, so only i < j is scanned, and an
-    entry is valued only when it is not divisible by p^(best so far).
+    entry is valued only when it is not divisible by p^(best so far).  The
+    search returns at the first unit, so a diagonal unit ends it at once.
     vmin is None if every entry is 0.
     """
     n = len(m)
@@ -109,6 +109,8 @@ def _pivot_entry(m, p: int):
         x = m[k][k]
         if x and (best is None or x % p**best):
             best, where = valuation(x, p), (k, k)
+            if best == 0:
+                return 0, k, k
     bound = None if best is None else p**best
     for i in range(n):
         row = m[i]
@@ -127,13 +129,13 @@ def _pivot_entry(m, p: int):
 def _split_pieces(gram, p: int, modulus_exp: int):
     """Symmetric elimination over Z/p^M; returns [(level, piece_gram), ...].
 
-    piece_gram is a 1x1 [u] with u a unit, or (p = 2 only) a 2x2 matrix with
-    unit off-diagonal and even diagonal, both already divided by p^level.
-    `m` is always the remaining (active) block, as residues mod p^M: rows
-    and columns of split-off pieces are dropped, since no later step reads
-    them, and every update runs over the remaining block only.  The first
-    diagonal unit, if any, is the pivot; otherwise `_pivot_entry` scans.
-    Raises InternalCheckError if the precision ledger runs dry.
+    piece_gram is a 1x1 [u] with u a unit, or a 2x2 matrix with unit
+    off-diagonal and diagonal divisible by p, both already divided by
+    p^level.  `m` is always the remaining (active) block, as residues mod
+    p^M: rows and columns of split-off pieces are dropped, since no later
+    step reads them, and every update runs over the remaining block only.
+    `_pivot_entry` picks every pivot.  Raises InternalCheckError if the
+    precision ledger runs dry.
     """
     pM = p**modulus_exp
     m = [[x % pM for x in row] for row in gram]
@@ -141,23 +143,10 @@ def _split_pieces(gram, p: int, modulus_exp: int):
     budget = modulus_exp
 
     while m:
-        i = next((k for k, row in enumerate(m) if row[k] % p), None)
-        if i is not None:
-            vmin, j = 0, i
-        else:
-            vmin, i, j = _pivot_entry(m, p)
+        vmin, i, j = _pivot_entry(m, p)
         if vmin is None or budget - vmin < _MIN_UNIT_PRECISION:
             raise InternalCheckError("p-adic precision exhausted in the Jordan split")
         pv = p**vmin
-
-        if p != 2 and i != j:
-            # surface a diagonal pivot; one of R_i +/- R_j has valuation vmin
-            cand = (m[i][i] + 2 * m[i][j] + m[j][j]) % pM
-            sign = 1 if cand % (pv * p) else -1
-            m[i] = [(x + sign * y) % pM for x, y in zip(m[i], m[j])]
-            for row in m:
-                row[i] = (row[i] + sign * row[j]) % pM
-            j = i
 
         if i == j:
             # after the row updates column i of the rest is 0 mod p^M, so
@@ -172,7 +161,8 @@ def _split_pieces(gram, p: int, modulus_exp: int):
             pieces.append((vmin, [[unit]]))
             budget -= vmin  # conservative ledger
         else:
-            # p = 2, minimal valuation strictly off-diagonal: even 2x2 split
+            # minimal valuation strictly off-diagonal: a 2x2 split, whose
+            # det ac - b^2 has valuation 2 vmin, since v(ac) > 2 vmin
             a, b, c = m[i][i], m[i][j], m[j][j]
             det2 = (a * c - b * b) % pM
             if det2 == 0 or valuation(det2, p) != 2 * vmin:
@@ -206,6 +196,11 @@ def _split_pieces(gram, p: int, modulus_exp: int):
     return pieces
 
 
+def _det(piece) -> int:
+    """Determinant of a split piece: u for [u], ac - b^2 for [a, b; b, c]."""
+    return piece[0][0] if len(piece) == 1 else piece[0][0] * piece[1][1] - piece[0][1] ** 2
+
+
 def _even_chi(det8: int) -> int:
     """chi of a 2-adic even unimodular binary from its determinant mod 8:
     +1 (hyperbolic) for 7, -1 for 3."""
@@ -229,7 +224,7 @@ def _two_adic_invariants(pieces) -> tuple[int, tuple[int, ...]]:
         if len(pc) == 1:
             units.append(pc[0][0] % 8)
         else:
-            chi *= _even_chi((pc[0][0] * pc[1][1] - pc[0][1] * pc[1][0]) % 8)
+            chi *= _even_chi(_det(pc) % 8)
     units.sort()
     while len(units) > 2:
         a, b, c = units[:3]
@@ -260,7 +255,8 @@ def _assemble(pieces_by_level, p: int,
             chi *= kronecker(det_unit, 2)
         else:
             odd_units = ()
-            det_unit *= prod(pc[0][0] % p for pc in pieces)
+            # the unit class is the product of the pieces' determinants
+            det_unit *= prod(_det(pc) % p for pc in pieces)
             chi = 0 if rank % 2 else kronecker((-1) ** (rank // 2) * det_unit, p)
         blocks.append(JordanBlock(level, rank, chi, odd_units))
     return tuple(blocks)

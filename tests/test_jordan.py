@@ -15,6 +15,7 @@ from hmvol.jordan import (
     JordanBlock,
     JordanDecomposition,
     _assemble,
+    _pivot_entry,
     _split_pieces,
     jordan_decompose,
 )
@@ -67,20 +68,6 @@ def scan_split_pieces(gram, p: int, modulus_exp: int):
             raise InternalCheckError("p-adic precision exhausted in the Jordan split")
         i, j = where
 
-        if p != 2 and not on_diag:
-            # surface a diagonal pivot; one of R_i +/- R_j has valuation vmin
-            sign = 1
-            cand = (m[i][i] + 2 * m[i][j] + m[j][j]) % pM
-            v = _val_mod(cand, p, modulus_exp)
-            if v is None or v > vmin:
-                sign = -1
-            for k in range(n):
-                m[i][k] = (m[i][k] + sign * m[j][k]) % pM
-            for k in range(n):
-                m[k][i] = (m[k][i] + sign * m[k][j]) % pM
-            on_diag = True
-            j = i
-
         if on_diag:
             piv = m[i][i]
             unit = piv // p**vmin
@@ -105,7 +92,7 @@ def scan_split_pieces(gram, p: int, modulus_exp: int):
             active.remove(i)
             budget -= vmin  # conservative ledger
         else:
-            # p = 2, minimal valuation strictly off-diagonal: even 2x2 split
+            # minimal valuation strictly off-diagonal: 2x2 split
             a, b, c = m[i][i], m[i][j], m[j][j]
             det2 = (a * c - b * b) % pM
             vdet = _val_mod(det2, p, modulus_exp)
@@ -142,13 +129,14 @@ def scan_split_pieces(gram, p: int, modulus_exp: int):
     return pieces
 
 
-def scan_decompose(lattice: Lattice, p: int) -> JordanDecomposition:
-    """`jordan_decompose` assembled from `scan_split_pieces` of the whole
-    Gram at the same working precision, unimodular summands included;
-    equality compares level, rank, chi and odd_units at every level."""
+def scan_decompose(lattice: Lattice, p: int, split=scan_split_pieces) -> JordanDecomposition:
+    """`jordan_decompose` assembled from `split` (the full scan by default)
+    of the whole Gram at the same working precision, unimodular summands
+    included; equality compares level, rank, chi and odd_units at every
+    level."""
     vdet = valuation(lattice.det, p)
     by_level: dict[int, list] = {}
-    for level, piece in scan_split_pieces(lattice.gram, p, 2 * vdet + 8):
+    for level, piece in split(lattice.gram, p, 2 * vdet + 8):
         by_level.setdefault(level, []).append(piece)
     return JordanDecomposition(p, _assemble(by_level, p))
 
@@ -167,7 +155,7 @@ def _assert_matches_scan(lattice: Lattice, p: int) -> None:
 
 
 @st.composite
-def _gram_and_prime(draw, primes=(2, 3, 5, 7)):
+def _gram_and_prime(draw, primes=(2, 3, 5, 7, 11, 13)):
     """A prime p from `primes` and a nonsingular symmetric Gram of rank
     <= 8 whose entries are small multiples of powers of p; about a third
     have a zero diagonal (the off-diagonal pivot branches)."""
@@ -263,6 +251,102 @@ def test_split_matches_full_scan_oracle_on_corpora():
             _assert_matches_scan(lattice, p)
 
 
+# ------------------------------- the surfacing odd-p split, as oracle
+
+def surfacing_split_pieces(gram, p: int, modulus_exp: int):
+    """The split `jordan_decompose` used before one pivot rule served every
+    p: at odd p an off-diagonal minimum is first surfaced onto the diagonal
+    by adding R_j to R_i or subtracting it (2 is a unit), so every odd-p
+    piece is 1x1.  Same contract as `jordan._split_pieces`, whose pieces it
+    gives at p = 2."""
+    pM = p**modulus_exp
+    m = [[x % pM for x in row] for row in gram]
+    pieces = []
+    budget = modulus_exp
+
+    while m:
+        i = next((k for k, row in enumerate(m) if row[k] % p), None)
+        if i is not None:
+            vmin, j = 0, i
+        else:
+            vmin, i, j = _pivot_entry(m, p)
+        if vmin is None or budget - vmin < _MIN_UNIT_PRECISION:
+            raise InternalCheckError("p-adic precision exhausted in the Jordan split")
+        pv = p**vmin
+
+        if p != 2 and i != j:
+            # surface a diagonal pivot; one of R_i +/- R_j has valuation vmin
+            cand = (m[i][i] + 2 * m[i][j] + m[j][j]) % pM
+            sign = 1 if cand % (pv * p) else -1
+            m[i] = [(x + sign * y) % pM for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] = (row[i] + sign * row[j]) % pM
+            j = i
+
+        if i == j:
+            # after the row updates column i of the rest is 0 mod p^M, so
+            # the matching column updates would change only row i
+            prow = m.pop(i)
+            unit = prow.pop(i) // pv
+            inv_unit = pow(unit, -1, pM)
+            for k, row in enumerate(m):
+                ck = ((row.pop(i) // pv) * inv_unit) % pM
+                if ck:
+                    m[k] = [(x - ck * y) % pM for x, y in zip(row, prow)]
+            pieces.append((vmin, [[unit]]))
+            budget -= vmin  # conservative ledger
+        else:
+            # p = 2, minimal valuation strictly off-diagonal: even 2x2 split
+            a, b, c = m[i][i], m[i][j], m[j][j]
+            det2 = (a * c - b * b) % pM
+            if det2 == 0 or valuation(det2, p) != 2 * vmin:
+                raise InternalCheckError("2x2 pivot block is not p^(2v)-modular")
+            pd = pv * pv
+            inv_det = pow(det2 // pd, -1, pM)
+            rest = [k for k in range(len(m)) if k != i and k != j]
+            ri = [m[i][k] for k in rest]
+            rj = [m[j][k] for k in rest]
+            # row k -= alpha_k R_i + beta_k R_j clears columns i, j of row k
+            # up to the precision lost in dividing by det2; the column
+            # operations then use those residues rx_k, ry_k
+            coeffs = []
+            for k in rest:
+                x, y = m[k][i], m[k][j]
+                alpha = ((((x * c - y * b) % pM) // pd) * inv_det) % pM
+                beta = ((((y * a - x * b) % pM) // pd) * inv_det) % pM
+                coeffs.append((alpha, beta,
+                               (x - alpha * a - beta * b) % pM,
+                               (y - alpha * b - beta * c) % pM))
+            rows = []
+            for k, (alpha, beta, rx, ry) in zip(rest, coeffs):
+                row = [m[k][l] for l in rest]
+                if alpha or beta or rx or ry:  # else both updates leave row k
+                    row = [(x - alpha * u - beta * w - al * rx - bl * ry) % pM
+                           for x, u, w, (al, bl, _, _) in zip(row, ri, rj, coeffs)]
+                rows.append(row)
+            m = rows
+            pieces.append((vmin, [[a // pv, b // pv], [b // pv, c // pv]]))
+            budget -= 2 * vmin
+    return pieces
+
+
+_ODD_PRIMES = (3, 5, 7, 11, 13)
+
+
+@given(_gram_and_prime(primes=_ODD_PRIMES))
+@settings(max_examples=300, deadline=None)
+def test_split_matches_surfacing_oracle(case):
+    lattice, p = case
+    assert jordan_decompose(lattice, p) == scan_decompose(lattice, p, surfacing_split_pieces)
+
+
+def test_split_matches_surfacing_oracle_on_corpora():
+    for lattice in _corpus():
+        for p in sorted({*_ODD_PRIMES, *bad_primes(lattice)} - {2}):
+            assert jordan_decompose(lattice, p) == scan_decompose(
+                lattice, p, surfacing_split_pieces), (lattice.gram, p)
+
+
 # ------------------------- the sequential 2-adic compression, as oracle
 
 def sequential_two_adic_blocks(lattice: Lattice) -> list[tuple]:
@@ -341,6 +425,11 @@ def test_jordan_block_is_its_invariants():
     for p, blocks in expected.items():
         for text in texts:
             assert jordan_decompose(lattice_from_text(text), p).blocks == blocks, (text, p)
+    # the unit class of an odd-p level is the product of its pieces'
+    # determinants, -1 for the 2x2 piece U(3) splits into at p = 3
+    for text, chi in (("U(3) + <3> + <-3>", 1), ("U(3) + <3> + <3>", -1)):
+        blocks = jordan_decompose(lattice_from_text(text), 3).blocks
+        assert blocks == (JordanBlock(1, 4, chi, ()),), text
 
 
 def test_e8_two_adic_single_even_block():
@@ -356,6 +445,10 @@ def test_block_chi_hyperbolic_all_primes():
     for p in (2, 3, 5, 7, 11):
         dec = jordan_decompose(hyperbolic_plane(), p)
         assert dec.blocks[0].chi == 1
+    # a rescaled U is one hyperbolic block at its level: a 2x2 piece
+    for text, p, level in (("U(3)", 3, 1), ("U(9)", 3, 2), ("U(25)", 5, 2)):
+        dec = jordan_decompose(lattice_from_text(text), p)
+        assert dec.blocks == (JordanBlock(level, 2, 1, ()),), text
 
 
 def test_block_chi_nonhyperbolic_binary():
