@@ -27,13 +27,15 @@ pieces with product of determinants = det mod 8, each of class 7 (chi +1)
 or 3 (chi -1), so it multiplies the level-0 chi by kronecker(det, 2).
 
 All arithmetic runs modulo p^M with M = 2 v_p(det) + 8, det that of the
-whole lattice, also when a summand is split on its own.  A split-off piece
-of level l costs l (a 2x2 piece 2l) digits of the precision ledger, and the
-levels sum to v_p(det), so every entry of the active block stays exact mod
-p^(v_p(det) + 8): the active block never vanishes and every pivot keeps
-at least 4 exact digits above its level, which fixes unit classes mod p
-(mod 8 at p = 2).  The ledger is still checked, as a hard error rather than
-a silent wrong answer.
+whole lattice, also when a summand is split on its own.  Each step is one
+congruence, exact mod p^M: the rest of the active block becomes its Schur
+complement through the piece's inverse, which exists because the piece
+divided by p^v is invertible mod p (Conway-Sloane, SPLAG ch. 15 section 7).
+So a piece of level l is known mod p^(M-l), at least v_p(det) + 8 digits,
+which fix unit classes mod p (mod 8 at p = 2).  The precision ledger (a
+piece of level l costs l digits, a 2x2 piece 2l, and every pivot keeps 4
+above its level) never runs dry at M, as the levels sum to v_p(det); it is
+still checked, as a hard error rather than a silent wrong answer.
 
 At p = 2, `_assemble` compresses each block's odd part to at most two units
 by the classical unit relation (Conway-Sloane, SPLAG ch. 15 section 7)
@@ -132,10 +134,11 @@ def _split_pieces(gram, p: int, modulus_exp: int):
     piece_gram is a 1x1 [u] with u a unit, or a 2x2 matrix with unit
     off-diagonal and diagonal divisible by p, both already divided by
     p^level.  `m` is always the remaining (active) block, as residues mod
-    p^M: rows and columns of split-off pieces are dropped, since no later
-    step reads them, and every update runs over the remaining block only.
-    `_pivot_entry` picks every pivot.  Raises InternalCheckError if the
-    precision ledger runs dry.
+    p^M, and `_pivot_entry` picks every pivot.  One step serves both
+    shapes: with p^v P the pivot block and p^v c_k the pivot columns of
+    row k, row k becomes row k - c_k P^-1 (pivot rows), P^-1 = adj(P) /
+    det(P) mod p^M, and the pivot rows and columns, now 0 mod p^M, are
+    dropped.  Raises InternalCheckError if the precision ledger runs dry.
     """
     pM = p**modulus_exp
     m = [[x % pM for x in row] for row in gram]
@@ -147,52 +150,38 @@ def _split_pieces(gram, p: int, modulus_exp: int):
         if vmin is None or budget - vmin < _MIN_UNIT_PRECISION:
             raise InternalCheckError("p-adic precision exhausted in the Jordan split")
         pv = p**vmin
-
+        # shape-specific: the piece P, its det and w_a = (row a of adj P) (pivot rows)
         if i == j:
-            # after the row updates column i of the rest is 0 mod p^M, so
-            # the matching column updates would change only row i
-            prow = m.pop(i)
-            unit = prow.pop(i) // pv
-            inv_unit = pow(unit, -1, pM)
-            for k, row in enumerate(m):
-                ck = ((row.pop(i) // pv) * inv_unit) % pM
-                if ck:
-                    m[k] = [(x - ck * y) % pM for x, y in zip(row, prow)]
-            pieces.append((vmin, [[unit]]))
-            budget -= vmin  # conservative ledger
+            piv = (i,)
+            piece = [[m[i][i] // pv]]
+            det, ws = piece[0][0], [m[i]]
         else:
-            # minimal valuation strictly off-diagonal: a 2x2 split, whose
-            # det ac - b^2 has valuation 2 vmin, since v(ac) > 2 vmin
-            a, b, c = m[i][i], m[i][j], m[j][j]
-            det2 = (a * c - b * b) % pM
-            if det2 == 0 or valuation(det2, p) != 2 * vmin:
+            piv = (j, i)  # later index first, so deleting it leaves i in place
+            ri, rj = m[i], m[j]
+            a, b, c = ri[i] // pv, ri[j] // pv, rj[j] // pv
+            piece = [[a, b], [b, c]]
+            det = a * c - b * b
+            if det % p == 0:
                 raise InternalCheckError("2x2 pivot block is not p^(2v)-modular")
-            pd = pv * pv
-            inv_det = pow(det2 // pd, -1, pM)
-            rest = [k for k in range(len(m)) if k != i and k != j]
-            ri = [m[i][k] for k in rest]
-            rj = [m[j][k] for k in rest]
-            # row k -= alpha_k R_i + beta_k R_j clears columns i, j of row k
-            # up to the precision lost in dividing by det2; the column
-            # operations then use those residues rx_k, ry_k
-            coeffs = []
-            for k in rest:
-                x, y = m[k][i], m[k][j]
-                alpha = ((((x * c - y * b) % pM) // pd) * inv_det) % pM
-                beta = ((((y * a - x * b) % pM) // pd) * inv_det) % pM
-                coeffs.append((alpha, beta,
-                               (x - alpha * a - beta * b) % pM,
-                               (y - alpha * b - beta * c) % pM))
-            rows = []
-            for k, (alpha, beta, rx, ry) in zip(rest, coeffs):
-                row = [m[k][l] for l in rest]
-                if alpha or beta or rx or ry:  # else both updates leave row k
-                    row = [(x - alpha * u - beta * w - al * rx - bl * ry) % pM
-                           for x, u, w, (al, bl, _, _) in zip(row, ri, rj, coeffs)]
-                rows.append(row)
-            m = rows
-            pieces.append((vmin, [[a // pv, b // pv], [b // pv, c // pv]]))
-            budget -= 2 * vmin
+            ws = [[(a * y - b * x) % pM for x, y in zip(ri, rj)],
+                  [(c * x - b * y) % pM for x, y in zip(ri, rj)]]
+        pieces.append((vmin, piece))
+        budget -= vmin * len(piv)  # conservative ledger
+        for k in piv:
+            del m[k]
+        if not m:
+            break
+        # row k -= sum_a c_ka det^-1 w_a, one pivot index a at a time: w_a
+        # is p^v det at pivot column a and 0 at the other, so column a of
+        # row k still holds p^v c_ka when its turn comes
+        inv_det = pow(det, -1, pM)
+        for k, w in zip(piv, ws):
+            for u in ws:
+                del u[k]
+            for r, row in enumerate(m):
+                ck = row.pop(k) // pv * inv_det % pM
+                if ck:
+                    m[r] = [(x - ck * y) % pM for x, y in zip(row, w)]
     return pieces
 
 

@@ -18,6 +18,7 @@ one-class-per-genus assumption for index computations.
 from __future__ import annotations
 
 from math import prod
+from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 from .arith import factorize
@@ -37,8 +38,16 @@ class Signature(NamedTuple):
         return f"({self.positive},{self.negative})"
 
 
+def _entry(x) -> int:
+    """x as an int; a float, str or Fraction is refused, never truncated."""
+    try:
+        return index(x)
+    except TypeError:
+        raise PreconditionError(f"Gram entry {x!r} is not an integer") from None
+
+
 def _freeze(rows: Iterable[Sequence[int]]) -> Gram:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(_entry(x) for x in row) for row in rows)
 
 
 def _det_and_signature(rows: Gram) -> tuple[int, Signature]:

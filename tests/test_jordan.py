@@ -251,6 +251,30 @@ def test_split_matches_full_scan_oracle_on_corpora():
             _assert_matches_scan(lattice, p)
 
 
+def _assert_precision_stable(lattice: Lattice, p: int) -> None:
+    # no step loses precision: at M + 6 the split has the same levels and
+    # piece shapes, and a piece of level l agrees with it mod p^(M - l)
+    modulus_exp = 2 * valuation(lattice.det, p) + 8
+    pieces = _split_pieces(lattice.gram, p, modulus_exp)
+    finer = _split_pieces(lattice.gram, p, modulus_exp + 6)
+    assert [(lv, len(pc)) for lv, pc in pieces] == [(lv, len(pc)) for lv, pc in finer]
+    for (level, piece), (_, fine) in zip(pieces, finer):
+        q = p ** (modulus_exp - level)
+        assert piece == [[x % q for x in row] for row in fine], (lattice.gram, p, level)
+
+
+@given(_gram_and_prime())
+@settings(max_examples=300, deadline=None)
+def test_split_is_stable_under_more_precision(case):
+    _assert_precision_stable(*case)
+
+
+def test_split_is_stable_under_more_precision_on_corpora():
+    for lattice in _corpus():
+        for p in sorted({2, 3, 5, 7, *bad_primes(lattice)}):
+            _assert_precision_stable(lattice, p)
+
+
 # ------------------------------- the surfacing odd-p split, as oracle
 
 def surfacing_split_pieces(gram, p: int, modulus_exp: int):
@@ -449,6 +473,15 @@ def test_block_chi_hyperbolic_all_primes():
     for text, p, level in (("U(3)", 3, 1), ("U(9)", 3, 2), ("U(25)", 5, 2)):
         dec = jordan_decompose(lattice_from_text(text), p)
         assert dec.blocks == (JordanBlock(level, 2, 1, ()),), text
+    # a 2x2 pivot with rows remaining, whose elimination goes through the
+    # piece's inverse: of level 2 at p = 3, of level 1 and 0 at p = 2
+    for text, p, blocks in (
+        ("gram[0,0,27,27;0,0,9,18;27,9,0,54;27,18,54,0]", 3,
+         (JordanBlock(2, 2, 1, ()), JordanBlock(3, 2, 1, ()))),
+        ("gram[0,4,2;4,0,2;2,2,8]", 2, (JordanBlock(1, 2, 1, ()), JordanBlock(3, 1, 1, (3,)))),
+        ("gram[0,1,1;1,0,1;1,1,0]", 2, (JordanBlock(0, 2, 1, ()), JordanBlock(1, 1, 1, (7,)))),
+    ):
+        assert jordan_decompose(lattice_from_text(text), p).blocks == blocks, text
 
 
 def test_block_chi_nonhyperbolic_binary():

@@ -1,6 +1,8 @@
 import functools
+import re
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -205,6 +207,20 @@ def test_signature_zero_diagonal_block():
 def test_rejects_nonsymmetric():
     with pytest.raises(PreconditionError, match="not symmetric"):
         from_gram([[0, 1], [2, 0]])
+
+
+def test_gram_entries_must_be_integers():
+    # a non-integer entry is refused by name, not truncated: [[2.9, 1], [1, -2.5]]
+    # once became [[2, 1], [1, -2]] (det -5), and "2" parsed as 2
+    for bad in (2.9, "2", Fraction(5, 2)):
+        with pytest.raises(PreconditionError, match=re.escape(f"Gram entry {bad!r} is not an integer")):
+            from_gram([[bad, 1], [1, -2]])
+    with pytest.raises(PreconditionError, match="not an integer"):
+        from_gram([[2.9, 1], [1, -2.5]])
+    for one in (1, True, numpy.int64(1)):
+        lat = from_gram([[2, one], [one, -2]])
+        assert lat.gram == ((2, 1), (1, -2)) and type(lat.gram[0][1]) is int
+        assert lat.det == -5
 
 
 def test_rejects_singular():
