@@ -137,14 +137,6 @@ def finite_isometry_order(parts: list[tuple[JordanDecomposition, LocalDensity]])
     return count
 
 
-def p_series(p: int, n: int) -> Fraction:
-    """P_p(n) = prod_{i=1}^{n} (1 - p^(-2i)); the empty product is 1."""
-    if n < 0:
-        raise PreconditionError("P_p needs n >= 0")
-    # one integer over the common denominator p^2 p^4 ... p^(2n) = p^(n(n+1))
-    return Fraction(_p_series_num(p, n), p ** (n * (n + 1)))
-
-
 def cross_rank_weight(decomp: JordanDecomposition) -> int:
     """w = sum_j j * ( n_j (n_j + 1)/2 + n_j * sum_{k>j} n_k ).
 

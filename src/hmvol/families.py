@@ -8,20 +8,16 @@ Builders return the lattices
     K(m,d)  = U + m E8(-1) + <2> + <-2d>     signature (2, 8m+2), det 4d
     N(m,d)  = U + m E8(-1) + [2,1;1,(1-d)/2] signature (2, 8m+2), d = 1 mod 4
 
-The fixture functions code the final closed forms (Bernoulli products, case
-constants, the two-adic exponent table) directly; they share the Bernoulli
-(tangent-number) and generalized-Bernoulli helpers with the engine but none
-of the Jordan, density or Euler-product code, so engine == fixture is a
-genuine two-route check.
-
-Two constants are pinned by tests rather than by pattern extrapolation:
-
-* the K-family volume constant is tied to the growth constant through the
-  exact relation  growth leading term = (2/(8m+2)!) * volume  (asserted in
-  the tests) and cross-checked against the engine's unreduced chain;
-* the two-adic exponent for the K family at d = 4 mod 8 is 9 (mod the 8m
-  shift), not the 8+s of the neighbouring cases; the rank-2 counting oracle
-  on <2> + <-8> decides this.
+The volume fixtures, which `hmvol catalog` prints next to the engine's
+values, code the final closed forms (Bernoulli products and case constants)
+directly; they share the Bernoulli (tangent-number) and generalized-Bernoulli
+helpers with the engine but none of the Jordan, density or Euler-product
+code, so engine == fixture is a genuine two-route check.  The K-family
+volume constant is pinned by tests rather than by pattern extrapolation: it
+is tied to the growth constant through the exact relation
+growth leading term = (2/(8m+2)!) * volume, and cross-checked against the
+engine's unreduced chain.  The alpha_p tables and the cusp-term fixtures,
+which only the tests read, are in `tests/family_fixtures.py`.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import factorize, kronecker, valuation
+from .arith import factorize, kronecker
 from .errors import PreconditionError
 from .lattices import Lattice, direct_sum_of_copies, e8, from_gram, hyperbolic_plane, rank_one
 from .special_values import (
@@ -89,10 +85,7 @@ def _bernoulli_product(top: int) -> Fraction:
 
 def _double_factorial_even(top: int) -> int:
     """(top)!! = 2 * 4 * ... * top for even top."""
-    out = 1
-    for i in range(2, top + 1, 2):
-        out *= i
-    return out
+    return math.prod(range(2, top + 1, 2))
 
 
 def _prime_divisor_product(d: int, exponent: int) -> Fraction:
@@ -116,19 +109,6 @@ def fixture_vol_ii_oplus(m: int) -> Fraction:
     )
 
 
-def fixture_dim_ii_leading(m: int) -> Fraction:
-    """Leading k^(8m+2) coefficient for the stable group of II(m)."""
-    bern = _even_bernoullis(8 * m + 2)
-    return (
-        Fraction(1, 2 ** (4 * m))
-        * math.prod(bern)
-        / _double_factorial_even(8 * m + 2)
-        * bern[2 * m]  # B_{4m+2}
-        / (4 * m + 2)
-        / math.factorial(8 * m + 2)
-    )
-
-
 def fixture_ratio_t_over_ii(m: int) -> int:
     """vol(stable-plus T)/vol(stable-plus II) = (2^(4m+1)+1)(2^(4m+2)-1)."""
     return (2 ** (4 * m + 1) + 1) * (2 ** (4 * m + 2) - 1)
@@ -147,25 +127,6 @@ def fixture_vol_l_tilde(m: int, d: int) -> Fraction:
         / _double_factorial_even(n + 1)
     )
     return 2 * val if d == 1 else val
-
-
-def fixture_cusp_k3(d: int) -> Fraction:
-    """K3 case (m = 2): leading coefficient
-    (2^-9/19!) d^10 prod_{p|d}(1+p^-10) |B_2...B_20|/20!! for d > 1."""
-    if d < 2:
-        raise PreconditionError("the K3 closed form assumes d > 1")
-    return (
-        Fraction(1, 2**9 * math.factorial(19))
-        * Fraction(d) ** 10
-        * _prime_divisor_product(d, 10)
-        * abs(_bernoulli_product(20))
-        / _double_factorial_even(20)
-    )
-
-
-def fixture_cusp_paramodular(d: int) -> Fraction:
-    """Paramodular leading coefficient (d^2/(3*2^4)) prod_{p|d}(1+p^-2) |B_2 B_4|."""
-    return Fraction(d * d, 3 * 2**4) * _prime_divisor_product(d, 2) * abs(_bernoulli_product(4))
 
 
 def _k_constant(m: int, d: int, disc: int) -> Fraction:
@@ -199,31 +160,6 @@ def fixture_vol_k_tilde(m: int, d: int) -> Fraction:
     )
 
 
-def fixture_cusp_k_tilde(m: int, d: int) -> Fraction:
-    """Leading coefficient for the stable-plus group of K(m,d), via its own
-    growth-constant case table (independent of the volume fixture), split on
-    the parity of D."""
-    disc, t = fundamental_discriminant(d)
-    if disc % 4 == 1:
-        growth_const = Fraction(2 ** (4 * m + 2)) * (2 if d == 1 else 1)
-    else:
-        growth_const = Fraction(1, 2 ** (4 * m + 1))
-    s = 4 * m + 2
-    euler = Fraction(1)
-    for p in factorize(2 * t):
-        euler *= 1 - Fraction(kronecker(disc, p), p**s)
-    return (
-        growth_const
-        / math.factorial(8 * m + 2)
-        * _bernoulli_product(8 * m + 2)
-        / _double_factorial_even(8 * m + 2)
-        * generalized_bernoulli(s, disc)
-        / s
-        * Fraction(t) ** (8 * m + 3)
-        * euler
-    )
-
-
 def fixture_vol_n_tilde(m: int, d: int) -> Fraction:
     """vol_HM of the stable-plus group of N(m,d), d = 1 mod 4:
     2^(delta_{1,d} - 4m - 2) * (B_2...B_{8m+2}/(8m+2)!!) * t^(8m+3)
@@ -245,88 +181,3 @@ def fixture_vol_n_tilde(m: int, d: int) -> Fraction:
         / s
         * euler
     )
-
-
-# ------------------------------------------------------ density fixtures
-
-def _p_series_fixture(p: int, n: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(1, n + 1):
-        out *= 1 - Fraction(1, p ** (2 * i))
-    return out
-
-
-def fixture_alpha_ii(m: int, p: int) -> Fraction:
-    """alpha_p(II(m)) = 2^(delta_{2,p}(8m+4)) P_p(4m+2) (1+p^-(4m+2))^-1."""
-    lead = Fraction(2) ** ((8 * m + 4) if p == 2 else 0)
-    return lead * _p_series_fixture(p, 4 * m + 2) / (1 + Fraction(1, p ** (4 * m + 2)))
-
-
-def fixture_alpha_l(m: int, d: int, p: int) -> Fraction:
-    """The four-case alpha table for L(m,d)."""
-    s = valuation(d, p) if d % p == 0 else 0
-    sigma = 4 * m + 2
-    if p == 2:
-        if d % 2:
-            return Fraction(2) ** (8 * m + 6) * _p_series_fixture(2, sigma)
-        return (
-            Fraction(2) ** (8 * m + 7 + s)
-            * _p_series_fixture(2, sigma)
-            / (1 + Fraction(1, 2**sigma))
-        )
-    if s == 0:
-        return _p_series_fixture(p, sigma)
-    return 2 * Fraction(p) ** s * _p_series_fixture(p, sigma) / (1 + Fraction(1, p**sigma))
-
-
-def k_two_adic_exponent(d: int) -> int:
-    """v(d) with alpha_2(K(m,d)) = 2^(8m+v(d)) P_2(4m+1).
-
-    6/7/8 for d = 1/3/2 mod 4; for 2^s || d with s >= 2 the exponent is 8+s
-    except at s = 2 (d = 4 mod 8) where it is 9: the two odd Jordan pieces
-    sit at levels 1 and 3 and share the intervening trivial level, which
-    removes one halving factor.  Pinned by the counting oracle on <2> + <-8>.
-    """
-    r = d % 4
-    if r == 1:
-        return 6
-    if r == 3:
-        return 7
-    if r == 2:
-        return 8
-    s = valuation(d, 2)
-    return 9 if s == 2 else 8 + s
-
-
-def fixture_alpha_k(m: int, d: int, p: int) -> Fraction:
-    """The alpha table for K(m,d)."""
-    if p == 2:
-        return Fraction(2) ** (8 * m + k_two_adic_exponent(d)) * _p_series_fixture(2, 4 * m + 1)
-    if d % p == 0:
-        s = valuation(d, p)
-        return 2 * Fraction(p) ** s * _p_series_fixture(p, 4 * m + 1)
-    return _p_series_fixture(p, 4 * m + 1) * (
-        1 - Fraction(kronecker(4 * d, p), p ** (4 * m + 2))
-    )
-
-
-def fixture_alpha_n(m: int, d: int, p: int) -> Fraction:
-    """The alpha table for N(m,d), d = 1 mod 4."""
-    if p == 2:
-        return (
-            Fraction(2) ** (8 * m + 4)
-            * _p_series_fixture(2, 4 * m + 1)
-            * (1 - Fraction(kronecker(d, 2), 2 ** (4 * m + 2)))
-        )
-    if d % p == 0:
-        s = valuation(d, p)
-        return 2 * Fraction(p) ** s * _p_series_fixture(p, 4 * m + 1)
-    return _p_series_fixture(p, 4 * m + 1) * (1 - Fraction(kronecker(d, p), p ** (4 * m + 2)))
-
-
-def fixture_alpha_t2(m: int) -> Fraction:
-    """alpha_2(T(m)) = 2^(8m+7) (1-2^-2)...(1-2^-8m) (1-2^-(4m+1))."""
-    out = Fraction(2) ** (8 * m + 7)
-    for i in range(1, 4 * m + 1):
-        out *= 1 - Fraction(1, 2 ** (2 * i))
-    return out * (1 - Fraction(1, 2 ** (4 * m + 1)))

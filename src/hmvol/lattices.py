@@ -38,16 +38,20 @@ class Signature(NamedTuple):
         return f"({self.positive},{self.negative})"
 
 
-def _entry(x) -> int:
-    """x as an int; a float, str or Fraction is refused, never truncated."""
+def _entry(x, what: str = "Gram entry") -> int:
+    """x as an int; a float, str or Fraction is refused, never truncated.
+    Every entry or scale that comes from outside passes through here."""
     try:
         return index(x)
     except TypeError:
-        raise PreconditionError(f"Gram entry {x!r} is not an integer") from None
+        raise PreconditionError(f"{what} {x!r} is not an integer") from None
 
 
 def _freeze(rows: Iterable[Sequence[int]]) -> Gram:
-    return tuple(tuple(_entry(x) for x in row) for row in rows)
+    try:
+        return tuple(tuple(map(_entry, row)) for row in rows)
+    except TypeError:
+        raise PreconditionError("a Gram matrix is a sequence of rows of integers") from None
 
 
 def _det_and_signature(rows: Gram) -> tuple[int, Signature]:
@@ -118,10 +122,9 @@ class Lattice:
         _check_rank(n)
         if any(len(row) != n for row in g):
             raise PreconditionError("Gram matrix must be square")
+        _check_entries(g)
         for i in range(n):
-            for j in range(n):
-                if abs(g[i][j]) >= ENTRY_CAP:
-                    raise PreconditionError(f"entry {g[i][j]} exceeds cap 2^63")
+            for j in range(i + 1, n):
                 if g[i][j] != g[j][i]:
                     raise PreconditionError(
                         f"Gram matrix is not symmetric at ({i},{j}): {g[i][j]} != {g[j][i]}"
@@ -205,6 +208,7 @@ _E8 = Lattice(_e8_gram())
 
 def hyperbolic_plane(scale: int = 1) -> Lattice:
     """U(scale): Gram [[0, scale], [scale, 0]]; U(1) and U(-1) are hyperbolic planes."""
+    scale = _entry(scale, "scale")
     if scale == 0:
         raise PreconditionError("scale must be nonzero")
     gram = ((0, scale), (scale, 0))
@@ -219,6 +223,7 @@ def e8(scale: int = 1) -> Lattice:
 
 def rank_one(k: int) -> Lattice:
     """<k>: the rank-1 lattice with Gram [k]."""
+    k = _entry(k)
     if k == 0:
         raise PreconditionError("rank-1 Gram entry must be nonzero")
     gram = ((k,),)
@@ -233,6 +238,7 @@ def from_gram(rows: Iterable[Sequence[int]]) -> Lattice:
 def rescale(lattice: Lattice, c: int) -> Lattice:
     """L(c): multiply every Gram entry by c; det gains c^rank and c < 0
     swaps the signature."""
+    c = _entry(c, "scale")
     if c == 0:
         raise PreconditionError("scale must be nonzero")
     gram = tuple(tuple(c * x for x in row) for row in lattice.gram)

@@ -72,14 +72,18 @@ from .special_values import (
 GROUP_TAGS = ("O", "O+", "SO+", "O~+", "SO~+")
 
 
+def _is_two_n(lattice: Lattice) -> bool:
+    """Whether `lattice` has signature (2, n), n >= 1."""
+    return lattice.signature.positive == 2 and lattice.signature.negative >= 1
+
+
 def _refusal(lattice: Lattice, tag: str) -> str | None:
     """Why `lattice` has no group `tag`, or None when it has one."""
     if tag not in GROUP_TAGS:
         return f"unknown group tag {tag!r}"
     if tag == "O":
         return None
-    sig = lattice.signature
-    if sig.positive != 2 or sig.negative < 1:
+    if not _is_two_n(lattice):
         return "projective indices are defined for signature (2, n), n >= 1"
     if "~" not in tag:
         return None
@@ -174,8 +178,7 @@ def group_volume(lattice: Lattice, tag: str, g_sp_plus: int = 1) -> Fraction:
 def cusp_dim_leading(lattice: Lattice, tag: str, g_sp_plus: int = 1) -> Fraction:
     """Leading coefficient of dim S_k(Gamma_tag): (2/n!) vol_HM(Gamma_tag) for
     signature (2, n); the k^n coefficient of the dimension growth."""
-    sig = lattice.signature
-    if sig.positive != 2 or sig.negative < 1:
+    if not _is_two_n(lattice):
         raise PreconditionError("cusp dimension growth is defined for signature (2, n)")
     return build_report(lattice, (tag,), g_sp_plus).cusp_leading[tag]
 
@@ -227,8 +230,7 @@ def build_report(
             f"g_sp+ = {g_sp_plus} contradicts the hyperbolic-plane direct summand: "
             "the genus has a single class, so g_sp+ = 1"
         )
-    sig = lattice.signature
-    is_two_n = sig.positive == 2 and sig.negative >= 1
+    is_two_n = _is_two_n(lattice)
     refused = None
     if tags is None:
         tags = tuple(tag for tag in GROUP_TAGS if _refusal(lattice, tag) is None)
@@ -269,7 +271,7 @@ def build_report(
     volumes: dict[str, Fraction] = {}
     indices: dict[str, int] = {}
     cusp: dict[str, Fraction] = {}
-    cusp_factor = Fraction(2, factorial(sig.negative)) if is_two_n else None
+    cusp_factor = Fraction(2, factorial(lattice.signature.negative)) if is_two_n else None
     for tag in tags:
         indices[tag], minus_id = _index_and_minus_id(tag, rho % 2 == 0, n_iso, two_elementary)
         volumes[tag] = indices[tag] * vol

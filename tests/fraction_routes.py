@@ -15,7 +15,8 @@ import math
 from fractions import Fraction
 
 from hmvol.arith import kronecker, squarefree_split
-from hmvol.density import _EMPTY_BLOCK, LocalDensity, cross_rank_weight, p_series
+from family_fixtures import p_series
+from hmvol.density import _EMPTY_BLOCK, LocalDensity, cross_rank_weight
 from hmvol.errors import PreconditionError
 from hmvol.jordan import JordanDecomposition
 from hmvol.lattices import Lattice

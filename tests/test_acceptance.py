@@ -15,8 +15,6 @@ from hmvol.cli import main as cli_main
 from hmvol.density import local_density, oracle_stabilized
 from hmvol.expr import lattice_from_text
 from hmvol.families import (
-    fixture_cusp_k3,
-    fixture_cusp_paramodular,
     fixture_ratio_t_over_ii,
     fixture_vol_ii_oplus,
     fixture_vol_k_tilde,
@@ -33,6 +31,7 @@ from hmvol.special_values import SymbolicReal
 from hmvol.volumes import cusp_dim_leading, group_volume, vol_hm
 
 from conftest import ORACLE_CORPUS, SIGNATURE_2N_EXPRESSIONS, isometry_order, num_prime_divisors
+from family_fixtures import fixture_cusp_k3, fixture_cusp_paramodular
 from siegel import siegel_identities
 
 

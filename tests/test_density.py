@@ -9,57 +9,48 @@ import pytest
 import hmvol.density as density
 from hmvol.arith import is_prime
 from hmvol.density import (
+    _p_series_num,
     _siegel_counts,
     bad_primes,
     cross_rank_weight,
     local_density,
     oracle_stabilized,
-    p_series,
     siegel_count_oracle,
 )
 from hmvol.errors import FeasibilityError, PreconditionError
 from hmvol.expr import lattice_from_text
-from hmvol.families import (
+from hmvol.families import k_lattice, l_lattice, n_lattice, t_lattice, unimodular_ii
+from hmvol.jordan import jordan_decompose
+from hmvol.lattices import Lattice
+
+from conftest import integer_route_corpus
+from family_fixtures import (
     fixture_alpha_ii,
     fixture_alpha_k,
     fixture_alpha_l,
     fixture_alpha_n,
     fixture_alpha_t2,
-    k_lattice,
-    l_lattice,
-    n_lattice,
-    t_lattice,
-    unimodular_ii,
+    p_series,
 )
-from hmvol.jordan import jordan_decompose
-from hmvol.lattices import Lattice
-
-from conftest import integer_route_corpus
 from fraction_routes import density_odd, density_two
 
 
+def integer_p_series(p: int, n: int) -> Fraction:
+    """P_p(n) by the program's route: one integer over p^(n(n+1))."""
+    return Fraction(_p_series_num(p, n), p ** (n * (n + 1)))
+
+
 def test_p_series_values():
-    assert p_series(3, 1) == Fraction(8, 9)
-    assert p_series(2, 0) == 1
-    assert p_series(5, 0) == 1
-    assert p_series(2, 2) == Fraction(3, 4) * Fraction(15, 16)
-
-
-def fraction_p_series(p: int, n: int) -> Fraction:
-    """P_p(n) as n Fraction products, the earlier route (the reference for
-    the one-integer product over p^(n(n+1)))."""
-    out = Fraction(1)
-    for i in range(1, n + 1):
-        out *= 1 - Fraction(1, p ** (2 * i))
-    return out
+    assert integer_p_series(3, 1) == Fraction(8, 9)
+    assert integer_p_series(2, 0) == 1
+    assert integer_p_series(5, 0) == 1
+    assert integer_p_series(2, 2) == Fraction(3, 4) * Fraction(15, 16)
 
 
 def test_p_series_matches_fraction_products():
     for p in (2, 3, 5, 7, 11, 13, 9973):
         for n in range(0, 33):
-            assert p_series(p, n) == fraction_p_series(p, n), (p, n)
-    with pytest.raises(PreconditionError):
-        p_series(3, -1)
+            assert integer_p_series(p, n) == p_series(p, n), (p, n)
 
 
 def test_cross_rank_weight_anchors():

@@ -8,14 +8,11 @@ from hmvol.density import local_density, oracle_stabilized
 from hmvol.errors import PreconditionError
 from hmvol.expr import lattice_from_text
 from hmvol.families import (
-    fixture_cusp_k_tilde,
-    fixture_cusp_paramodular,
     fixture_vol_ii_oplus,
     fixture_vol_k_tilde,
     fixture_vol_l_tilde,
     fixture_vol_n_tilde,
     k_lattice,
-    k_two_adic_exponent,
     l_lattice,
     n_lattice,
     t_lattice,
@@ -23,6 +20,13 @@ from hmvol.families import (
 )
 from hmvol.lattices import Signature
 from hmvol.volumes import cusp_dim_leading
+
+from family_fixtures import (
+    fixture_cusp_k_tilde,
+    fixture_cusp_paramodular,
+    fixture_dim_ii_leading,
+    k_two_adic_exponent,
+)
 
 
 def test_family_shapes():
@@ -98,9 +102,6 @@ def test_vol_l_tilde_d1_doubling():
 
 
 def test_dim_ii_growth_fixture():
-    from hmvol.families import fixture_dim_ii_leading
-    from hmvol.volumes import cusp_dim_leading
-
     for m in (0, 1):
         assert cusp_dim_leading(unimodular_ii(m), "O~+") == fixture_dim_ii_leading(m)
 

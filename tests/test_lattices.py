@@ -223,6 +223,30 @@ def test_gram_entries_must_be_integers():
         assert lat.det == -5
 
 
+def test_rejects_malformed_rows():
+    # rows that are not sequences once raised "'int' object is not iterable"
+    with pytest.raises(PreconditionError, match="must be square"):
+        from_gram([[1, 2], [3]])
+    for bad in ([1, 2], 5):
+        with pytest.raises(PreconditionError, match="sequence of rows of integers"):
+            from_gram(bad)
+
+
+def test_constructor_scales_must_be_integers():
+    # a float scale once built a float Gram: rank_one(2.5) had det 2.5,
+    # hyperbolic_plane(1.5) det -2.25 and e8(0.5) det 1/256, and rank_one("3")
+    # raised a bare TypeError
+    cases = [(rank_one, 2.5, "Gram entry"), (rank_one, "3", "Gram entry"),
+             (hyperbolic_plane, 1.5, "scale"), (e8, 0.5, "scale"),
+             (lambda c: rescale(e8(1), c), 0.5, "scale")]
+    for build, bad, what in cases:
+        with pytest.raises(PreconditionError, match=re.escape(f"{what} {bad!r} is not an integer")):
+            build(bad)
+    for one in (True, numpy.int64(1)):
+        for lat in (rank_one(one), hyperbolic_plane(one), rescale(rank_one(2), one)):
+            assert all(type(x) is int for row in lat.gram for x in row)
+
+
 def test_rejects_singular():
     with pytest.raises(PreconditionError, match="singular"):
         from_gram([[1, 1], [1, 1]])

@@ -12,6 +12,7 @@ from conftest import (
     isometry_order,
     num_prime_divisors,
 )
+from family_fixtures import fixture_cusp_k3
 from fraction_routes import det_power, gamma_factor, l_closed, zeta_closed
 from fraction_routes import euler_product as fraction_euler_product
 from siegel import siegel_gamma, siegel_identities, vol_s_so
@@ -261,8 +262,6 @@ def test_l_family_beyond_whole_group_isometry_cap():
 
 
 def test_k3_cusp_leading():
-    from hmvol.families import fixture_cusp_k3
-
     for d in (2, 3, 4):
         assert cusp_dim_leading(l_lattice(2, d), "O~+") == fixture_cusp_k3(d)
 
