@@ -103,13 +103,12 @@ def _report_text(report: VolumeReport, precision: int | None) -> str:
 
 
 def _decimal(x: Fraction | SymbolicReal, digits: int) -> str:
-    """x printed to `digits` significant digits."""
+    """x printed to `digits` significant digits, rounded once from a value 10
+    digits finer (mpf(num) / den at `digits` would round num first)."""
     import mpmath
 
     with mpmath.workdps(digits):
-        if isinstance(x, SymbolicReal):
-            return str(x.evalf(digits))
-        return str(mpmath.mpf(x.numerator) / x.denominator)
+        return str((x if isinstance(x, SymbolicReal) else SymbolicReal(x)).evalf(digits))
 
 
 def _print_report(report: VolumeReport, precision: int | None) -> None:

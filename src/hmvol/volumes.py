@@ -189,7 +189,6 @@ class VolumeReport(NamedTuple):
 
     lattice: Lattice
     g_sp_plus: int
-    g_justified: bool
     bad_primes: tuple[int, ...]
     densities: list[LocalDensity]
     euler_product: SymbolicReal
@@ -224,8 +223,7 @@ def build_report(
         raise PreconditionError("volume formula needs rank >= 3")
     if lattice.is_definite:
         raise PreconditionError("volume formula needs an indefinite lattice")
-    g_justified = lattice.has_hyperbolic_summand
-    if g_justified and g_sp_plus != 1:
+    if lattice.has_hyperbolic_summand and g_sp_plus != 1:
         raise PreconditionError(
             f"g_sp+ = {g_sp_plus} contradicts the hyperbolic-plane direct summand: "
             "the genus has a single class, so g_sp+ = 1"
@@ -253,7 +251,7 @@ def build_report(
         det_power = adet ** (rho // 2) * s * c
     vol = Fraction(2 * det_power, g_sp_plus) * gamma_factor(rho) * euler.coefficient
     assumptions = []
-    if g_justified:
+    if lattice.has_hyperbolic_summand:
         assumptions.append(
             "g_sp+ = 1; the default 1 is justified: a hyperbolic-plane direct summand "
             "is present, so the genus has a single class"
@@ -308,7 +306,6 @@ def build_report(
     return VolumeReport(
         lattice=lattice,
         g_sp_plus=g_sp_plus,
-        g_justified=g_justified,
         bad_primes=bad,
         densities=densities,
         euler_product=euler,

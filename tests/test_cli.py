@@ -6,6 +6,7 @@ import subprocess
 import time
 import tracemalloc
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,100 @@ from report_doc import report_doc
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one in-process CLI call, a usage error
+    included; every call must end within 10 s."""
+    start = time.perf_counter()
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    assert time.perf_counter() - start < 10, argv
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# CLI behaviours that no other test pins by their argv: (argv, exit code,
+# texts that stdout holds on exit 0 and stderr otherwise, and the tracemalloc
+# peak in MiB that the call stays under, or None).  A --json report must be
+# json.dumps(doc, indent=2), and its texts are read off the compact
+# re-encoding, so '"indices":{"O~+":48}' names the index.  Catalog exits 1
+# on any engine/fixture mismatch; its text is the label of the last row.
+CLI_CASES = [
+    (("catalog", "L"), 0, ("L m=2 d=10 ",), None),
+    (("catalog", "L", "--m", "0..2", "--d", "1..30"), 0, ("L m=2 d=30 ",), None),
+    (("catalog", "T"), 0, ("T/II m=3 ratio",), None),  # the summand U(2)
+    (("catalog", "K"), 0, ("K m=0 d=12 ",), None),
+    (("catalog", "K", "--d", "1..40"), 0, ("K m=0 d=40 ",), None),  # odd D at d = 4, 16, 20, 36
+    (("catalog", "L", "--m", "0", "--d", "131072"), 0, ("L m=0 d=131072 ",), None),  # Z/2^18
+    (("catalog", "N", "--m", "0..2", "--d", "397,401"), 0, ("N m=2 d=401 ",), None),  # rank 20
+    (("catalog", "N", "--d", "9,25,45,49,81"), 0, ("N m=0 d=81 ",), None),  # Euler factor over p | t
+    # the Enriques lattice: index 2 |O+_10(2)|
+    (("analyze", "U + U(2) + E8(-2)", "--group", "O~+", "--json"), 0,
+     ('"indices":{"O~+":93997183795200}',), None),
+    # the parts (Z/2)^2 and (Z/3)^3
+    (("analyze", "U + U(3) + <-6> + <-2>", "--group", "O~+", "--json"), 0,
+     ('"indices":{"O~+":48}',), None),
+    (("analyze", "2*U + <-2> + E8(-2)", "--group", "O~+", "--json"), 0,
+     ('"indices":{"O~+":696729600}',), None),
+    (("analyze", "2*U + <-4> + E8(-2)", "--group", "O~+", "--json"), 0,
+     ('"indices":{"O~+":94755225600}',), None),
+    (("analyze", "2*U + 2*<-14> + 2*<-98>", "--group", "O~+"), 0, ("O~+ 34420736 ",), None),
+    (("analyze", "2*U + 2*<-10> + 3*<-50>", "--group", "O~+"), 0, ("O~+ 450000000000 ",), None),
+    (("analyze", "U + <2> + <-6>", "--json", "--oracle-check", "--precision", "30"), 0, (), None),
+    (("analyze", "U + <-6>", "--json", "--oracle-check", "--precision", "30"), 0, (), None),
+    (("analyze", "U + <1> + <1> + <1>", "--json"), 0, ('"cusp_leading":{}',), None),
+    # 481/5760, rounded half-up at the 30th digit
+    (("analyze", "2*U + <-62>", "--group", "O", "--precision", "30"), 0,
+     ("  O ~ 0.0835069444444444444444444444444\n",), None),
+    (("analyze", "2*U + <-62>", "--group", "O", "--precision", "30", "--json"), 0,
+     ('"volumes":{"O":"0.0835069444444444444444444444444"}',), None),
+    (("analyze", "2*U + <-2>", "--gsp", "2"), 3, ("contradicts the hyperbolic-plane",), None),
+    (("analyze", "U + <-2> + <-2>", "--group", "O+"), 3, ("(odd-parity L-value)",), None),
+    (("analyze", "gram[0,1;1,0] + gram[0,1;1,0] + <-2>", "--group", "O~+"), 3,
+     ("assume a hyperbolic-plane direct summand",), None),
+    # the rank cap fires on the counts, before any copy is listed
+    (("analyze", "1000000000*U"), 3, ("rank 2000000000 exceeds cap 64",), 1),
+    (("catalog", "II", "--m", "1000000000"), 3, ("rank 8000000004 exceeds cap 64",), 1),
+    (("catalog", "II", "--m", "0..100000000"), 3, ("rank 68 exceeds cap 64",), 8),
+    (("catalog", "II", "--d", "1..3"), 3, ("family II has no d; drop --d",), None),
+    (("catalog", "L", "--m", "0", "--d", "5..1"), 2, ("empty range '5..1'",), None),
+    (("oracle", "<2> + <-8>", "2", "6"), 0, ("stabilization: stable",), None),
+    # degenerate 2-adic buckets: S = 4 diag(3, -5), and <4> + <-6> at q = 128
+    (("oracle", "<12> + <-20>", "2", "6"), 0, ("oracle r=7: 256\nstabilization: stable",), None),
+    (("oracle", "<4> + <-6>", "2", "6"), 0, ("oracle r=7: 64\n",), None),
+    # q = 169, the largest rank-2 modulus the guard allows at depth 2, in int32
+    (("oracle", "<2> + <-22>", "13", "1"), 0,
+     ("oracle r=1: 14/13\noracle r=2: 14/13\nstabilization: stable",), None),
+    (("oracle", "U + <2>", "2", "2"), 0, ("oracle r=3: 6\n",), None),
+    # one 2x2 piece of level 2 at p = 3 (an off-diagonal pivot)
+    (("oracle", "U(9)", "3", "3"), 0,
+     ("formula alpha_3 = 486\noracle r=3: 486\noracle r=4: 486\nstabilization: stable",), None),
+    # a unimodular 2x2 piece with one row left, eliminated through its inverse
+    (("oracle", "gram[0,1,1;1,0,1;1,1,0]", "3", "1"), 0,
+     ("formula alpha_3 = 8/9\noracle r=1: 8/9\noracle r=2: 8/9\nstabilization: stable",), None),
+]
+
+
+@pytest.mark.parametrize("argv, code, texts, peak_mib", CLI_CASES,
+                         ids=[" ".join(case[0]) for case in CLI_CASES])
+def test_cli_case(capsys, argv, code, texts, peak_mib):
+    if peak_mib:
+        tracemalloc.start()
+    try:
+        got, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == code, err
+    assert (err == "") == (code == 0), err
+    assert "WARNING" not in out and "MISMATCH" not in out
+    if "--json" in argv:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        out = json.dumps(json.loads(out), separators=(",", ":"))
+    shown = out if code == 0 else err
+    assert all(text in shown for text in texts), shown
+    if peak_mib:
+        assert peak < peak_mib * 2**20, peak
 
 
 def test_analyze_sp2z(capsys):
@@ -289,12 +381,35 @@ def test_stabilized_oracle_check_prints_verdict(capsys):
     ("analyze", "2*U + <-2>", "--precision", "-3"),
     ("analyze", "2*U + <-2>", "--gsp", "0"),
     ("analyze", "2*U + <-2>", "--gsp", "-1"),
+    ("analyze", "2*U + <-2>", "--gsp", "x"),
+    ("analyze", "2*U + <-2>", "--precision", "1.5"),
 ])
 def test_malformed_option_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     assert f"error: argument {argv[2]}" in capsys.readouterr().err
+
+
+def test_stabilized_disagreement_warns_in_oracle_and_fails_in_analyze(capsys, monkeypatch):
+    # one disagreement, two policies: oracle prints WARNING and exits 0,
+    # analyze --oracle-check exits 5
+    from hmvol import cli, volumes
+
+    density = cli.local_density
+
+    def off_by_one(lat, p):
+        d = density(lat, p)
+        return d._replace(value=d.value + 1)
+
+    monkeypatch.setattr(cli, "local_density", off_by_one)
+    code, out, err = run(capsys, "oracle", "<2> + <-8>", "2", "6")
+    assert (code, err) == (0, "")
+    assert out.endswith("stabilization: stable\nconvention: congruence X^t S X = S taken plainly "
+                        "mod 2^r in every entry\nWARNING: stabilized oracle disagrees with the formula\n")
+    monkeypatch.setattr(volumes, "oracle_stabilized", lambda lat, p: (3, Fraction(1, 7), True))
+    assert run(capsys, "analyze", "U + <-6>", "--oracle-check") == (
+        5, "", "internal consistency failure: oracle disagrees with the density formula at p=2\n")
 
 
 def test_gsp_override_exits_3_only_with_a_hyperbolic_summand(capsys):

@@ -127,7 +127,7 @@ def test_spinor_genus_override_contradicting_hyperbolic_summand_is_rejected():
     # a hyperbolic-plane direct summand leaves one class in the genus, so
     # g_sp+ is 1 and no other value may divide the volumes
     for lat in (l_lattice(0, 1), lattice_from_text("U + <2> + <-2>")):
-        assert build_report(lat, ("O~+",), 1).g_justified
+        assert build_report(lat, ("O~+",), 1).lattice.has_hyperbolic_summand
         for call in (lambda: build_report(lat, ("O~+",), 2), lambda: vol_hm(lat, 2),
                      lambda: group_volume(lat, "O~+", 4), lambda: cusp_dim_leading(lat, "O+", 2)):
             with pytest.raises(PreconditionError, match=r"g_sp\+ = \d contradicts the hyperbolic"):
@@ -285,7 +285,7 @@ def test_build_report_defaults():
     assert set(rep.volumes) == {"O", "O+", "SO+", "O~+", "SO~+"}
     assert rep.volumes["O~+"] == Fraction(1, 2880)
     assert rep.cusp_leading["SO~+"] == Fraction(1, 8640)
-    assert rep.g_justified
+    assert rep.lattice.has_hyperbolic_summand
     # II_{2,18}: stable group equals the plus group
     rep = build_report(lattice_from_text("2*U + 2*E8(-1)"))
     assert rep.volumes["O+"] == rep.volumes["O~+"]
@@ -352,7 +352,7 @@ def test_build_report_oracle_check():
 def test_report_flags_unjustified_default():
     lat = lattice_from_text("gram[0,1;1,0] + gram[0,1;1,0] + <-2>")
     rep = build_report(lat, tags=("O",))
-    assert not rep.g_justified
+    assert not rep.lattice.has_hyperbolic_summand
     assert any("assumed" in line for line in rep.assumptions)
 
 
