@@ -242,7 +242,7 @@ def _cmd_oracle(args) -> int:
     if p == 2:
         print("convention: congruence X^t S X = S taken plainly mod 2^r in every entry")
     if stable and v1 != formula:
-        print("WARNING: stabilized oracle disagrees with the formula")
+        raise InternalCheckError(f"oracle disagrees with the density formula at p={p}")
     return 0
 
 

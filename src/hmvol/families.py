@@ -10,11 +10,12 @@ Builders return the lattices
 
 The volume fixtures, which `hmvol catalog` prints next to the engine's
 values, code the final closed forms (Bernoulli products and case constants)
-directly; they share the Bernoulli (tangent-number) and generalized-Bernoulli
-helpers with the engine but none of the Jordan, density or Euler-product
-code, so engine == fixture is a genuine two-route check.  The K-family
-volume constant is pinned by tests rather than by pattern extrapolation: it
-is tied to the growth constant through the exact relation
+directly; they share `even_bernoullis` and `generalized_bernoulli` with the
+engine but none of the Jordan, density or Euler-product code, so engine ==
+fixture is a genuine two-route check.  The K and N fixtures are one closed
+form, `_twisted_volume`, each with its own constant and Euler primes.  The
+K-family volume constant is pinned by tests rather than by pattern
+extrapolation: it is tied to the growth constant through the exact relation
 growth leading term = (2/(8m+2)!) * volume, and cross-checked against the
 engine's unreduced chain.  The alpha_p tables and the cusp-term fixtures,
 which only the tests read, are in `tests/family_fixtures.py`.
@@ -28,12 +29,7 @@ from fractions import Fraction
 from .arith import factorize, kronecker
 from .errors import PreconditionError
 from .lattices import Lattice, direct_sum_of_copies, e8, from_gram, hyperbolic_plane, rank_one
-from .special_values import (
-    _even_bernoulli,
-    _tangent_numbers,
-    fundamental_discriminant,
-    generalized_bernoulli,
-)
+from .special_values import even_bernoullis, fundamental_discriminant, generalized_bernoulli
 
 
 # ---------------------------------------------------------------- builders
@@ -72,15 +68,9 @@ def n_lattice(m: int, d: int) -> Lattice:
 
 # ------------------------------------------------------------ small helpers
 
-def _even_bernoullis(top: int) -> list[Fraction]:
-    """[B_2, B_4, ..., B_top] (top even), read off one tangent-number triangle."""
-    tangents = _tangent_numbers(top // 2)
-    return [_even_bernoulli(k, tangents[k]) for k in range(1, top // 2 + 1)]
-
-
 def _bernoulli_product(top: int) -> Fraction:
     """B_2 B_4 ... B_top (top even); positive throughout the ranges used."""
-    return math.prod(_even_bernoullis(top))
+    return math.prod(even_bernoullis(top))
 
 
 def _double_factorial_even(top: int) -> int:
@@ -89,17 +79,14 @@ def _double_factorial_even(top: int) -> int:
 
 
 def _prime_divisor_product(d: int, exponent: int) -> Fraction:
-    out = Fraction(1)
-    for p in factorize(d):
-        out *= 1 + Fraction(1, p**exponent)
-    return out
+    return math.prod((1 + Fraction(1, p**exponent) for p in factorize(d)), start=Fraction(1))
 
 
 # ------------------------------------------------------- volume fixtures
 
 def fixture_vol_ii_oplus(m: int) -> Fraction:
     """vol_HM(O+(II(m))) = 2^-(4m+1) (B_2...B_{8m+2}/(8m+2)!!) B_{4m+2}/(4m+2)."""
-    bern = _even_bernoullis(8 * m + 2)
+    bern = even_bernoullis(8 * m + 2)
     return (
         Fraction(1, 2 ** (4 * m + 1))
         * math.prod(bern)
@@ -140,17 +127,14 @@ def _k_constant(m: int, d: int, disc: int) -> Fraction:
     return Fraction(1, 2 ** (4 * m + 2))
 
 
-def fixture_vol_k_tilde(m: int, d: int) -> Fraction:
-    """vol_HM of the stable-plus group of K(m,d) via generalized Bernoulli
-    numbers: const * t^(8m+3) * (B_2...B_{8m+2}/(8m+2)!!) * B_{4m+2,chi_D}/(4m+2)
-    * prod_{p|2t}(1 - chi_D(p) p^-(4m+2)), where d = d0 t^2 and D = disc Q(sqrt d)."""
-    disc, t = fundamental_discriminant(d)
+def _twisted_volume(m: int, disc: int, t: int, const: Fraction, primes: dict[int, int]) -> Fraction:
+    """The closed form shared by the K and N fixtures, D = disc, s = 4m+2:
+    const * t^(8m+3) * (B_2...B_{8m+2}/(8m+2)!!) * B_{s,chi_D}/s
+    * prod_{p in primes}(1 - chi_D(p) p^-s)."""
     s = 4 * m + 2
-    euler = Fraction(1)
-    for p in factorize(2 * t):
-        euler *= 1 - Fraction(kronecker(disc, p), p**s)
+    euler = math.prod((1 - Fraction(kronecker(disc, p), p**s) for p in primes), start=Fraction(1))
     return (
-        _k_constant(m, d, disc)
+        const
         * Fraction(t) ** (8 * m + 3)
         * _bernoulli_product(8 * m + 2)
         / _double_factorial_even(8 * m + 2)
@@ -158,26 +142,21 @@ def fixture_vol_k_tilde(m: int, d: int) -> Fraction:
         / s
         * euler
     )
+
+
+def fixture_vol_k_tilde(m: int, d: int) -> Fraction:
+    """vol_HM of the stable-plus group of K(m,d), d = d0 t^2, D = disc Q(sqrt d):
+    `_twisted_volume` with `_k_constant` and the Euler primes p | 2t."""
+    disc, t = fundamental_discriminant(d)
+    return _twisted_volume(m, disc, t, _k_constant(m, d, disc), factorize(2 * t))
 
 
 def fixture_vol_n_tilde(m: int, d: int) -> Fraction:
-    """vol_HM of the stable-plus group of N(m,d), d = 1 mod 4:
-    2^(delta_{1,d} - 4m - 2) * (B_2...B_{8m+2}/(8m+2)!!) * t^(8m+3)
-    * B_{4m+2,chi_D}/(4m+2) * prod_{p|t}(1 - chi_D(p) p^-(4m+2))."""
+    """vol_HM of the stable-plus group of N(m,d), d = 1 mod 4, d = d0 t^2:
+    `_twisted_volume` with the constant 2^(delta_{1,d} - 4m - 2) and the
+    Euler primes p | t."""
     if d % 4 != 1:
         raise PreconditionError("the N family requires d = 1 mod 4")
     disc, t = fundamental_discriminant(d)
-    s = 4 * m + 2
-    euler = Fraction(1)
-    for p in factorize(t):
-        euler *= 1 - Fraction(kronecker(disc, p), p**s)
     delta = 1 if d == 1 else 0
-    return (
-        Fraction(2) ** (delta - 4 * m - 2)
-        * _bernoulli_product(8 * m + 2)
-        / _double_factorial_even(8 * m + 2)
-        * Fraction(t) ** (8 * m + 3)
-        * generalized_bernoulli(s, disc)
-        / s
-        * euler
-    )
+    return _twisted_volume(m, disc, t, Fraction(2) ** (delta - 4 * m - 2), factorize(t))

@@ -11,7 +11,8 @@ one, the Euler product; `gamma_factor`, `zeta_product` and `l_closed` return
 only the rational coefficient of their value, and each docstring names the
 pi power or surd that it stands for, so `build_report` multiplies rationals.
 
-Bernoulli numbers are read off the integer tangent numbers, and the
+The Bernoulli numbers B_2..B_2j are one list, `even_bernoullis`, read off
+the integer tangent numbers; it is the one place that builds them.  The
 generalized Bernoulli number B_{k,chi} of a character of conductor f comes
 from the integer power sums S_j = sum_{0<a<f/2} chi(a) a^j over half the
 residues (binomial expansion of B_k(a/f), folded by chi(f-a) B_k(1-a/f) =
@@ -20,7 +21,7 @@ when chi(-1) != (-1)^k, with no power sum formed.  The values chi_D(a),
 a < f, are one table built from the prime discriminants of D: squares mod p
 for each odd p | D, and a table mod 4 or 8 for the 2-part.  That table and
 the power sums are linear in f, so a call priced over _GENBERN_WORK_CAP
-products raises FeasibilityError before the table is built.  The product
+products raises FeasibilityError before D is factored.  The product
 zeta(2)...zeta(2t) is one fraction from one tangent-number triangle.
 
 L-values at positive integers are obtained from generalized Bernoulli numbers
@@ -36,7 +37,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cache
 from itertools import compress
 
 from .arith import factorize, squarefree_decompose
@@ -125,31 +125,15 @@ def _tangent_numbers(count: int) -> list[int]:
     return t
 
 
-def _even_bernoulli(k: int, t_k: int) -> Fraction:
-    """B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent number T_k."""
-    four_k = 4**k
-    return Fraction((-1) ** (k - 1) * 2 * k * t_k, four_k * (four_k - 1))
-
-
-@cache
-def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (convention B_1 = -1/2).
-
-    Even n = 2k >= 2 reads B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) off
-    the integer tangent number T_k, so a cold B_n costs O(n^2) integer
-    operations and one reduction of the fraction, and no call depends on
-    another.  Odd n >= 3 gives 0; callers in the volume pipeline only use
-    even n.
-    """
-    if n < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2:
-        return Fraction(0)
-    return _even_bernoulli(n // 2, _tangent_numbers(n // 2)[n // 2])
+def even_bernoullis(top: int) -> list[Fraction]:
+    """[B_2, B_4, ..., B_2j], 2j <= top, the only Bernoulli numbers built
+    here: B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) read off one
+    tangent-number triangle, O(top^2) integer operations."""
+    tangents = _tangent_numbers(top // 2)
+    return [
+        Fraction((-1) ** (k - 1) * 2 * k * tangents[k], 4**k * (4**k - 1))
+        for k in range(1, top // 2 + 1)
+    ]
 
 
 def fundamental_discriminant(m: int) -> tuple[int, int]:
@@ -224,27 +208,31 @@ def generalized_bernoulli(k: int, disc: int) -> Fraction:
         S_j = sum_{0<a<f/2} chi(a) a^j.
 
     B_i = 0 at odd i >= 3, so only S_{k-1} and the S_j with j = k mod 2 are
-    formed, the latter by stepping the terms by a^2; B_0..B_k come from one
-    tangent-number triangle, and the sum is one integer over their common
-    denominator, times f.  For disc = 1 this returns the ordinary B_k; any
-    other disc that is not a fundamental discriminant raises
-    PreconditionError, and one whose power sums would take more than
-    _GENBERN_WORK_CAP products raises FeasibilityError.
+    formed, the latter by stepping the terms by a^2; B_0..B_k are B_0 = 1,
+    B_1 = -1/2 and `even_bernoullis(k)`, and the sum is one integer over
+    their common denominator, times f.  For disc = 1 this returns the
+    ordinary B_k from the same list.  A call whose power sums would take
+    more than _GENBERN_WORK_CAP products raises FeasibilityError before
+    |disc| is factored; any other disc that is not a fundamental
+    discriminant raises PreconditionError.
     """
     if k < 1:
         raise ValueError("index must be >= 1")
-    if disc == 1:
-        return bernoulli(k)
-    primes = _fundamental_primes(disc)
-    if (disc < 0) == (k % 2 == 0):
-        return Fraction(0)
     f = abs(disc)
+    parity = (disc > 0) == (k % 2 == 0)  # chi(-1) = (-1)^k
     work = f + (f // 2) * (k // 2 + 1)
-    if work > _GENBERN_WORK_CAP:
+    if parity and work > _GENBERN_WORK_CAP:
         raise FeasibilityError(
             f"B_{{{k},chi}} of conductor {f} would take ~{work} products, "
             f"over the cap {_GENBERN_WORK_CAP}"
         )
+    bern = {0: Fraction(1), 1: Fraction(-1, 2)}
+    bern.update(zip(range(2, k + 1, 2), even_bernoullis(k)))
+    if disc == 1:
+        return bern.get(k, Fraction(0))
+    primes = _fundamental_primes(disc)
+    if not parity:
+        return Fraction(0)
     chi = _character_table(disc, primes)
     half = (f + 1) // 2  # a < f/2; chi(f/2) = 0 for even f
     sums = [0] * (k + 1)
@@ -264,9 +252,6 @@ def generalized_bernoulli(k: int, disc: int) -> Fraction:
                 sums[k - 1] += sum(map(operator.mul, terms, residues))
             terms = list(map(operator.mul, terms, squares))
             sums[j] += sum(terms)
-    tangents = _tangent_numbers(k // 2)
-    bern = {0: Fraction(1), 1: Fraction(-1, 2)}
-    bern.update((2 * m, _even_bernoulli(m, tangents[m])) for m in range(1, k // 2 + 1))
     den = math.lcm(*(b.denominator for b in bern.values()))
     num = sum(
         math.comb(k, i) * b.numerator * (den // b.denominator) * f**i * sums[k - i]

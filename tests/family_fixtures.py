@@ -16,13 +16,8 @@ from fractions import Fraction
 
 from hmvol.arith import factorize, kronecker, valuation
 from hmvol.errors import PreconditionError
-from hmvol.families import (
-    _bernoulli_product,
-    _double_factorial_even,
-    _even_bernoullis,
-    _prime_divisor_product,
-)
-from hmvol.special_values import fundamental_discriminant, generalized_bernoulli
+from hmvol.families import _bernoulli_product, _double_factorial_even, _prime_divisor_product
+from hmvol.special_values import even_bernoullis, fundamental_discriminant, generalized_bernoulli
 
 
 def p_series(p: int, n: int) -> Fraction:
@@ -38,7 +33,7 @@ def p_series(p: int, n: int) -> Fraction:
 
 def fixture_dim_ii_leading(m: int) -> Fraction:
     """Leading k^(8m+2) coefficient for the stable group of II(m)."""
-    bern = _even_bernoullis(8 * m + 2)
+    bern = even_bernoullis(8 * m + 2)
     return (
         Fraction(1, 2 ** (4 * m))
         * math.prod(bern)

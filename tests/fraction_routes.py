@@ -5,12 +5,13 @@ the bad-prime corrections as `Fraction` factors (`euler_product`), L(t, chi_D)
 through `SymbolicReal` products of Gamma(j/2) values (`l_closed`), the
 records of zeta(2m) (`zeta_closed`), of the gamma factor (`gamma_factor`) and
 of |det L|^((rho+1)/2) (`det_power`), which the volume was once the product
-of, and the two helpers only these routes use (`gamma_half`,
-`euler_factor`).  The bodies are unchanged apart from the names, in
-`l_closed` the division by a Gamma value, which is a product with its
-inverse, and `zeta_product`, which `euler_product` now takes as the product
-of `zeta_closed` records."""
+of, and the helpers only these routes use (`gamma_half`, `euler_factor`,
+and `bernoulli`, which reads B_n through the engine).  The bodies are
+unchanged apart from the names, in `l_closed` the division by a Gamma
+value, which is a product with its inverse, and `zeta_product`, which
+`euler_product` now takes as the product of `zeta_closed` records."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -20,8 +21,16 @@ from hmvol.density import _EMPTY_BLOCK, LocalDensity, cross_rank_weight
 from hmvol.errors import PreconditionError
 from hmvol.jordan import JordanDecomposition
 from hmvol.lattices import Lattice
-from hmvol.special_values import SymbolicReal, bernoulli, generalized_bernoulli
+from hmvol.special_values import SymbolicReal, generalized_bernoulli
 from hmvol.volumes import genus_discriminant
+
+
+@functools.cache
+def bernoulli(n: int) -> Fraction:
+    """B_n (B_1 = -1/2) as the engine builds it, generalized_bernoulli(n, 1)
+    of the trivial character, and B_0 = 1; cached, since the finite-sum
+    oracles ask for each B_n many times."""
+    return Fraction(1) if n == 0 else generalized_bernoulli(n, 1)
 
 
 def gamma_half(j: int) -> SymbolicReal:

@@ -275,11 +275,26 @@ def test_closed_form_parts_over_the_cap_exit_0(capsys, expr, n_iso):
     assert json.loads(out)["indices"]["O~+"] == n_iso
 
 
-def test_l_value_conductor_guard_exit_4(capsys):
-    # D = 4 * 2 * 2 * 2000000000001: the chi table alone would not fit in memory
+def test_l_value_conductor_guard_exit_4(capsys, monkeypatch):
+    # D = 4 * 2 * 2 * 2000000000001: the chi table alone would not fit in
+    # memory, and the guard fires before |D| is factored, so only |det| is
+    import sys
+
+    from hmvol import arith
+
+    factorize, factored = arith.factorize, []
+
+    def recorded(n):
+        factored.append(n)
+        return factorize(n)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hmvol") and getattr(mod, "factorize", None) is factorize:
+            monkeypatch.setattr(mod, "factorize", recorded)
     code, out, err = run(capsys, "analyze", "U + <2> + <-2000000000001>")
     assert code == 4 and out == ""
     assert "conductor 16000000000008" in err and "Traceback" not in err
+    assert factored == [4000000000002]
 
 
 def test_analyze_e8_minus_two_stable_exit_0(capsys):
@@ -391,9 +406,9 @@ def test_malformed_option_exits_2(capsys, argv):
     assert f"error: argument {argv[2]}" in capsys.readouterr().err
 
 
-def test_stabilized_disagreement_warns_in_oracle_and_fails_in_analyze(capsys, monkeypatch):
-    # one disagreement, two policies: oracle prints WARNING and exits 0,
-    # analyze --oracle-check exits 5
+def test_stabilized_disagreement_exits_5_in_oracle_and_in_analyze(capsys, monkeypatch):
+    # one disagreement, one policy: oracle prints its lines, then both
+    # commands exit 5
     from hmvol import cli, volumes
 
     density = cli.local_density
@@ -404,9 +419,10 @@ def test_stabilized_disagreement_warns_in_oracle_and_fails_in_analyze(capsys, mo
 
     monkeypatch.setattr(cli, "local_density", off_by_one)
     code, out, err = run(capsys, "oracle", "<2> + <-8>", "2", "6")
-    assert (code, err) == (0, "")
+    assert (code, err) == (5, "internal consistency failure: oracle disagrees with the density "
+                              "formula at p=2\n")
     assert out.endswith("stabilization: stable\nconvention: congruence X^t S X = S taken plainly "
-                        "mod 2^r in every entry\nWARNING: stabilized oracle disagrees with the formula\n")
+                        "mod 2^r in every entry\n")
     monkeypatch.setattr(volumes, "oracle_stabilized", lambda lat, p: (3, Fraction(1, 7), True))
     assert run(capsys, "analyze", "U + <-6>", "--oracle-check") == (
         5, "", "internal consistency failure: oracle disagrees with the density formula at p=2\n")

@@ -2,7 +2,8 @@
 
 A top-level function or class of `src/hmvol` must be referenced by another
 part of the package, named in README, listed in `hmvol.__all__` or read by
-`hmbench`; code that only tests read belongs in `tests/`.  The closed-form
+`hmbench`; code that only tests read belongs in `tests/`.  No function is
+cached, so every call, like every CLI command, starts cold.  The closed-form
 fixtures are the second route that the engine is checked against, so they
 import none of the Jordan, density or Euler-product code.
 """
@@ -76,3 +77,19 @@ def _imported_modules(tree: ast.Module) -> set[str]:
                          ids=["families", "family_fixtures"])
 def test_fixtures_import_no_engine_route(path):
     assert _imported_modules(_parse(path)) & ENGINE_ROUTES == set()
+
+
+def test_no_package_function_is_cached():
+    # functools.cache or lru_cache, as a decorator or a call, by either import
+    caches = {"cache", "lru_cache"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: functools.{n}" for n in names if n in caches]
+    assert not found, found

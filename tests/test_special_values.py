@@ -16,12 +16,12 @@ import hmvol
 from hmvol.errors import FeasibilityError, PreconditionError
 from hmvol import special_values
 from hmvol.arith import kronecker, squarefree_decompose
-from fraction_routes import euler_factor, gamma_half, zeta_closed
+from fraction_routes import bernoulli, euler_factor, gamma_half, zeta_closed
 from fraction_routes import gamma_factor as fraction_gamma_factor
 from fraction_routes import l_closed as fraction_l_closed
 from hmvol.special_values import (
     SymbolicReal,
-    bernoulli,
+    even_bernoullis,
     fundamental_discriminant,
     gamma_factor,
     generalized_bernoulli,
@@ -58,8 +58,8 @@ def zeta_negative(n: int) -> Fraction:
 @functools.cache
 def recurrence_bernoulli(n: int) -> Fraction:
     """B_n from the defining recurrence sum_{k=0}^{n} C(n+1,k) B_k = 0 in
-    Fractions, each value cached: the route `bernoulli` took before the
-    tangent numbers, kept as its oracle."""
+    Fractions, each value cached: the route B_n took before the tangent
+    numbers, kept as the oracle of `even_bernoullis`."""
     if n == 0:
         return Fraction(1)
     if n == 1:
@@ -91,6 +91,10 @@ def test_bernoulli_values():
     assert bernoulli(12) == Fraction(-691, 2730)
     assert bernoulli(1) == Fraction(-1, 2)
     assert bernoulli(3) == 0
+    # B_2..B_2j with 2j <= top, from one triangle
+    assert even_bernoullis(13) == [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
+                                   Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730)]
+    assert even_bernoullis(1) == []
 
 
 def test_bernoulli_defining_identity():
@@ -127,11 +131,12 @@ def test_bernoulli_120_returns_in_a_fresh_process():
     # cold B_n past the old 72-entry cache went exponential: B_120 never returned
     src = Path(hmvol.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "from hmvol.special_values import bernoulli; print(bernoulli(120))"
+    code = ("from hmvol.special_values import generalized_bernoulli; "
+            "print(generalized_bernoulli(120, 1))")
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    assert Fraction(out.stdout.strip()) == bernoulli(120)
+    assert Fraction(out.stdout.strip()) == recurrence_bernoulli(120)
 
 
 # ------------------------------------------------------------- Kronecker
@@ -329,6 +334,12 @@ def test_generalized_bernoulli_conductor_guard():
     assert generalized_bernoulli(3, 100000001) == 0  # the parity zero is free
     with pytest.raises(FeasibilityError):
         generalized_bernoulli(2, 100000001)
+    # the price is checked before |disc| is factored, so a non-fundamental
+    # disc over the cap is refused by the guard; at the parity zero it is not
+    with pytest.raises(FeasibilityError, match="conductor 400000000"):
+        generalized_bernoulli(2, 4 * 10**8)
+    with pytest.raises(PreconditionError, match="fundamental"):
+        generalized_bernoulli(3, 4 * 10**8)
 
 
 def test_generalized_bernoulli_matches_kronecker_route():
@@ -344,7 +355,7 @@ def test_generalized_bernoulli_matches_kronecker_route():
 
 
 def test_generalized_bernoulli_trivial_character():
-    assert generalized_bernoulli(4, 1) == bernoulli(4) == Fraction(-1, 30)
+    assert generalized_bernoulli(4, 1) == recurrence_bernoulli(4) == Fraction(-1, 30)
 
 
 def test_generalized_bernoulli_numeric_l_value():
